@@ -1,9 +1,10 @@
 """Benchmark driver (repo contract).
 
-Default mode: one fresh ``ray.init(num_cpus=$RAY_GRAFT_CPUS or 32)``, runs
-the headline KG-construction pipeline end-to-end on the deterministic bench
-corpus plus a set of representative queries over ``$GRAFT_SF_DIR`` (default
-/root/testdata/sf0.1), and prints ONE JSON line::
+Default mode: one fresh ``ray.init(num_cpus=$RAY_GRAFT_CPUS or the CPUs
+this process may run on)``, runs the headline KG-construction pipeline
+end-to-end on the deterministic bench corpus plus a set of representative
+queries over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1), and prints
+ONE JSON line::
 
     {"metric": "kg_e2e_sec", "value": <headline sec>, "unit": "sec",
      "queries": {...}, "sf": ..., "num_cpus": N, "docs_per_sec": ...}
@@ -32,7 +33,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NCPU = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NCPU = int(os.environ.get("RAY_GRAFT_CPUS",
+                          len(os.sched_getaffinity(0))))
 BENCH_NDOCS = int(os.environ.get("KG_BENCH_NDOCS", "200000"))
 REPO = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, REPO)

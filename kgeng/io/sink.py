@@ -1,6 +1,6 @@
 """Graph materialization — vertices/edges collections in the reference's
-smart-graph document layout, as partitioned parquet plus a ``graph.json``
-manifest (the DDL analogue of ``general.py:51-108``).
+smart-graph document layout, as parquet plus a ``graph.json`` manifest
+(the DDL analogue of ``general.py:51-108``).
 
 Layouts (see FIXTURES.md §4):
 
@@ -9,6 +9,22 @@ Layouts (see FIXTURES.md §4):
 - edge:                     ``{"_from": "<vcoll>/<smart>:<id>", "_to": ...,
   [<attr>: "<str>"]}`` — attribute value stored as *string*
   (edges_generator.py:26-29,44-47; weight-as-string per edge_list.py:33)
+
+Two plans build the collections, with one pair of projections
+(:func:`vertex_table`, :func:`edge_table`) shared by both:
+
+- the Ray plan: each collection is a Ray Dataset, written by its own
+  ``write_parquet`` execution (one part file per output block);
+- the driver plan: the caller passes driver-resident ``pa.Table``s and
+  each collection is written as ONE ``part-00000.parquet`` file. A
+  write over a MB-sized graph is then milliseconds of pyarrow instead
+  of seconds of per-execution scheduling.
+
+The pipeline picks the plan from the measured byte size of its
+checkpointed triple files: at most ``pipeline._DRIVER_SIDE_READ_BYTES``
+(the cutover its other side-partition reads use) selects the driver
+plan; larger inputs, and runs without a checkpoint store, use the Ray
+plan.
 """
 
 from __future__ import annotations
@@ -16,76 +32,95 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from kgeng.config import SmartGraphConfig
 from kgeng.ops import keys
 
 
-def entities_to_vertices(entities: ray.data.Dataset,
-                         cfg: SmartGraphConfig) -> ray.data.Dataset:
-    """entities(entity_id, ent_type, ...) -> vertex docs."""
-
-    def project(batch: pa.Table) -> pa.Table:
-        eid = batch["entity_id"]
-        part = (batch["ent_type"] if "ent_type" in batch.column_names
-                else pa.nulls(len(batch), pa.string()))
-        if cfg.smart_attribute == "part":
-            # the reference's smart-attr=='part' variant: the partition
-            # property IS the smart value (_key = f"{part}:{vid}",
-            # vertices_generator.py:30) — a naive dict literal would
-            # collide on the duplicate "part" key and drop the column
-            return pa.table({
-                "part": part,
-                "_key": keys.smart_key(eid.combine_chunks(),
-                                       smart_value=part.combine_chunks()
-                                       if isinstance(part, pa.ChunkedArray)
-                                       else part),
-                "entity_id": eid,
-            })
+def vertex_table(batch: pa.Table, cfg: SmartGraphConfig) -> pa.Table:
+    """entities(entity_id, [ent_type]) -> vertex docs."""
+    eid = batch["entity_id"].combine_chunks()
+    part = (batch["ent_type"].combine_chunks()
+            if "ent_type" in batch.column_names
+            else pa.nulls(len(batch), pa.string()))
+    if cfg.smart_attribute == "part":
+        # the reference's smart-attr=='part' variant: the partition
+        # property IS the smart value (_key = f"{part}:{vid}",
+        # vertices_generator.py:30) — a naive dict literal would
+        # collide on the duplicate "part" key and drop the column
         return pa.table({
-            cfg.smart_attribute: eid,
-            "_key": keys.smart_key(eid.combine_chunks()),
             "part": part,
+            "_key": keys.smart_key(eid, smart_value=part),
+            "entity_id": eid,
         })
+    return pa.table({
+        cfg.smart_attribute: eid,
+        "_key": keys.smart_key(eid),
+        "part": part,
+    })
 
-    return entities.map_batches(project, batch_format="pyarrow")
+
+def confidence_strings(conf) -> pa.Array:
+    """Edge confidences as strings, formatted like the reference's
+    f-strings (f'{w}' -> '1.0', not the Arrow cast's shortest-repr '1').
+    float32 values format at FLOAT32 precision: widening 0.9f to double
+    first would print '0.8999999761581421' where the reference prints
+    '0.9'. Each distinct value is formatted once (almost every
+    confidence is one of the constants 1.0 and 0.9) and spread back
+    with ``take``."""
+    if isinstance(conf, pa.ChunkedArray):
+        conf = conf.combine_chunks()
+    enc = pc.dictionary_encode(conf)
+    vals = enc.dictionary.to_numpy(zero_copy_only=False)
+    if pa.types.is_float32(conf.type):
+        strs = [np.format_float_positional(v, trim="0") for v in vals]
+    else:
+        strs = [f"{float(v)}" for v in vals]
+    return pa.array(strs, pa.string()).take(enc.indices)
 
 
-def triples_to_edges(triples: ray.data.Dataset,
-                     cfg: SmartGraphConfig) -> ray.data.Dataset:
+def edge_table(batch: pa.Table, cfg: SmartGraphConfig) -> pa.Table:
     """triples(subj, pred, obj, doc_id, confidence) -> edge docs.
 
     ``pred`` becomes an edge attribute; confidence is stringified (the
     reference stores all edge attributes as strings)."""
+    return pa.table({
+        "_from": keys.idx_to_smart_vertex(cfg.vertex_coll,
+                                          batch["subj"].combine_chunks()),
+        "_to": keys.idx_to_smart_vertex(cfg.vertex_coll,
+                                        batch["obj"].combine_chunks()),
+        "pred": batch["pred"],
+        "doc_id": batch["doc_id"],
+        "confidence": confidence_strings(batch["confidence"]),
+    })
 
-    def project(batch: pa.Table) -> pa.Table:
-        import numpy as np
 
-        subj = batch["subj"].combine_chunks()
-        obj = batch["obj"].combine_chunks()
-        # f-string formatting like the reference (f'{w}' -> '1.0', not
-        # the Arrow cast's shortest-repr '1'). float32 values must
-        # format at FLOAT32 precision: widening 0.9f to double first
-        # would print '0.8999999761581421' where the reference prints
-        # '0.9'.
-        cvals = batch["confidence"].to_pylist()
-        if pa.types.is_float32(batch["confidence"].type):
-            conf = pa.array(
-                [np.format_float_positional(np.float32(v), trim="0")
-                 for v in cvals], pa.string())
-        else:
-            conf = pa.array([f"{float(v)}" for v in cvals], pa.string())
-        return pa.table({
-            "_from": keys.idx_to_smart_vertex(cfg.vertex_coll, subj),
-            "_to": keys.idx_to_smart_vertex(cfg.vertex_coll, obj),
-            "pred": batch["pred"],
-            "doc_id": batch["doc_id"],
-            "confidence": conf,
-        })
+def entities_to_vertices(entities: ray.data.Dataset,
+                         cfg: SmartGraphConfig) -> ray.data.Dataset:
+    """Ray plan of :func:`vertex_table`."""
+    return entities.map_batches(lambda t: vertex_table(t, cfg),
+                                batch_format="pyarrow")
 
-    return triples.map_batches(project, batch_format="pyarrow")
+
+def triples_to_edges(triples: ray.data.Dataset,
+                     cfg: SmartGraphConfig) -> ray.data.Dataset:
+    """Ray plan of :func:`edge_table`."""
+    return triples.map_batches(lambda t: edge_table(t, cfg),
+                               batch_format="pyarrow")
+
+
+def _write_collection(coll, d: str) -> None:
+    if isinstance(coll, pa.Table):
+        import pyarrow.parquet as pq
+
+        os.makedirs(d)
+        pq.write_table(coll, os.path.join(d, "part-00000.parquet"))
+    else:
+        coll.write_parquet(d)
 
 
 def write_graph(out_dir: str, vertices, edges, cfg: SmartGraphConfig,
@@ -94,9 +129,14 @@ def write_graph(out_dir: str, vertices, edges, cfg: SmartGraphConfig,
     edges — the reference's ordering invariant
     (graphalytics_importer.py:173-175; edge_list.py:50-51).
 
-    ``vertices`` / ``edges`` may be Datasets or zero-arg callables
-    returning them — callables are only invoked when a write actually
-    happens. A previous INTACT export (manifest + ``_SUCCESS`` sentinel
+    ``vertices`` / ``edges`` may be collections or zero-arg callables
+    returning them, called in that order and only when a write actually
+    happens. A collection is either a Ray Dataset (the Ray plan: one
+    ``write_parquet`` execution, one part file per block) or a
+    driver-resident ``pa.Table`` (the driver plan: one
+    ``part-00000.parquet`` per collection dir, written with
+    ``pq.write_table``); the caller picks the plan, see the module
+    docstring. A previous INTACT export (manifest + ``_SUCCESS`` sentinel
     written after both collections) with the same ``lineage`` is reused
     instead of rewritten: the lineage covers the pipeline config and
     input fileset, which fully determine the collections' content, so a
@@ -129,8 +169,8 @@ def write_graph(out_dir: str, vertices, edges, cfg: SmartGraphConfig,
             import shutil
 
             shutil.rmtree(d)
-    (vertices() if callable(vertices) else vertices).write_parquet(vdir)
-    (edges() if callable(edges) else edges).write_parquet(edir)
+    _write_collection(vertices() if callable(vertices) else vertices, vdir)
+    _write_collection(edges() if callable(edges) else edges, edir)
     manifest = {
         "graph_name": cfg.graph_name,
         "vertex_collection": cfg.vertex_coll,

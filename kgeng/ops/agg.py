@@ -689,8 +689,18 @@ def heavy_hitters_rescan(ds: ray.data.Dataset, key: str, k: int = 20,
                             batch_format="pyarrow") \
         .groupby(["tag", key]).aggregate(Sum("est", alias_name="est")) \
         .materialize()
-    err_total = int(sum(
-        r["est"] for r in merged.filter(expr="tag == 1").take_all()))
+    err_rows = merged.filter(expr="tag == 1").take_all()
+    err_total = int(sum(r["est"] for r in err_rows))
+    # bound the candidate pull BEFORE it happens: every row of the
+    # materialized merge but the (at most one) error row is a candidate,
+    # and its row count is block metadata
+    n_cand = merged.count() - len(err_rows)
+    if n_cand > max_candidates:
+        raise ValueError(
+            f"heavy_hitters_rescan: {n_cand} merged candidates "
+            f"exceed max_candidates={max_candidates}; raise capacity, "
+            "improve block coherence (fewer, larger blocks), or raise "
+            "max_candidates")
 
     def pick_keys(t: pa.Table) -> pa.Table:
         t = t.filter(pc.equal(t["tag"], 0))
@@ -698,11 +708,6 @@ def heavy_hitters_rescan(ds: ray.data.Dataset, key: str, k: int = 20,
 
     cand = merged.map_batches(pick_keys, batch_format="pyarrow") \
         .take_all()
-    if len(cand) > max_candidates:
-        raise ValueError(
-            f"heavy_hitters_rescan: {len(cand)} merged candidates "
-            f"exceed max_candidates={max_candidates}; raise capacity "
-            "coherence (fewer, larger blocks) or max_candidates")
     cand_set = pa.array([r[key] for r in cand], pa.string())
     ref = ray.put(cand_set)
 

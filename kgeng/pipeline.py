@@ -30,7 +30,7 @@ from kgeng.ops.block import candidate_pairs
 from kgeng.ops.canonicalize import build_resolution
 from kgeng.ops.extract import (extract_records, extract_records_fused,
                                load_gazetteer_dict)
-from kgeng.ops.triples import emit_triples
+from kgeng.ops.triples import TRIPLE_SCHEMA, emit_triples
 
 
 def _filter_kind(ds: ray.data.Dataset, kinds: tuple[str, ...]) -> ray.data.Dataset:
@@ -56,6 +56,23 @@ _REC_PROJECTIONS = {
     "triple": ["doc_id", "subj", "pred", "obj"],
     "eid": ["subj"],
 }
+# the triple table's columns, and the early-emitted triples' subset
+_TRIPLE_COLS = ["subj", "pred", "obj", "doc_id", "confidence"]
+_TRIPLE_PART_SCHEMA = pa.schema([TRIPLE_SCHEMA.field(c)
+                                 for c in _TRIPLE_COLS])
+_EARLY_SCHEMA = pa.schema([("subj", pa.string()), ("pred", pa.string()),
+                           ("obj", pa.string()), ("doc_id", pa.string())])
+
+
+def _conf1(t: pa.Table) -> pa.Table:
+    """Early-emitted triples -> triple rows (their confidence is always
+    1.0 by construction, so it is not stored)."""
+    import numpy as np
+    return pa.table({
+        "subj": t["subj"], "pred": t["pred"], "obj": t["obj"],
+        "doc_id": t["doc_id"],
+        "confidence": pa.array(np.full(len(t), 1.0, dtype=np.float32)),
+    })
 
 
 class LazyResult(dict):
@@ -218,24 +235,7 @@ class KGPipeline:
         # this stage resolves only the alias-dependent residue (pending
         # relations + media) against the canonicalization map, then the
         # result is the union of the two.
-        triple_cols = ["subj", "pred", "obj", "doc_id", "confidence"]
         triples_lin = {"input": "records+resolution", **in_lin}
-        from kgeng.ops.triples import TRIPLE_SCHEMA
-        trip_part_schema = pa.schema(
-            [TRIPLE_SCHEMA.field(c) for c in triple_cols])
-        early_schema = pa.schema([("subj", pa.string()),
-                                  ("pred", pa.string()),
-                                  ("obj", pa.string()),
-                                  ("doc_id", pa.string())])
-
-        def _conf1(t: pa.Table) -> pa.Table:
-            import numpy as np
-            return pa.table({
-                "subj": t["subj"], "pred": t["pred"], "obj": t["obj"],
-                "doc_id": t["doc_id"],
-                "confidence": pa.array(
-                    np.full(len(t), 1.0, dtype=np.float32)),
-            })
 
         if store is not None:
             if not (resume and store.is_done("triples",
@@ -256,18 +256,18 @@ class KGPipeline:
                         file_rows=store.shard_file_rows("records"),
                         writer=w),
                     partition_cols=["t_kind"], lineage=triples_lin,
-                    partition_projections={"triple": triple_cols,
+                    partition_projections={"triple": _TRIPLE_COLS,
                                            "eid": ["subj"]})
 
             def _triples_ds():
                 early = store.read_all_shards(
                     "records", path_contains="rec_kind=triple",
                     columns=["subj", "pred", "obj", "doc_id"],
-                    schema=early_schema).map_batches(
+                    schema=_EARLY_SCHEMA).map_batches(
                         _conf1, batch_format="pyarrow")
                 pending = store.read_stage_partition(
-                    "triples", "t_kind=triple", columns=triple_cols,
-                    schema=trip_part_schema)
+                    "triples", "t_kind=triple", columns=_TRIPLE_COLS,
+                    schema=_TRIPLE_PART_SCHEMA)
                 return pending.union(early)
 
             triples = None  # built lazily in the result (see LazyResult)
@@ -317,18 +317,23 @@ class KGPipeline:
             # collections are not rebuilt (and the triples view is not
             # even constructed)
             graph_lin = {"config": cfg.config_hash(), **in_lin}
+            plan = (self._driver_graph_plan(store, smart)
+                    if store is not None else None)
+            if plan is not None:
+                _vertices, _edges = plan
+            else:
+                def _vertices():
+                    media = self._media_vertices(result["triples"], smart)
+                    return sink.entities_to_vertices(entities,
+                                                     smart).union(media)
 
-            def _vertices():
-                media = self._media_vertices(result["triples"], smart)
-                return sink.entities_to_vertices(entities,
-                                                 smart).union(media)
-
-            def _edges():
-                return sink.triples_to_edges(result["triples"], smart)
+                def _edges():
+                    return sink.triples_to_edges(result["triples"], smart)
 
             result["graph_manifest"] = sink.write_graph(
                 out_dir, _vertices, _edges, smart,
                 lineage=graph_lin if store is not None else None)
+            _t("materialize_done")
         return result
 
     # ------------------------------------------------------------------
@@ -629,6 +634,52 @@ class KGPipeline:
 
     # ------------------------------------------------------------------
     @staticmethod
+    def _driver_graph_plan(store: CheckpointStore, smart: SmartGraphConfig):
+        """Driver plan of the graph export: ``(vertices, edges)`` thunks
+        returning ``pa.Table``s built from the checkpointed triple files
+        and entities table, or None when the triple files exceed
+        ``_DRIVER_SIDE_READ_BYTES`` (sized before any read). Below that
+        size three Ray executions (the media-id ``distinct`` shuffle and
+        one ``write_parquet`` per collection) cost seconds of scheduling
+        for a few MB of output; pyarrow does the same in milliseconds.
+        Same projections as the Ray plan (``sink.vertex_table`` /
+        ``sink.edge_table``), so both plans write the same rows."""
+        from kgeng.checkpoint import _parquet_files
+
+        pending_files = _parquet_files(
+            os.path.join(store.stage_dir("triples"), "t_kind=triple"))
+        early_files = store.shard_files("records",
+                                        path_contains="rec_kind=triple")
+        if _total_bytes(pending_files + early_files) \
+                > _DRIVER_SIDE_READ_BYTES:
+            return None
+        held: dict[str, pa.Table] = {}
+
+        def _vertices() -> pa.Table:
+            triples = pa.concat_tables([
+                _driver_read(pending_files, _TRIPLE_PART_SCHEMA),
+                _conf1(_driver_read(early_files, _EARLY_SCHEMA))])
+            held["triples"] = triples  # the edges thunk's input
+            obj = triples["obj"].combine_chunks()
+            media = pc.unique(obj.filter(pc.starts_with(obj, "media://")))
+            media = media.take(pc.array_sort_indices(media))
+            ents = _driver_read(
+                _parquet_files(store.stage_dir("entities")),
+                pa.schema([("entity_id", pa.string()),
+                           ("ent_type", pa.string())]))
+            return pa.concat_tables([
+                sink.vertex_table(ents, smart),
+                sink.vertex_table(pa.table({
+                    "entity_id": media,
+                    "ent_type": pa.array(["MEDIA"] * len(media),
+                                         pa.string())}), smart)])
+
+        def _edges() -> pa.Table:
+            return sink.edge_table(held.pop("triples"), smart)
+
+        return _vertices, _edges
+
+    @staticmethod
     def _media_vertices(triples, smart: SmartGraphConfig):
         def media_rows(batch: pa.Table) -> pa.Table:
             # entity_id only: distinct() drops everything else anyway
@@ -677,14 +728,20 @@ def _assign_shards_stable(files: list[str], n_shards: int) -> list[list[str]]:
     return shards
 
 
+def _driver_read(files: list[str], schema: pa.Schema) -> pa.Table:
+    """``schema``'s columns of small parquet files — driver side, pyarrow
+    threaded scan, no Ray execution; an empty table for no files."""
+    if not files:
+        return schema.empty_table()
+    import pyarrow.dataset as pads
+
+    return pads.dataset(files).to_table(columns=schema.names).cast(schema)
+
+
 def _driver_read_column(files: list[str], column: str) -> list[str]:
     """Unique values of one column across small parquet files — driver
     side, pyarrow threaded scan, no Ray execution."""
-    if not files:
-        return []
-    import pyarrow.dataset as pads
-
-    tbl = pads.dataset(files).to_table(columns=[column])
+    tbl = _driver_read(files, pa.schema([(column, pa.string())]))
     return pc.unique(tbl[column].combine_chunks()).to_pylist()
 
 

@@ -1110,10 +1110,11 @@ def lineitem_labelprop(sf_dir: str):
     """Native synchronous label propagation ('labelpropagation' in the
     reference's Pregel algorithm list, arguments.py:187-188) over the
     shared symmetrized order<->part graph: 4 fixed rounds, most
-    frequent in-neighbor label, ties to the smallest label. Fully
-    distributed dataset rounds (ops/graph.
-    label_propagation_communities); the unrolled-CTE oracle replays
-    the same rounds exactly (all-integer, hash-match)."""
+    frequent in-neighbor label, ties to the smallest label, through
+    ops/graph.label_propagation_communities: plan A (per-block raw
+    tasks, driver-side merge) under its node and pair cutovers, plan B
+    (distributed dataset rounds) past them. The unrolled-CTE oracle
+    replays the same rounds exactly (all-integer, hash-match)."""
     from kgeng.ops.graph import label_propagation_communities
 
     return label_propagation_communities(_order_part_edges(sf_dir),

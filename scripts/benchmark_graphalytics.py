@@ -26,7 +26,8 @@ def main():
     dataset_dir = sys.argv[1]
     out_dir = sys.argv[2] if len(sys.argv) > 2 else "/tmp/ga_bench_out"
     ray.init(address="local",
-             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", 32)),
+             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                        len(os.sched_getaffinity(0)))),
              include_dashboard=False, ignore_reinit_error=True,
              logging_level="ERROR")
     from ray.data import DataContext

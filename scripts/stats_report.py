@@ -19,7 +19,9 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 def main():
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 20000
-    ray.init(address="local", num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", 32)),
+    ray.init(address="local",
+             num_cpus=int(os.environ.get("RAY_GRAFT_CPUS",
+                                         len(os.sched_getaffinity(0)))),
              include_dashboard=False, logging_level="ERROR")
     from ray.data import DataContext
 

@@ -502,3 +502,88 @@ def test_incremental_append_extracts_only_new_fragment(
     inc_e["surface_forms"] = inc_e["surface_forms"].map(tuple)
     bat_e["surface_forms"] = bat_e["surface_forms"].map(tuple)
     assert inc_e.equals(bat_e)
+
+
+def test_stage_walls_record_materialize_only_with_out_dir(tiny_run,
+                                                          tiny_corpus):
+    """The graph export has its own ``materialize`` wall; a run without
+    ``out_dir`` exports nothing and records none."""
+    p, res, root = tiny_run
+    assert res["stage_walls"]["materialize"] >= 0
+    res2 = p.run(os.path.join(tiny_corpus, "corpus"),
+                 os.path.join(tiny_corpus, "gazetteer.parquet"))
+    assert "materialize" not in res2["stage_walls"]
+    assert "entities" in res2["stage_walls"]
+
+
+def _sorted_rows(t):
+    return t.sort_by([(c, "ascending") for c in t.column_names]).to_pylist()
+
+
+@pytest.mark.parametrize("smart_attribute", ["entity_id", "part"])
+def test_graph_export_driver_plan_matches_ray_plan(
+        tiny_corpus, tmp_path_factory, monkeypatch, smart_attribute):
+    """Below the bytes cutover the checkpointed export is built on the
+    driver (one file per collection); with the cutover forced to 0 the
+    Ray plan writes it. Both must write the same schemas and rows."""
+    import glob
+
+    from kgeng import pipeline as pl
+    from kgeng.config import PipelineConfig, SmartGraphConfig
+
+    root = str(tmp_path_factory.mktemp("ckpt_plans"))
+    corpus = os.path.join(tiny_corpus, "corpus")
+    gazp = os.path.join(tiny_corpus, "gazetteer.parquet")
+    p = KGPipeline(PipelineConfig(smart=SmartGraphConfig(
+        smart_attribute=smart_attribute)), checkpoint_root=root)
+    driver_dir = os.path.join(root, "graph_driver")
+    p.run(corpus, gazp, out_dir=driver_dir)
+    monkeypatch.setattr(pl, "_DRIVER_SIDE_READ_BYTES", 0)
+    ray_dir = os.path.join(root, "graph_ray")
+    p.run(corpus, gazp, out_dir=ray_dir)  # stages resume; export differs
+
+    for coll in ("entities", "triples"):
+        assert [os.path.basename(f) for f in glob.glob(
+            os.path.join(driver_dir, coll, "*"))] == ["part-00000.parquet"]
+        d = pq.read_table(os.path.join(driver_dir, coll))
+        r = pq.read_table(os.path.join(ray_dir, coll))
+        assert d.num_rows > 0
+        assert d.schema.equals(r.schema), (d.schema, r.schema)
+        assert _sorted_rows(d) == _sorted_rows(r)
+    v = pq.read_table(os.path.join(driver_dir, "entities"))
+    assert "MEDIA" in v["part"].to_pylist()
+
+
+def test_confidence_strings_match_reference_formatting():
+    """Vectorized confidence strings: float32 at float32 precision,
+    float64 as the f-string form, and byte-equal to the per-row loop
+    they replace."""
+    import numpy as np
+    import pyarrow as pa
+
+    from kgeng.io.sink import confidence_strings
+
+    def per_row(arr):
+        if pa.types.is_float32(arr.type):
+            return [np.format_float_positional(np.float32(v), trim="0")
+                    for v in arr.to_pylist()]
+        return [f"{float(v)}" for v in arr.to_pylist()]
+
+    assert confidence_strings(
+        pa.array([0.9, 1.0, 0.9], pa.float32())).to_pylist() == \
+        ["0.9", "1.0", "0.9"]
+    assert confidence_strings(
+        pa.array([0.1 + 0.2], pa.float64())).to_pylist() == \
+        ["0.30000000000000004"]
+    for typ in (pa.float32(), pa.float64()):
+        assert confidence_strings(pa.array([], typ)).to_pylist() == []
+        assert confidence_strings(
+            pa.chunked_array([], typ)).to_pylist() == []
+    rng = np.random.default_rng(7)
+    for dt in (np.float32, np.float64):
+        # random values plus repeats, so the dictionary path is exercised
+        vals = np.r_[rng.random(500), [0.9, 1.0] * 50].astype(dt)
+        arr = pa.chunked_array([pa.array(vals[:300]), pa.array(vals[300:])])
+        got = confidence_strings(arr)
+        assert got.type == pa.string()
+        assert got.to_pylist() == per_row(pa.array(vals))

@@ -2110,6 +2110,28 @@ def test_heavy_hitters_rescan_raises_when_sketch_too_coarse():
         agg.heavy_hitters_rescan(ds, "term", k=5, capacity=8)
 
 
+def test_heavy_hitters_rescan_bounds_candidates_before_pull(monkeypatch):
+    """Past max_candidates the call raises before any candidate reaches
+    the driver: only the (single) error row is pulled."""
+    terms = [f"t{i:04d}" for i in range(1, 200)
+             for _ in range(max(1, 600 // i))]
+    ds = ray.data.from_arrow(
+        pa.table({"term": pa.array(terms)})).repartition(4)
+    pulled = []
+    orig = ray.data.Dataset.take_all
+
+    def take_all(self, *a, **kw):
+        rows = orig(self, *a, **kw)
+        pulled.append(len(rows))
+        return rows
+
+    monkeypatch.setattr(ray.data.Dataset, "take_all", take_all)
+    with pytest.raises(ValueError, match="improve block coherence"):
+        agg.heavy_hitters_rescan(ds, "term", k=10, capacity=64,
+                                 max_candidates=5)
+    assert pulled and max(pulled) <= 1, pulled
+
+
 # ------------------------------------------------ edge triangle support
 
 def test_edge_triangle_support_plans_agree_and_match_bruteforce():
