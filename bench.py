@@ -14,13 +14,16 @@ Every default-mode number is the MIN over ``$KG_BENCH_REPEATS`` (default
 minute, and a single sample records the window, not the code.
 
 ``--scaling``: paired protocol — each repeat runs the headline job at
-num_cpus=8 then num_cpus=32 BACK TO BACK in fresh subprocesses on the
-SAME corpus, computes that pair's efficiency T8/(4*T32) plus the hardware
+num_cpus=lo then num_cpus=hi BACK TO BACK in fresh subprocesses on the
+SAME corpus, computes that pair's efficiency T_lo/((hi/lo)*T_hi) plus the
+hardware
 ceiling measured in the same window (raw multiprocessing scaling of a
 regex kernel — CPU frequency scaling caps ANY 4x-CPU speedup well below
 1.0 on this box, see BASELINE.md), and reports the MEDIAN per-pair
 efficiency. Pairing matters: the host's all-core throughput swings
 +/-20% across minutes, so lo/hi measured in different windows is noise.
+The pair is ``$KG_SCALE_PAIR`` ("lo,hi") or, by default, (n // 4, n) for
+the n CPUs this process may run on; the JSON records lo, hi and n.
 """
 
 from __future__ import annotations
@@ -184,8 +187,16 @@ def main():
     ray.shutdown()
 
 
+def default_scale_pair() -> tuple[int, int]:
+    """(n // 4, n) Ray CPUs for the n CPUs this process may run on (at
+    least 1 each): neither side of the pair oversubscribes the host, so
+    the efficiency measures the engine, not CPU contention."""
+    n = len(os.sched_getaffinity(0))
+    return max(1, n // 4), n
+
+
 def scaling(repeats: int = 2, n_docs: int = 2_000_000,
-            lo_cpus: int = 8, hi_cpus: int = 32):
+            lo_cpus: int | None = None, hi_cpus: int | None = None):
     """Paired protocol: each repeat runs lo then hi BACK TO BACK (fresh
     subprocess each) and computes that pair's efficiency, plus the
     hardware ceiling measured in the same window. The headline is the
@@ -194,6 +205,9 @@ def scaling(repeats: int = 2, n_docs: int = 2_000_000,
     T_lo and a slow-moment T_hi (or vice versa) is meaningless; paired
     measurements share the window."""
     import statistics
+
+    if lo_cpus is None or hi_cpus is None:
+        lo_cpus, hi_cpus = default_scale_pair()
 
     def run_once(ncpu: int) -> dict:
         # single-sample inside each child: the PAIRING (lo/hi back to
@@ -284,6 +298,7 @@ def scaling(repeats: int = 2, n_docs: int = 2_000_000,
         "metric": f"scaling_efficiency_{lo_cpus}_to_{hi_cpus}",
         "bench_docs": n_docs,
         "lo_cpus": lo_cpus, "hi_cpus": hi_cpus,
+        "host_cpus": len(os.sched_getaffinity(0)),
         "sec_lo": best_lo, "sec_hi": best_hi,
         "docs_per_sec_lo": round(n_docs / best_lo, 1),
         "docs_per_sec_hi": round(n_docs / best_hi, 1),
@@ -296,7 +311,8 @@ def scaling(repeats: int = 2, n_docs: int = 2_000_000,
 
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
-        pair = os.environ.get("KG_SCALE_PAIR", "8,32").split(",")
+        pair = (os.environ["KG_SCALE_PAIR"].split(",")
+                if "KG_SCALE_PAIR" in os.environ else default_scale_pair())
         # 2M docs: big enough that the two fixed per-run streaming-
         # executor startups (~0.5 s total) stay under ~3% of the hi-CPU
         # wall — the 100 TB job this models amortizes them to nothing

@@ -12,6 +12,13 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+# inputs below this total size are read on the driver with pyarrow (a Ray
+# Dataset execution over a few MB costs seconds of pure scheduling);
+# bigger ones use the distributed read path. Callers size their inputs
+# BEFORE any read. Shared by the pipeline's side-partition reads and
+# graph export and by the edge-list import (kgeng/io/graph_files.py).
+_DRIVER_SIDE_READ_BYTES = 256 << 20
+
 
 @dataclass(frozen=True)
 class SmartGraphConfig:

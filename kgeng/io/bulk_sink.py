@@ -12,34 +12,92 @@ import json
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 
 from kgeng.io.graph_files import docs_to_jsonl_rows
 
 
+# JSON string escapes for U+0000-U+001F, as ``json.dumps`` writes them,
+# and for U+2028/U+2029, which ``str.splitlines`` readers take as breaks
+_CONTROL_ESCAPES = [(chr(c), {8: "\\b", 9: "\\t", 10: "\\n", 12: "\\f",
+                              13: "\\r"}.get(c, f"\\u{c:04x}"))
+                    for c in [*range(0x20), 0x2028, 0x2029]]
+
+
+def _json_string_body(col: pa.Array) -> pa.Array:
+    """Escape ``"``, ``\\``, U+0000-U+001F and U+2028/U+2029 for a JSON
+    string literal; all other text (non-ASCII included) is written as
+    UTF-8."""
+    col = pc.replace_substring(col, "\\", "\\\\")
+    col = pc.replace_substring(col, '"', '\\"')
+    if pc.any(pc.match_substring_regex(
+            col, "[\\x00-\\x1f\\x{2028}\\x{2029}]")).as_py():
+        for ch, esc in _CONTROL_ESCAPES:
+            col = pc.replace_substring(col, ch, esc)
+    return col
+
+
+def render_jsonl(batch: pa.Table) -> bytes:
+    """One JSON object per row, ``\\n``-terminated, null fields ABSENT —
+    the lines ``json.dumps(row, separators=(",", ":"))`` writes for
+    ``docs_to_jsonl_rows(batch)``, rendered with Arrow kernels instead of
+    a per-row loop (non-ASCII other than U+2028/U+2029 stays UTF-8 where
+    ``json.dumps`` would write ``\\u`` escapes; both load to the same
+    dict). String columns are escaped in place; other columns are
+    encoded per value with ``json.dumps``."""
+    frags = []
+    for name, col in zip(batch.column_names, batch.columns):
+        col = col.combine_chunks()
+        key = "," + json.dumps(name) + ":"
+        if pa.types.is_string(col.type):
+            parts = (pa.scalar(key + '"'), _json_string_body(col),
+                     pa.scalar('"'))
+        else:
+            parts = (pa.scalar(key), pa.array(
+                [None if v is None else json.dumps(v)
+                 for v in col.to_pylist()], pa.string()))
+        # ',"name":value', or "" when the value is null (field absent)
+        frags.append(pc.fill_null(
+            pc.binary_join_element_wise(*parts, ""), ""))
+    # "{" + fields minus the first field's leading comma + "}\n". A
+    # fill_null + slice rather than null_handling="skip": pyarrow 16's
+    # "skip" drops rows whose fields are ALL null instead of emitting ""
+    fields = pc.binary_join_element_wise(*frags, "")
+    lines = pc.binary_join_element_wise(
+        pa.scalar("{"), pc.utf8_slice_codeunits(fields, 1),
+        pa.scalar("}\n"), "")
+    whole = pc.binary_join(pa.ListArray.from_arrays(
+        pa.array([0, len(lines)], pa.int32()), lines), "")
+    return whole[0].as_buffer().to_pybytes()
+
+
 def write_jsonl_collection(ds: ray.data.Dataset, out_dir: str) -> int:
     """Materialize a document Dataset as a directory of JSONL part files
-    (one line per document, optional fields absent). Returns row count."""
+    (one line per document, optional fields absent). Returns row count.
+
+    One Ray ``map_batches`` over bulks of 10,000 rows (the reference bulk
+    size); each bulk is rendered by ``render_jsonl`` with Arrow kernels.
+    Whether the Dataset came from a driver-side parse (``from_arrow``
+    below ``_DRIVER_SIDE_READ_BYTES``) or a distributed one, the write is
+    the same."""
     os.makedirs(out_dir, exist_ok=True)
 
     def write_part(batch: pa.Table, *, _dir=out_dir) -> pa.Table:
         import hashlib
+        import uuid
 
-        rows = docs_to_jsonl_rows(batch)
-        body = "".join(json.dumps(r, separators=(",", ":")) + "\n"
-                       for r in rows)
+        body = render_jsonl(batch)
         # content-keyed filename (same convention as the checkpoint
         # part files): a retried Ray task rewrites the SAME path instead
         # of duplicating the batch under a fresh random name
-        name = hashlib.sha1(body.encode()).hexdigest()[:16]
+        name = hashlib.sha1(body).hexdigest()[:16]
         path = os.path.join(_dir, f"part-{name}.jsonl")
-        import uuid
-
         tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
-        with open(tmp, "w") as f:
+        with open(tmp, "wb") as f:
             f.write(body)
         os.replace(tmp, path)
-        return pa.table({"rows": pa.array([len(rows)], pa.int64())})
+        return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
 
     counts = ds.map_batches(write_part, batch_format="pyarrow",
                             batch_size=10000)  # the reference bulk_size

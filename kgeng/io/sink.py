@@ -21,7 +21,7 @@ Two plans build the collections, with one pair of projections
   of seconds of per-execution scheduling.
 
 The pipeline picks the plan from the measured byte size of its
-checkpointed triple files: at most ``pipeline._DRIVER_SIDE_READ_BYTES``
+checkpointed triple files: at most ``config._DRIVER_SIDE_READ_BYTES``
 (the cutover its other side-partition reads use) selects the driver
 plan; larger inputs, and runs without a checkpoint store, use the Ray
 plan.

@@ -24,7 +24,8 @@ import ray
 import ray.data
 
 from kgeng.checkpoint import CheckpointStore
-from kgeng.config import PipelineConfig, SmartGraphConfig
+from kgeng.config import (_DRIVER_SIDE_READ_BYTES, PipelineConfig,
+                          SmartGraphConfig)
 from kgeng.io import sink
 from kgeng.ops.block import candidate_pairs
 from kgeng.ops.canonicalize import build_resolution
@@ -696,11 +697,6 @@ class KGPipeline:
         return sink.entities_to_vertices(media, smart)
 
 
-# side partitions below this total size are read on the driver with a
-# multithreaded pyarrow scan (a Ray Dataset execution over hundreds of
-# KB-sized files costs seconds of pure scheduling); bigger ones use the
-# distributed read path
-_DRIVER_SIDE_READ_BYTES = 256 << 20
 # a 'surface' partition beyond this size cannot correspond to a plan-A
 # viable surface set (driver_max_surfaces strings are ~100 MB); go
 # straight to the distributed canonicalization without collecting

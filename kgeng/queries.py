@@ -2470,13 +2470,17 @@ def _sql_mulmod(x: str, c: int) -> str:
             f"% 4294967296) * 4294967296) % {_SQL_M64})")
 
 
-def _sql_splitmix64(x: str) -> str:
-    """Vectorized splitmix64 finalizer = ops/agg.py:_splitmix64, in the
-    HUGEINT-in-[0,2^64) domain."""
-    z = f"((({x}) + CAST('11400714819323198485' AS HUGEINT)) % {_SQL_M64})"
-    z = _sql_mulmod(_sql_xshift(z, 30), 0xBF58476D1CE4E5B9)
-    z = _sql_mulmod(_sql_xshift(z, 27), 0x94D049BB133111EB)
-    return _sql_xshift(z, 31)
+def _sql_splitmix64_rounds() -> tuple[str, str, str]:
+    """The splitmix64 finalizer = ops/agg.py:_splitmix64, in the
+    HUGEINT-in-[0,2^64) domain, as three expressions over the previous
+    round's column: ``z0`` (the seed plus GOLDEN, mod 2^64) -> ``z1`` ->
+    ``z2`` -> hash. Callers stage them as chained CTE columns: the nested
+    xshift/mulmod macros repeat their argument ~18x per level, so one
+    nested expression is megabytes of SQL that DuckDB takes minutes to
+    plan (or OOMs on); staged, the query is a few KB."""
+    return (_sql_mulmod(_sql_xshift("z0", 30), 0xBF58476D1CE4E5B9),
+            _sql_mulmod(_sql_xshift("z1", 27), 0x94D049BB133111EB),
+            _sql_xshift("z2", 31))
 
 
 def cms_oracle_sql(width: int = 2048, depth: int = 4,
@@ -2488,19 +2492,12 @@ def cms_oracle_sql(width: int = 2048, depth: int = 4,
     and the min-over-rows point estimate for the exact top-``k``
     terms. Exactly statable because every step is integer arithmetic
     mod 2^64 — no float summation order anywhere."""
-    # splitmix64 rounds staged as chained CTE columns (z0..z2) rather
-    # than one _sql_splitmix64 macro call: the nested xshift/mulmod
-    # macros duplicate their argument ~18x per level, so the one-shot
-    # expansion is megabytes of SQL and the planner OOMs (the HLL
-    # oracle survives it over a bare column; here the seed is itself
-    # an expression). Staged, the whole query is a few KB.
-    # z0 = (th + (d+1)*GOLDEN) mod 2^64 == the macro's z for seed
-    # th + d*GOLDEN (the macro adds one more GOLDEN itself).
+    # z0 = (th + (d+1)*GOLDEN) mod 2^64: splitmix64 of the seed
+    # th + d*GOLDEN (the finalizer adds one more GOLDEN itself)
     z0 = (f"((th + (CAST(d AS HUGEINT) + 1) * "
           f"CAST('11400714819323198485' AS HUGEINT)) % {_SQL_M64})")
-    z1 = _sql_mulmod(_sql_xshift("z0", 30), 0xBF58476D1CE4E5B9)
-    z2 = _sql_mulmod(_sql_xshift("z1", 27), 0x94D049BB133111EB)
-    cell = f"CAST(({_sql_xshift('z2', 31)}) % {width} AS BIGINT)"
+    z1, z2, hv = _sql_splitmix64_rounds()
+    cell = f"CAST(({hv}) % {width} AS BIGINT)"
     return f"""
         WITH tokens AS (
           SELECT unnest(regexp_extract_all(text, '\\S+')) AS term
@@ -3867,7 +3864,14 @@ def events_dedup_keyed(sf_dir: str):
     (user, type, hour)): synthesize the composite window key
     vectorized, then the same bucketed top-k machinery at k=1 with a
     deterministic (ts, event_id) tiebreak. Output
-    (event_id, user_id, event_type, window)."""
+    (event_id, user_id, event_type, window).
+
+    The key is ``user \\x1f window \\x1f =event_type`` and cannot collide:
+    the two integer parts hold no separator, so the first two separators
+    split it back into its parts whatever the free-form type holds. A
+    null part renders as "" (never a non-null value: integers are
+    non-empty, types carry the "=" mark), so nulls form their own
+    groups as in SQL's PARTITION BY instead of nulling the whole key."""
     from kgeng.ops.rank import top_k_per_group
 
     ev = _pq(sf_dir, "events",
@@ -3876,9 +3880,12 @@ def events_dedup_keyed(sf_dir: str):
     def keyed(t: pa.Table) -> pa.Table:
         us = pc.cast(t["ts"], pa.int64())  # epoch microseconds
         win = pc.divide(us, 3600000000)  # ts >= 0: trunc == floor
+        etype = pc.binary_join_element_wise(
+            pa.scalar("="), t["event_type"], "")
         k = pc.binary_join_element_wise(
-            pc.cast(t["user_id"], pa.string()), t["event_type"],
-            pc.cast(win, pa.string()), "|")
+            *(pc.fill_null(c, "") for c in (
+                pc.cast(t["user_id"], pa.string()),
+                pc.cast(win, pa.string()), etype)), "\x1f")
         return t.append_column("window", pc.cast(win, pa.int64())) \
                 .append_column("__k", k)
 
@@ -4166,10 +4173,15 @@ def hll_oracle_sql(table: str = "events", key: str = "event_type",
     m = 1 << p
     w_div = 1 << (64 - p)          # hv // w_div = register index
     max_rank = 64 - p + 1
-    hv = _sql_splitmix64(_sql_b2h(value))
+    z0 = (f"(({_sql_b2h(value)}) + "
+          f"CAST('11400714819323198485' AS HUGEINT)) % {_SQL_M64}")
+    z1, z2, hv = _sql_splitmix64_rounds()
     return f"""
-        WITH h AS (
-          SELECT {key} AS k, {hv} AS hv FROM {table}
+        WITH s0 AS (
+          SELECT {key} AS k, {z0} AS z0 FROM {table}
+        ), s1 AS (SELECT k, {z1} AS z1 FROM s0
+        ), s2 AS (SELECT k, {z2} AS z2 FROM s1
+        ), h AS (SELECT k, {hv} AS hv FROM s2
         ), rk AS (
           SELECT k, CAST(hv // {w_div} AS BIGINT) AS idx,
                  CAST(hv % {w_div} AS BIGINT) AS w

@@ -7,10 +7,12 @@ extract stage uses) measures that ceiling so pipeline scaling efficiency
 can be judged against what the hardware permits. Prints the ceiling
 (fraction of the ideal hi/lo speedup) as the last line.
 
-Usage: python cpu_ceiling.py [lo_procs hi_procs]   (default 8 32)
+Usage: python cpu_ceiling.py [lo_procs hi_procs]
+(default n // 4 and n for the n CPUs this process may run on)
 """
 
 import multiprocessing as mp
+import os
 import re
 import sys
 import time
@@ -35,8 +37,9 @@ def run(nproc, iters=3000):
 
 
 if __name__ == "__main__":
+    n = len(os.sched_getaffinity(0))
     lo, hi = (int(sys.argv[1]), int(sys.argv[2])) if len(sys.argv) > 2 \
-        else (8, 32)
+        else (max(1, n // 4), n)
     t_lo, t_hi = run(lo), run(hi)
     print(f"units/s at {lo} procs: {t_lo:.0f}; at {hi} procs: {t_hi:.0f}")
     print(round(t_hi / t_lo / (hi / lo), 3))

@@ -15,7 +15,8 @@ paired scaling runs use), each worker reading DISTINCT part files once
 (cold-style, no shared-page-cache inflation), so the ceiling is the
 hardware's attainable speedup for the actual job.
 
-Usage: python scripts/extract_ceiling.py [K ...]   (default: 1 8 32)
+Usage: python scripts/extract_ceiling.py [K ...]
+(default: 1, n // 4 and n for the n CPUs this process may run on)
 Prints one JSON line: {"K<k>": docs_per_sec, ..., "ratio_hi_lo": r,
 "ceiling_vs_ideal": r/(hi/lo)}.
 """
@@ -68,14 +69,15 @@ def measure(corpus_dir: str, k: int, files_per_worker: int = 2) -> float:
 def main():
     from kgeng.synth.corpus import ensure_bench_corpus
 
-    ks = [int(a) for a in sys.argv[1:]] or [1, 8, 32]
+    n = len(os.sched_getaffinity(0))
+    ks = [int(a) for a in sys.argv[1:]] or sorted({1, max(1, n // 4), n})
     n_docs = int(os.environ.get("KG_BENCH_NDOCS", "2000000"))
     corpus_dir = ensure_bench_corpus(n_docs)
     out = {}
     for k in ks:
         out[f"K{k}"] = round(measure(corpus_dir, k), 1)
-    lo, hi = ks[-2], ks[-1]
-    if len(ks) >= 2 and hi > lo:
+    lo, hi = ks[-2:] if len(ks) >= 2 else (ks[0], ks[0])
+    if hi > lo:
         out["ratio_hi_lo"] = round(out[f"K{hi}"] / out[f"K{lo}"], 3)
         out["ceiling_vs_ideal"] = round(
             out["ratio_hi_lo"] / (hi / lo), 3)

@@ -99,4 +99,46 @@ def test_hll_oracle_matches_in_raw_estimator_branch(tmp_path):
     want = canon(duckdb.connect().execute(sql).fetchdf())
     # sanity: the big group really exercises the raw branch
     assert int(got.loc[got["k"] == "big", "n_approx"].iloc[0]) > 10240
+    assert dict(zip(want["k"], want["n_approx"])) == {"big": 60458,
+                                                      "small": 196}
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
+def test_events_dedup_keyed_keeps_pipe_and_null_groups_apart(tmp_path):
+    """The composite (user, type, hour) key: event types holding the old
+    '|' separator stay distinct groups, and a null user or type is its
+    own group (SQL's PARTITION BY) rather than a null key whose rows the
+    per-bucket groupby would drop. Checked against the unchanged SQL
+    oracle over a crafted events table."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as E
+
+    h = 3_600_000_000  # one hour in microseconds
+    rows = [  # (event_id, ts_us, user_id, event_type)
+        (1, 10, 1, "a|b"), (2, 5, 1, "a|b"),     # one group: keep 2
+        (3, 7, 1, "a"), (4, 8, 1, "b"),
+        (5, 9, 1, "a|b|"), (6, 3, 1, "|a|b"),
+        (7, 4, 12, "a"), (8, 6, 1, "2|a"),
+        (9, h + 1, 1, "a|b"),                   # next hour: own group
+        (10, 2, None, "a"), (11, 1, None, "a"),  # null user: keep 11
+        (12, 2, 1, None), (13, 3, 1, None),      # null type: keep 12
+        (14, 5, None, None), (15, 5, 1, ""),
+    ]
+    pq.write_table(pa.table({  # the sf events schema: ts in us
+        "event_id": pa.array([r[0] for r in rows], pa.int64()),
+        "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
+        "user_id": pa.array([r[2] for r in rows], pa.int64()),
+        "event_type": pa.array([r[3] for r in rows], pa.string()),
+    }), tmp_path / "events.parquet")
+
+    got = canon(_to_pandas(E.queries()["events_dedup_keyed"](
+        str(tmp_path))))
+    c = duckdb.connect()
+    c.execute("CREATE VIEW events AS SELECT * FROM "
+              f"read_parquet('{tmp_path}/events.parquet')")
+    want = canon(c.execute(E.oracle_sql()["events_dedup_keyed"]).fetchdf())
+    assert sorted(got["event_id"]) == [2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 14,
+                                       15]
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
