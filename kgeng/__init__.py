@@ -4,7 +4,7 @@ From-scratch engine generalizing the parse-and-load semantics of
 ``arangodb/graph-importer`` (see SURVEY.md) into a full extraction stack:
 
     read_documents -> detect_mentions -> link -> block (MinHash-LSH)
-        -> canonicalize (union-find) -> emit_triples -> materialize
+        -> canonicalize (union-find) -> triples -> materialize
 
 All dataflow is ``ray.data.Dataset`` + ``map_batches`` over zero-copy Arrow
 batches; stateful stages (linker, detectors) are actor pools; wide steps are

@@ -104,10 +104,7 @@ class CheckpointStore:
         if os.path.exists(d):
             shutil.rmtree(d)
         t0 = time.monotonic()
-        if partition_cols and os.environ.get("KGENG_RAY_PARTITION_WRITE"):
-            ds.write_parquet(tmp, partition_cols=partition_cols)
-            part_counts = None
-        elif partition_cols:
+        if partition_cols:
             part_counts = _write_partitioned(ds, tmp, partition_cols,
                                              partition_projections)
         else:

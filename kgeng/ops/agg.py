@@ -19,6 +19,17 @@ import pyarrow.compute as pc
 import ray.data
 
 
+def distinct(ds: ray.data.Dataset, cols: list[str]) -> ray.data.Dataset:
+    """Distinct rows over ``cols``: per-batch partial dedup (vectorized Arrow
+    group_by) to shrink the shuffle, then a global groupby — the
+    partial+final pattern from SURVEY.md §4."""
+    ds = ds.select_columns(cols)
+    ds = ds.map_batches(lambda t: t.group_by(cols).aggregate([]),
+                        batch_format="pyarrow")
+    out = ds.groupby(cols).count()
+    return out.drop_columns(["count()"])
+
+
 def salted_count(ds: ray.data.Dataset, key: str, salt: int = 16,
                  out: str = "n", key_type=None) -> ray.data.Dataset:
     """Row count per distinct ``key`` value; skew-immune. Returns

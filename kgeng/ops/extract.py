@@ -1,9 +1,9 @@
 """Mention detection + span-local relation extraction.
 
-One ``map_batches`` pass over the documents table emits a *records* table
-holding three record kinds (all doc-local — no shuffle here, which is what
-keeps the stage linear at 10^12-doc scale; only the much smaller records
-table ever reaches a wide operator):
+One fused read+extract pass (``extract_records_fused``) over the documents
+files emits a *records* table holding three record kinds (all doc-local —
+no shuffle here, which is what keeps the stage linear at 10^12-doc scale;
+only the much smaller records table ever reaches a wide operator):
 
 - ``mention``: a detected surface (gazetteer hit, NER-heuristic candidate, or
   regex detector hit) with (doc_id, span_idx, offset) provenance.
@@ -40,7 +40,6 @@ parser re-evaluates per line, ``graphalytics_importer.py:112-124``).
 from __future__ import annotations
 
 import json
-import os
 import re
 
 import numpy as np
@@ -513,26 +512,6 @@ def _cached_extract(key: str, gaz_ref, cfg, batch: pa.Table) -> pa.Table:
     return det(batch)
 
 
-def extract_records(docs: ray.data.Dataset, gazetteer: dict,
-                    batch_size: int = 1024,
-                    concurrency=None,
-                    detect_cfg: DetectConfig | None = None) -> ray.data.Dataset:
-    """documents Dataset -> records Dataset (mention | relation | media).
-
-    The gazetteer is broadcast once with ``ray.put`` and read once per
-    worker (cached) — never re-shipped per batch.
-    """
-    gaz_ref = ray.put(gazetteer)
-    key = gaz_ref.hex()
-    cfg = detect_cfg
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return _cached_extract(key, gaz_ref, cfg, batch)
-
-    return docs.map_batches(fn, batch_format="pyarrow",
-                            batch_size=batch_size)
-
-
 def plan_read_items(files: list[str],
                     target_rows: int = 4096) -> list[dict]:
     """Split parquet files into (path, row-group range) work items of
@@ -678,9 +657,7 @@ def extract_records_fused(files: list[str], gazetteer: dict,
     # waves (245 files at 32 CPUs = 7.7 waves, the last one 2/3 idle),
     # while fine items regrouped to a multiple of the CPU count pack
     # into full waves of near-equal tasks
-    plan_grain = int(os.environ.get("KG_EX_PLAN_GRAIN", "0")) \
-        or max(512, target_rows // 4)
-    items = plan_read_items(files, plan_grain)
+    items = plan_read_items(files, max(512, target_rows // 4))
     if not items:
         if writer is not None:
             return ray.data.from_arrow(

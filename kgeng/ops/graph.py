@@ -1221,15 +1221,11 @@ def scc(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
 
 def _distinct_col(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
     """Distinct int64 values of one column, as Dataset(node)."""
-    def pick(t: pa.Table) -> pa.Table:
-        if "node" not in t.column_names:  # zero-column empty partition
-            return pa.table({"node": pa.array([], pa.int64())})
-        return pa.table({"node": pc.cast(t["node"], pa.int64())})
+    from kgeng.ops.agg import distinct
 
-    return ds.map_batches(
+    return distinct(ds.map_batches(
         lambda t: pa.table({"node": pc.cast(t[col], pa.int64())}),
-        batch_format="pyarrow").groupby("node").count() \
-        .map_batches(pick, batch_format="pyarrow")
+        batch_format="pyarrow"), ["node"])
 
 
 def _ren(ds: ray.data.Dataset, mapping: dict[str, str],
@@ -2704,7 +2700,7 @@ def random_walks(edges: ray.data.Dataset, src: str = "src",
     (cur, choice) -> neighbor rank lookup) — edge- and walk-count
     unbounded, bit-identical to plan A by integer construction."""
     from kgeng.ops.agg import _splitmix64
-    from kgeng.pipeline import distinct
+    from kgeng.ops.agg import distinct
 
     if walk_len < 1 or walks_per_node < 1:
         raise ValueError("walk_len and walks_per_node must be >= 1")

@@ -734,9 +734,19 @@ def semantic_dup_pairs_q8(ds: ray.data.Dataset, k: int = 8,
     :func:`semantic_dup_pairs` — the full chain (clustering included)
     hash-matches its DuckDB replay. Output (id_a, id_b, dot) with
     id_a < id_b; the same one-cluster-per-vector SemDeDup recall trade
-    applies. int64-safe while dim*127^2 < 2^31 (dot^2*tau2_den and
-    |a|^2*|b|^2*tau2_num stay below 2^63)."""
+    applies. int64-safe while max(tau2_num, tau2_den) * (dim*127^2)^2
+    < 2^63: |dot| and |a|^2 are at most dim*127^2, so both sides of the
+    test stay below 2^63 (the defaults 4/25 allow dim up to ~37.6k).
+    Checked on the driver from the centroid width; ``ValueError`` past
+    it, never a silent wrap."""
     qds, cent = _kmeans_q8_quantized(ds, k, iters, id_col, vec, scale)
+    top = cent.shape[1] * 127 * 127  # Python ints: the check cannot wrap
+    if max(tau2_num, tau2_den) * top * top >= 1 << 63:
+        raise ValueError(
+            f"semantic_dup_pairs_q8: dim={cent.shape[1]} with "
+            f"tau2_num={tau2_num}, tau2_den={tau2_den} overflows int64 "
+            "in the integer cosine test (needs max(tau2_num, tau2_den) "
+            "* (dim*127^2)^2 < 2^63)")
     ref = ray.put(cent)
 
     def bucketize(t: pa.Table) -> pa.Table:

@@ -56,12 +56,6 @@ class ResolveTriples:
         self.eid_arr = pa.array([res[s][0] for s in surfaces], pa.string())
         self.alias_arr = pa.array([res[s][1] for s in surfaces], pa.bool_())
 
-    def _res_map(self) -> dict[str, str]:
-        if not hasattr(self, "_map"):
-            self._map = dict(zip(self.surface_arr.to_pylist(),
-                                 self.eid_arr.to_pylist()))
-        return self._map
-
     def resolve_relation(self, rel: pa.Table) -> pa.Table:
         """Relation records -> triples (columns of TRIPLE_SCHEMA).
         Filter-first: rows whose subject or object does not resolve are
@@ -144,22 +138,6 @@ class ResolveTriples:
             "t_kind": _const_str("eid", n),
         }).cast(TRIPLE_SCHEMA)
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = []
-        rel = batch.filter(pc.equal(batch["rec_kind"], "relation"))
-        if len(rel):
-            out.append(self.resolve_relation(rel))
-        med = batch.filter(pc.equal(batch["rec_kind"], "media"))
-        if len(med):
-            out.append(self.resolve_media(med))
-        if not out:
-            return TRIPLE_SCHEMA.empty_table()
-        result = pa.concat_tables(out)
-        eids = self.eid_rows(result)
-        if eids is not None:
-            result = pa.concat_tables([result, eids])
-        return result
-
 
 # worker-local cache (same pattern as ops/extract.py): stateless tasks,
 # resolution tables deserialized once per worker, zero pool spin-up cost
@@ -175,18 +153,9 @@ def _cached_resolver(key: str, res_ref) -> ResolveTriples:
     return r
 
 
-def emit_triples(records: ray.data.Dataset,
-                 resolution: dict[str, tuple[str, bool]],
-                 batch_size: int = 16384,
-                 concurrency: int | None = None) -> ray.data.Dataset:
-    res_ref = ray.put(resolution)
-    key = res_ref.hex()
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return _cached_resolver(key, res_ref)(batch)
-
-    return records.map_batches(fn, batch_format="pyarrow",
-                               batch_size=batch_size)
+# rows per resolve task before rounding up to full scheduling waves (see
+# emit_triples_fused)
+_TASK_ROWS = 131072
 
 
 def emit_triples_fused(relation_files: list[str], media_files: list[str],
@@ -230,12 +199,9 @@ def emit_triples_fused(relation_files: list[str], media_files: list[str],
     # 32 CPUs beat both 128 tiny and 32 coarse ones)
     import math
 
-    import os as _os
-
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     total_rows = sum(it["rows"] for it in items)
-    task_rows = int(_os.environ.get("KG_TRI_TASK_ROWS", "131072"))
-    waves = max(1, math.ceil(total_rows / task_rows / ncpu))
+    waves = max(1, math.ceil(total_rows / _TASK_ROWS / ncpu))
     n_tasks = int(min(len(items), waves * ncpu))
 
     from kgeng.ops.extract import _iter_item_tables, item_source

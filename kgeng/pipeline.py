@@ -10,13 +10,18 @@ Dataflow posture (the 10^12-doc design, SURVEY.md §7):
 - broadcast state (gazetteer, resolution map) moves via ``ray.put`` once,
   never per batch;
 - stage boundaries are parquet checkpoints with lineage + metrics manifests
-  (kgeng/checkpoint.py), so a killed run resumes where it stopped.
+  (kgeng/checkpoint.py), so a killed run resumes where it stopped. Every
+  run goes through the store: without a ``checkpoint_root`` it lives in a
+  temp dir removed at interpreter exit.
 """
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
+import shutil
+import tempfile
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -29,19 +34,10 @@ from kgeng.config import (_DRIVER_SIDE_READ_BYTES, PipelineConfig,
 from kgeng.io import sink
 from kgeng.ops.block import candidate_pairs
 from kgeng.ops.canonicalize import build_resolution
-from kgeng.ops.extract import (extract_records, extract_records_fused,
+from kgeng.ops.agg import distinct
+from kgeng.ops.extract import (RECORD_SCHEMA, extract_records_fused,
                                load_gazetteer_dict)
-from kgeng.ops.triples import TRIPLE_SCHEMA, emit_triples
-
-
-def _filter_kind(ds: ray.data.Dataset, kinds: tuple[str, ...]) -> ray.data.Dataset:
-    kind_arr = pa.array(list(kinds))
-    return ds.map_batches(
-        lambda t: t.filter(pc.is_in(t["rec_kind"], value_set=kind_arr)),
-        batch_format="pyarrow")
-
-
-
+from kgeng.ops.triples import TRIPLE_SCHEMA, emit_triples_fused
 
 # per-kind checkpoint projections: each record kind keeps only its own
 # meaningful columns (the union schema's other fields are empty strings)
@@ -111,17 +107,6 @@ class LazyResult(dict):
             return default
 
 
-def distinct(ds: ray.data.Dataset, cols: list[str]) -> ray.data.Dataset:
-    """Distinct rows over ``cols``: per-batch partial dedup (vectorized Arrow
-    group_by) to shrink the shuffle, then a global groupby — the
-    partial+final pattern from SURVEY.md §4."""
-    ds = ds.select_columns(cols)
-    ds = ds.map_batches(lambda t: t.group_by(cols).aggregate([]),
-                        batch_format="pyarrow")
-    out = ds.groupby(cols).count()
-    return out.drop_columns(["count()"])
-
-
 # auto-sharding target: each extract shard should hold enough input that
 # its fixed per-execution cost (~0.3-0.5 s streaming-executor startup +
 # manifest write, measured at 32 CPUs) stays under ~2% of its runtime.
@@ -130,6 +115,14 @@ _TARGET_SHARD_BYTES = 1 << 30
 
 
 class KGPipeline:
+    """The KG-construction pipeline. Every stage reads and writes a
+    :class:`CheckpointStore` at ``checkpoint_root``; a later run over
+    the same root resumes from the stages whose lineage still matches.
+    With ``checkpoint_root=None`` each ``run()`` gets a fresh
+    ``tempfile.mkdtemp(prefix="kgeng-ckpt-")`` root that lives until
+    interpreter exit (an ``atexit`` hook removes it): the result's lazy
+    Datasets read their rows from it, so it must outlive ``run()``."""
+
     def __init__(self, cfg: PipelineConfig | None = None,
                  checkpoint_root: str | None = None,
                  num_shards: int | None = None,
@@ -155,7 +148,10 @@ class KGPipeline:
             out_dir: str | None = None,
             resume: bool = True) -> dict:
         """Run end-to-end. ``corpus_path`` is a parquet file or directory of
-        the documents table; returns dict with the result Datasets."""
+        the documents table; returns a :class:`LazyResult` whose Datasets
+        read the checkpoint store at ``result["checkpoint_root"]`` (a temp
+        dir removed at interpreter exit when no ``checkpoint_root`` was
+        given)."""
         import time as _time
 
         t_start = _time.monotonic()
@@ -175,9 +171,8 @@ class KGPipeline:
 
         cfg = self.cfg
         gaz = load_gazetteer_dict(gazetteer_path)
-        store = None
-        if self.checkpoint_root:
-            store = CheckpointStore(self.checkpoint_root, cfg.config_hash())
+        store = CheckpointStore(self.checkpoint_root or _temp_root(),
+                                cfg.config_hash())
         # input lineage folded into every stage's resume check: a changed
         # corpus file set or shard layout invalidates old checkpoints
         # instead of silently mixing stale and fresh shards
@@ -197,8 +192,8 @@ class KGPipeline:
 
         # ---- stage 1: extract (sharded over input files) --------------
         _t("start")
-        records = self._extract_stage(corpus_path, gaz, store, resume,
-                                      n_shards, gaz_sha=gaz_sha)
+        self._extract_stage(corpus_files, gaz, store, resume, n_shards,
+                            gaz_sha)
         _t("extract_done")
 
         # ---- stage 2: linked mentions ---------------------------------
@@ -206,28 +201,17 @@ class KGPipeline:
         # the extract pass — the lookup is already paid there, and a
         # separate link stage would rewrite the corpus-scale mention
         # table just to append two columns. Records are checkpointed
-        # hive-partitioned by rec_kind, so this reads ONLY the mention
-        # partition. (A model-based scorer plugs in as the ops/link.py
-        # actor-pool stage over this same Dataset.)
+        # hive-partitioned by rec_kind, so the result's "linked" view
+        # reads ONLY the mention partition. (A model-based scorer plugs
+        # in as the ops/link.py actor-pool stage over that Dataset.)
         link_cols = ["doc_id", "span_idx", "offset", "surface",
                      "ent_type", "source", "cand_id", "link_score"]
-        from kgeng.ops.extract import RECORD_SCHEMA
         link_schema = pa.schema([RECORD_SCHEMA.field(c)
                                  for c in link_cols])
-        if store is not None:
-            # built lazily in the result: the mention partition is
-            # corpus-scale, and constructing its read Dataset prefetches
-            # every part-file footer on the driver — downstream stages
-            # read their own tiny side partitions instead
-            linked = None
-        else:
-            linked = _filter_kind(records, ("mention",)).select_columns(
-                link_cols)
         _t("linked_done")
 
         # ---- stage 3: blocking + canonicalization ---------------------
-        resolution = self._canonicalize_stage(linked, gaz, store, resume,
-                                              in_lin)
+        resolution = self._canonicalize_stage(gaz, store, resume, in_lin)
         _t("canonicalize_done")
 
         # ---- stage 4: triples -----------------------------------------
@@ -237,89 +221,69 @@ class KGPipeline:
         # relations + media) against the canonicalization map, then the
         # result is the union of the two.
         triples_lin = {"input": "records+resolution", **in_lin}
+        if not (resume and store.is_done("triples", lineage=triples_lin)):
+            # fused read+resolve over the relation/media partitions:
+            # the residue table never round-trips the object store
+            # between read and resolve tasks; per-file receipts from
+            # the records manifests make the plan footer-read-free
+            store.write_stage_receipts(
+                "triples",
+                lambda w: emit_triples_fused(
+                    store.shard_files(
+                        "records", path_contains="rec_kind=relation"),
+                    store.shard_files(
+                        "records", path_contains="rec_kind=media"),
+                    resolution,
+                    file_rows=store.shard_file_rows("records"),
+                    writer=w),
+                partition_cols=["t_kind"], lineage=triples_lin,
+                partition_projections={"triple": _TRIPLE_COLS,
+                                       "eid": ["subj"]})
 
-        if store is not None:
-            if not (resume and store.is_done("triples",
-                                             lineage=triples_lin)):
-                # fused read+resolve over the relation/media partitions:
-                # the residue table never round-trips the object store
-                # between read and resolve tasks; per-file receipts from
-                # the records manifests make the plan footer-read-free
-                from kgeng.ops.triples import emit_triples_fused
-                store.write_stage_receipts(
-                    "triples",
-                    lambda w: emit_triples_fused(
-                        store.shard_files(
-                            "records", path_contains="rec_kind=relation"),
-                        store.shard_files(
-                            "records", path_contains="rec_kind=media"),
-                        resolution,
-                        file_rows=store.shard_file_rows("records"),
-                        writer=w),
-                    partition_cols=["t_kind"], lineage=triples_lin,
-                    partition_projections={"triple": _TRIPLE_COLS,
-                                           "eid": ["subj"]})
+        def _triples_ds():
+            early = store.read_all_shards(
+                "records", path_contains="rec_kind=triple",
+                columns=["subj", "pred", "obj", "doc_id"],
+                schema=_EARLY_SCHEMA).map_batches(
+                    _conf1, batch_format="pyarrow")
+            pending = store.read_stage_partition(
+                "triples", "t_kind=triple", columns=_TRIPLE_COLS,
+                schema=_TRIPLE_PART_SCHEMA)
+            return pending.union(early)
 
-            def _triples_ds():
-                early = store.read_all_shards(
-                    "records", path_contains="rec_kind=triple",
-                    columns=["subj", "pred", "obj", "doc_id"],
-                    schema=_EARLY_SCHEMA).map_batches(
-                        _conf1, batch_format="pyarrow")
-                pending = store.read_stage_partition(
-                    "triples", "t_kind=triple", columns=_TRIPLE_COLS,
-                    schema=_TRIPLE_PART_SCHEMA)
-                return pending.union(early)
-
-            triples = None  # built lazily in the result (see LazyResult)
-        else:
-            early = _filter_kind(records, ("triple",)).map_batches(
-                _conf1, batch_format="pyarrow")
-            rel_media = _filter_kind(records, ("relation", "media"))
-            raw = emit_triples(rel_media, resolution)
-            pending = raw.map_batches(
-                lambda t: t.filter(pc.equal(t["t_kind"], "triple"))
-                .drop_columns(["t_kind"]),
-                batch_format="pyarrow")
-            triples = pending.union(early)
         n_triples = self._receipt_triple_count(store)
         _t("triples_done")
 
         # ---- stage 5: canonical entities ------------------------------
-        entities = self._entities_stage(triples, gaz, resolution, store,
-                                        resume, in_lin)
+        entities = self._entities_stage(gaz, resolution, store, resume,
+                                        in_lin)
         _t("entities_done")
 
         # ---- stage 6: graph materialization ---------------------------
         result = LazyResult({
             "stage_walls": stage_walls,
+            "checkpoint_root": store.root,
             "entities": entities, "resolution": resolution,
             # row count from the write receipts (both triple sources
             # are durably checkpointed by now) — consumers that only
             # need the count skip a full re-read of the triple table
             "n_triples": n_triples})
-        if store is not None:
-            # corpus-scale Dataset views over the checkpoint partitions:
-            # constructed on first access (each construction prefetches
-            # hundreds of part-file footers on the driver)
-            result.lazy("records", lambda: store.read_all_shards(
-                "records", schema=RECORD_SCHEMA))
-            result.lazy("linked", lambda: store.read_all_shards(
-                "records", path_contains="rec_kind=mention",
-                columns=link_cols, schema=link_schema))
-            result.lazy("triples", _triples_ds)
-        else:
-            result["records"] = records
-            result["linked"] = linked
-            result["triples"] = triples
+        # corpus-scale Dataset views over the checkpoint partitions:
+        # constructed on first access (each construction prefetches
+        # hundreds of part-file footers on the driver)
+        result.lazy("records", lambda: store.read_all_shards(
+            "records", schema=RECORD_SCHEMA))
+        result.lazy("linked", lambda: store.read_all_shards(
+            "records", path_contains="rec_kind=mention",
+            columns=link_cols, schema=link_schema))
+        result.lazy("triples", _triples_ds)
         if out_dir:
             smart = cfg.smart
             # thunks: when the previous export's lineage matches, the
             # collections are not rebuilt (and the triples view is not
             # even constructed)
             graph_lin = {"config": cfg.config_hash(), **in_lin}
-            plan = (self._driver_graph_plan(store, smart)
-                    if store is not None else None)
+            plan = self._driver_graph_plan(store, smart)
             if plan is not None:
                 _vertices, _edges = plan
             else:
@@ -332,33 +296,21 @@ class KGPipeline:
                     return sink.triples_to_edges(result["triples"], smart)
 
             result["graph_manifest"] = sink.write_graph(
-                out_dir, _vertices, _edges, smart,
-                lineage=graph_lin if store is not None else None)
+                out_dir, _vertices, _edges, smart, lineage=graph_lin)
             _t("materialize_done")
         return result
 
     # ------------------------------------------------------------------
-    def _extract_stage(self, corpus_path: str, gaz: dict,
-                       store: CheckpointStore | None, resume: bool,
-                       n_shards: int | None = None,
-                       gaz_sha: str = ""):
+    def _extract_stage(self, files: list[str], gaz: dict,
+                       store: CheckpointStore, resume: bool,
+                       n_shards: int, gaz_sha: str):
         cfg = self.cfg
-        if store is None:
-            docs = ray.data.read_parquet(corpus_path)
-            return extract_records(docs, gaz,
-                                   batch_size=cfg.detect_batch_size,
-                                   concurrency=(1, 8))
-        files = _list_parquet_files(corpus_path)
-        if n_shards is None:
-            n_shards = self._resolve_num_shards(files)
         shards = _assign_shards_stable(files, n_shards)
 
         # drop shard dirs orphaned by a previous layout (different
         # num_shards, or a shard that lost its last fragment):
         # read_all_shards scans every shard=* dir, so a leftover would
         # duplicate records
-        import shutil
-
         base = os.path.join(store.root, "records")
         if os.path.isdir(base):
             valid = {f"shard={i:05d}" for i, s in enumerate(shards) if s}
@@ -402,9 +354,6 @@ class KGPipeline:
         # thrash each other (each streaming executor assumes the whole
         # cluster), fewer leave startup gaps between serial shards
         workers = min(len(jobs), max(1, ncpu // 16))
-        if os.environ.get("KGENG_SHARD_WORKERS"):
-            workers = min(len(jobs),
-                          max(1, int(os.environ["KGENG_SHARD_WORKERS"])))
         if len(jobs) > 1 and workers > 1:
             # shards execute concurrently (independent Dataset pipelines;
             # the streaming executor interleaves their tasks) — keeps
@@ -423,15 +372,13 @@ class KGPipeline:
         # the records Dataset view is constructed lazily by run()'s
         # LazyResult — building it here would prefetch every part-file
         # footer on the driver inside the extract stage wall
-        return None
 
     # ------------------------------------------------------------------
-    def _canonicalize_stage(self, linked, gaz, store, resume,
-                            in_lin: dict | None = None):
+    def _canonicalize_stage(self, gaz: dict, store: CheckpointStore,
+                            resume: bool, in_lin: dict):
         cfg = self.cfg
-        res_path = (os.path.join(store.root, "resolution.json")
-                    if store else None)
-        if res_path and resume and os.path.exists(res_path):
+        res_path = os.path.join(store.root, "resolution.json")
+        if resume and os.path.exists(res_path):
             try:
                 with open(res_path) as f:
                     raw = json.load(f)
@@ -441,47 +388,32 @@ class KGPipeline:
                     and raw.get("lineage") == in_lin):
                 return {s: tuple(v) for s, v in raw["map"].items()}
         # unique unresolved *entity-candidate* surfaces (small by
-        # construction); regex detector hits (dates, emails, ids) are not
-        # entity candidates and must not enter blocking
-        # per-block vectorized dedup, then a driver-side union of the
-        # (small by construction) per-block unique sets — no shuffle; the
-        # distributed `distinct` is only needed on the fallback path below
-        def block_unique(t: pa.Table) -> pa.Table:
-            f = t.filter(pc.and_(
-                pc.equal(t["cand_id"], pa.scalar("")),
-                pc.equal(t["source"], pa.scalar("ner"))))
-            return pa.table({"surface": pc.unique(
-                f["surface"].combine_chunks())})
-
-        # checkpointed path: extract wrote the per-batch-unique NER
-        # surfaces as their own tiny 'surface' partition — read THAT
-        # instead of re-scanning the corpus-scale mention partition.
-        # The partition is hundreds of KB-sized files; a Ray Dataset
-        # execution over it costs ~2-3 s of pure scheduling, so when it
-        # is small (bytes-bounded) the driver reads it directly with a
-        # multithreaded pyarrow scan instead.
+        # construction; regex detector hits are not entity candidates
+        # and must not enter blocking): extract wrote its per-batch
+        # unique unresolved NER surfaces as their own tiny 'surface'
+        # partition, so this never re-scans the corpus-scale mention
+        # partition. The partition is hundreds of KB-sized files; a Ray
+        # Dataset execution over it costs ~2-3 s of pure scheduling, so
+        # when it is small (bytes-bounded) the driver reads it directly
+        # with a multithreaded pyarrow scan instead.
         surf_set: set[str] = set()
         uniq = None  # Dataset of (possibly batch-duplicated) NER surfaces
         force_distributed = False
-        if store is not None:
-            files = store.shard_files("records",
-                                      path_contains="rec_kind=surface")
-            if files and _total_bytes(files) <= _DRIVER_SIDE_READ_BYTES:
-                surf_set = set(_driver_read_column(files, "surface"))
-            elif files:  # pragma: no cover - extreme cardinality
-                uniq = ray.data.read_parquet(files, columns=["surface"])
-                # far beyond any plan-A-viable surface set: decide the
-                # cutover from BYTES and never pull the values onto the
-                # driver just to count them
-                force_distributed = (_total_bytes(files)
-                                     > _FORCE_DISTRIBUTED_SURFACE_BYTES)
-        else:
-            uniq = linked.map_batches(block_unique,
-                                      batch_format="pyarrow")
-        if uniq is not None and not force_distributed:
-            for b in uniq.iter_batches(batch_format="pyarrow",
-                                       batch_size=65536):
-                surf_set.update(b["surface"].to_pylist())
+        files = store.shard_files("records",
+                                  path_contains="rec_kind=surface")
+        if files and _total_bytes(files) <= _DRIVER_SIDE_READ_BYTES:
+            surf_set = set(_driver_read_column(files, "surface"))
+        elif files:  # pragma: no cover - extreme cardinality
+            uniq = ray.data.read_parquet(files, columns=["surface"])
+            # far beyond any plan-A-viable surface set: decide the
+            # cutover from BYTES and never pull the values onto the
+            # driver just to count them
+            force_distributed = (_total_bytes(files)
+                                 > _FORCE_DISTRIBUTED_SURFACE_BYTES)
+            if not force_distributed:
+                for b in uniq.iter_batches(batch_format="pyarrow",
+                                           batch_size=65536):
+                    surf_set.update(b["surface"].to_pylist())
         uniq_surfaces = list(surf_set)
         if (not force_distributed
                 and len(uniq_surfaces) <= self.driver_max_surfaces):
@@ -491,15 +423,13 @@ class KGPipeline:
             surface_list = ([(s, False) for s in sorted(uniq_surfaces)]
                             + [(s, True) for s in gaz])
             pair_list = candidate_pairs_driver(surface_list, cfg.block)
-            if store:
-                tbl = pa.table({
-                    "a": [p[0] for p in pair_list],
-                    "b": [p[1] for p in pair_list],
-                    "jac": pa.array([p[2] for p in pair_list],
-                                    pa.float64())})
-                store.write_stage_table("pairs", tbl,
-                                        lineage={"input": "linked",
-                                                 "path": "driver"})
+            tbl = pa.table({
+                "a": [p[0] for p in pair_list],
+                "b": [p[1] for p in pair_list],
+                "jac": pa.array([p[2] for p in pair_list], pa.float64())})
+            store.write_stage_table("pairs", tbl,
+                                    lineage={"input": "linked",
+                                             "path": "driver"})
             resolution = build_resolution_from_pairs(pair_list, gaz,
                                                      cfg.block)
         else:  # distributed fallback (cutover exceeded)
@@ -521,29 +451,26 @@ class KGPipeline:
                                 "is_gaz": pa.array([True] * len(gaz))})
             surfaces = uniq.union(ray.data.from_arrow(gaz_tbl))
             pairs = candidate_pairs(surfaces, cfg.block)
-            if store:
-                store.write_stage("pairs", pairs,
-                                  lineage={"input": "linked"})
-                pairs = store.read_stage("pairs")
-            resolution = build_resolution(pairs, gaz, cfg.block)
-        if res_path:
-            # tmp + atomic rename: a kill mid-dump must never leave a
-            # parseable-looking half file (same protocol as the
-            # checkpoint stages)
-            tmp = res_path + ".tmp"
-            with open(tmp, "w") as f:
-                json.dump({"config_hash": cfg.config_hash(),
-                           "lineage": in_lin,
-                           "map": {s: list(v) for s, v in resolution.items()}},
-                          f)
-            os.replace(tmp, res_path)
+            store.write_stage("pairs", pairs, lineage={"input": "linked"})
+            resolution = build_resolution(store.read_stage("pairs"), gaz,
+                                          cfg.block)
+        # tmp + atomic rename: a kill mid-dump must never leave a
+        # parseable-looking half file (same protocol as the checkpoint
+        # stages)
+        tmp = res_path + ".tmp"
+        with open(tmp, "w") as f:
+            json.dump({"config_hash": cfg.config_hash(),
+                       "lineage": in_lin,
+                       "map": {s: list(v) for s, v in resolution.items()}},
+                      f)
+        os.replace(tmp, res_path)
         return resolution
 
     # ------------------------------------------------------------------
-    def _entities_stage(self, triples, gaz, resolution, store, resume,
-                        in_lin: dict | None = None):
-        ent_lin = {"input": "triples+resolution", **(in_lin or {})}
-        if store and resume and store.is_done("entities", lineage=ent_lin):
+    def _entities_stage(self, gaz: dict, resolution: dict,
+                        store: CheckpointStore, resume: bool, in_lin: dict):
+        ent_lin = {"input": "triples+resolution", **in_lin}
+        if resume and store.is_done("entities", lineage=ent_lin):
             return store.read_stage("entities")
         # eid -> (canon_key, ent_type, surface_forms) — small broadcast
         meta: dict[str, tuple[str, str, list[str]]] = {}
@@ -555,49 +482,30 @@ class KGPipeline:
             forms.setdefault(eid, set()).add(ts)
             meta[eid] = (ts.lower(), gaz[ts][1], sorted(forms[eid]))
 
-        def to_entity_rows(batch: pa.Table) -> pa.Table:
-            subj = batch["subj"]
-            obj = batch["obj"].filter(
-                pc.invert(pc.starts_with(batch["obj"], "media://")))
-            eids = pc.unique(pa.concat_arrays(
-                [subj.combine_chunks(), obj.combine_chunks()]))
-            return pa.table({"entity_id": eids})
+        # the entity-id universe is read from tiny side partitions, never
+        # the triple table: early-emitted triples recorded their ids in
+        # the records 'eid' partition, pending (alias-resolved) ones in
+        # triples 't_kind=eid'; the union of the two is the set
+        from kgeng.checkpoint import _parquet_files
 
-        # per-block unique + driver union (entity-id set is small); at a
-        # cardinality where it were not, swap in distinct() + a broadcast-
-        # map attach — same semantics, one groupby shuffle more.
-        # checkpoint-backed: the triples pass already wrote its per-batch
-        # unique entity ids as the tiny 't_kind=eid' partition — read
-        # that instead of re-scanning the triple table
-        eid_set: set[str] = set()
-        used = None
-        if store is not None:
-            from kgeng.checkpoint import _parquet_files
-            # early-emitted triples record their ids in the records 'eid'
-            # partition; pending (alias-resolved) ones in triples
-            # 't_kind=eid' — the entity-id universe is the union
-            eid_files = (_parquet_files(
-                os.path.join(store.stage_dir("triples"), "t_kind=eid"))
-                + store.shard_files("records",
-                                    path_contains="rec_kind=eid"))
-            if _total_bytes(eid_files) <= _DRIVER_SIDE_READ_BYTES:
-                # tiny side partitions: multithreaded driver-side scan
-                # beats a whole Ray execution by seconds (same pattern
-                # as the canonicalize surface read)
-                eid_set = set(_driver_read_column(eid_files, "subj"))
-            else:  # pragma: no cover - extreme cardinality
-                src = ray.data.read_parquet(eid_files, columns=["subj"])
-                used = src.map_batches(
-                    lambda t: pa.table({"entity_id": pc.unique(
-                        t["subj"].combine_chunks())}),
-                    batch_format="pyarrow")
-        else:
-            used = triples.map_batches(to_entity_rows,
-                                       batch_format="pyarrow")
-        if used is not None:
+        eid_files = (_parquet_files(
+            os.path.join(store.stage_dir("triples"), "t_kind=eid"))
+            + store.shard_files("records", path_contains="rec_kind=eid"))
+        if _total_bytes(eid_files) <= _DRIVER_SIDE_READ_BYTES:
+            # multithreaded driver-side scan beats a whole Ray execution
+            # by seconds (same pattern as the canonicalize surface read)
+            eid_set = set(_driver_read_column(eid_files, "subj"))
+        else:  # pragma: no cover - extreme cardinality
+            # per-block unique + driver union (the entity-id set is small
+            # by construction; were it not, swap in distinct() + a
+            # broadcast-map attach: one groupby shuffle more)
+            used = ray.data.read_parquet(eid_files, columns=["subj"]) \
+                .map_batches(lambda t: pa.table({"subj": pc.unique(
+                    t["subj"].combine_chunks())}), batch_format="pyarrow")
+            eid_set = set()
             for b in used.iter_batches(batch_format="pyarrow",
                                        batch_size=65536):
-                eid_set.update(b["entity_id"].to_pylist())
+                eid_set.update(b["subj"].to_pylist())
         eids = sorted(eid_set)
         rows = [meta.get(e, ("", "", [])) for e in eids]
         ent_tbl = pa.table({
@@ -608,19 +516,16 @@ class KGPipeline:
             "ent_type": pa.array([r[1] for r in rows], pa.string()),
             "part": pa.array([r[1] for r in rows], pa.string()),
         })
-        if store:
-            # driver-resident table: checkpoint without a Ray execution
-            store.write_stage_table("entities", ent_tbl, lineage=ent_lin)
+        # driver-resident table: checkpoint without a Ray execution
+        store.write_stage_table("entities", ent_tbl, lineage=ent_lin)
         return ray.data.from_arrow(ent_tbl)
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _receipt_triple_count(store: CheckpointStore | None) -> int | None:
+    def _receipt_triple_count(store: CheckpointStore) -> int | None:
         """Total triple count from write receipts alone (pending partition
         rows + early extract-emitted triple records), no file reads. None
-        without a store or when receipts are missing (old checkpoints)."""
-        if store is None:
-            return None
+        when receipts are missing (old checkpoints)."""
         try:
             by_part = (store.manifest("triples").get("metrics")
                        or {}).get("rows_by_partition")
@@ -701,6 +606,15 @@ class KGPipeline:
 # viable surface set (driver_max_surfaces strings are ~100 MB); go
 # straight to the distributed canonicalization without collecting
 _FORCE_DISTRIBUTED_SURFACE_BYTES = 512 << 20
+
+
+def _temp_root() -> str:
+    """A fresh checkpoint root for a run given none. Removed by an
+    in-process ``atexit`` hook, not when ``run()`` returns: the result's
+    lazy Datasets read from it."""
+    root = tempfile.mkdtemp(prefix="kgeng-ckpt-")
+    atexit.register(shutil.rmtree, root, ignore_errors=True)
+    return root
 
 
 def _total_bytes(files: list[str]) -> int:

@@ -247,7 +247,7 @@ def top_orders(sf_dir: str):
 
 def distinct_event_types(sf_dir: str):
     ds = _pq(sf_dir, "events", ["event_type"])
-    from kgeng.pipeline import distinct
+    from kgeng.ops.agg import distinct
 
     return distinct(ds, ["event_type"])
 
@@ -710,7 +710,7 @@ def kg_triples(sf_dir: str):
     """Distinct (subj, pred, obj) from the full extraction stack — compared
     against the by-construction golden set (P/R target >= 0.95; exact on
     this corpus)."""
-    from kgeng.pipeline import distinct
+    from kgeng.ops.agg import distinct
 
     res = _kg_results(sf_dir)
     return distinct(res["triples"], ["subj", "pred", "obj"])
@@ -820,7 +820,7 @@ def kg_media_features(sf_dir: str):
     blobs never shuffle; only (media_ref, feat stats) rows come back."""
     res = _kg_results(sf_dir)
     triples = res["triples"]
-    from kgeng.pipeline import distinct
+    from kgeng.ops.agg import distinct
 
     def media_refs(t: pa.Table) -> pa.Table:
         obj = t["obj"].combine_chunks()
@@ -1176,7 +1176,7 @@ def lineitem_linerank(sf_dir: str):
             "dst": pa.array(np.concatenate([dp, sp]))})
 
     # global dedup: the oracle's line graph is over DISTINCT base edges
-    from kgeng.pipeline import distinct
+    from kgeng.ops.agg import distinct
 
     edges = distinct(li.map_batches(pairs, batch_format="pyarrow"),
                      ["src", "dst"])
@@ -1245,7 +1245,7 @@ def _mixed_subgraph_edges(sf_dir: str) -> ray.data.Dataset:
     when > 25 (cycles arise where a part both receives and sends),
     restricted to l_orderkey < 800 so the SQL oracles' closures stay
     small."""
-    from kgeng.pipeline import distinct
+    from kgeng.ops.agg import distinct
 
     li = _pq(sf_dir, "lineitem",
              ["l_orderkey", "l_partkey", "l_quantity"])
@@ -1290,7 +1290,7 @@ def lineitem_slpa(sf_dir: str):
     is replayable in SQL (slpa_oracle_sql, unrolled rounds) and the
     output stays pinned as local defense."""
     from kgeng.ops.graph import slpa
-    from kgeng.pipeline import distinct
+    from kgeng.ops.agg import distinct
 
     li = _pq(sf_dir, "lineitem",
              ["l_orderkey", "l_partkey", "l_quantity"])
@@ -3284,7 +3284,7 @@ def custs_both_big_and_urgent(sf_dir: str):
     (EXCEPT = parts_never_bulk_ordered) as a semi hash-join of two
     pre-deduplicated sides."""
     from kgeng.ops.join import hash_join
-    from kgeng.pipeline import distinct
+    from kgeng.ops.agg import distinct
 
     orders = _pq(sf_dir, "orders",
                  ["o_custkey", "o_totalprice", "o_orderpriority"])

@@ -4,7 +4,7 @@ The analogue of the reference's importer.py / generator.py CLIs (§3 of
 SURVEY.md): subcommands select a pipeline; Ray is initialised here (the
 only library-adjacent place that owns a session) unless one exists.
 
-    python -m kgeng.run kg --corpus DIR --gazetteer F --out DIR [--resume]
+    python -m kgeng.run kg --corpus DIR --gazetteer F --out DIR [--checkpoint DIR]
     python -m kgeng.run synth-corpus --n-docs N --out DIR
     python -m kgeng.run import-graphalytics --dir D --out DIR
     python -m kgeng.run import-edge-list --file F --out DIR
@@ -49,7 +49,9 @@ def main(argv=None):
     kg.add_argument("--corpus", required=True)
     kg.add_argument("--gazetteer", required=True)
     kg.add_argument("--out", required=True)
-    kg.add_argument("--checkpoint", default=None)
+    kg.add_argument("--checkpoint", default=None,
+                    help="checkpoint root; a rerun over it resumes "
+                         "(default: a temp dir removed at exit)")
     kg.add_argument("--no-resume", action="store_true")
     kg.add_argument("--num-shards", type=int, default=None)  # None = auto (size-based)
 

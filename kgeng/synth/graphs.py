@@ -22,16 +22,9 @@ import pyarrow as pa
 import ray.data
 
 from kgeng.io.graph_files import CompatGraphConfig
+from kgeng.ops.agg import _splitmix64
 
 _U64 = np.uint64
-
-
-def splitmix64(x: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit mix (public-domain splitmix64 constants)."""
-    x = (x + _U64(0x9E3779B97F4A7C15)).astype(_U64)
-    x = ((x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)).astype(_U64)
-    x = ((x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)).astype(_U64)
-    return x ^ (x >> _U64(31))
 
 
 def _bernoulli_keep(seed: int, i: np.ndarray, j: np.ndarray,
@@ -39,7 +32,7 @@ def _bernoulli_keep(seed: int, i: np.ndarray, j: np.ndarray,
     """keep-mask: drop with probability ``prob_missing``; keyed on content."""
     if prob_missing <= 0.0:
         return np.ones(len(i), dtype=bool)
-    h = splitmix64(_U64(seed) ^ (i.astype(_U64) * _U64(0x100000001B3))
+    h = _splitmix64(_U64(seed) ^ (i.astype(_U64) * _U64(0x100000001B3))
                    ^ j.astype(_U64))
     return (h.astype(np.float64) / float(2 ** 64)) >= prob_missing
 
@@ -201,7 +194,7 @@ def create_clique_graph(n: int, cfg: CompatGraphConfig,
 def cliques_graph_sizes(num_cliques: int, min_size: int, max_size: int,
                         seed: int = 0) -> list[int]:
     """Deterministic random clique sizes (clique_generator.py:304)."""
-    h = splitmix64(_U64(seed) ^ np.arange(num_cliques, dtype=_U64))
+    h = _splitmix64(_U64(seed) ^ np.arange(num_cliques, dtype=_U64))
     return (min_size + (h % _U64(max_size - min_size + 1))).astype(int).tolist()
 
 
@@ -267,7 +260,7 @@ def uniform_str(seed: int, ids: np.ndarray, lo: float, hi: float,
     """Content-keyed uniform floats, STRINGIFIED — the reference stores all
     random property values as strings (vertices_generator.py:32-33,39-40,
     edges_generator.py:60,72). Keyed on (seed, id), not call order."""
-    h = splitmix64(_U64(seed ^ tag) ^ ids.astype(_U64))
+    h = _splitmix64(_U64(seed ^ tag) ^ ids.astype(_U64))
     u = h.astype(np.float64) / float(2 ** 64)
     vals = lo + u * (hi - lo)
     return pa.array([str(v) for v in vals])

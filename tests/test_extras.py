@@ -183,23 +183,31 @@ def test_label_propagation_long_chain_converges():
     assert len(labels) == n
 
 
-def test_triples_invariant_under_input_partition_reshuffle(tiny_corpus):
-    """Permutation invariance: shuffling input blocks does not change the
-    triple set (SURVEY.md §5.4)."""
-    import glob
+def test_triples_invariant_under_input_partition_reshuffle(tiny_corpus,
+                                                          tmp_path):
+    """Permutation invariance: reordering the input files and regrouping
+    them into a different number of tasks does not change the records
+    (SURVEY.md §5.4)."""
+    import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
-    from kgeng.ops.extract import extract_records, load_gazetteer_dict
+    from kgeng.ops.extract import extract_records_fused, load_gazetteer_dict
 
-    files = sorted(glob.glob(os.path.join(tiny_corpus, "corpus",
-                                          "*.parquet")))
+    docs = pads.dataset(os.path.join(tiny_corpus, "corpus")).to_table()
+    files = []
+    for i in range(10):
+        files.append(str(tmp_path / f"part-{i:02d}.parquet"))
+        pq.write_table(docs.slice(i * 10, 10), files[-1])
     gaz = load_gazetteer_dict(os.path.join(tiny_corpus,
                                            "gazetteer.parquet"))
-    a = extract_records(ray.data.read_parquet(files), gaz)
-    b = extract_records(
-        ray.data.read_parquet(files).random_shuffle(seed=5), gaz)
+    # 4 tasks over the files in order vs 10 tasks over them reversed
+    a = extract_records_fused(files, gaz).materialize()
+    b = extract_records_fused(files[::-1], gaz,
+                              target_rows=7).materialize()
+    assert a.num_blocks() != b.num_blocks()
     rows_a = sorted(tuple(sorted(r.items())) for r in a.take_all())
     rows_b = sorted(tuple(sorted(r.items())) for r in b.take_all())
-    assert rows_a == rows_b
+    assert rows_a and rows_a == rows_b
 
 
 def test_cli_status_and_generate(tmp_path):
@@ -216,12 +224,14 @@ def test_cli_status_and_generate(tmp_path):
     assert payload == {"vertices": 8, "edges": 28}
 
 
-def test_wrap_flat_documents_runs_through_extract():
+def test_wrap_flat_documents_runs_through_extract(tmp_path):
     """The engine accepts flat text tables via the wrap adapter; the
     TPC-H-ish corpus yields no gazetteer entities (expected) but regex
     detectors still fire and the span invariant holds."""
+    import pyarrow.parquet as pq
+
     from kgeng.io.source import wrap_flat_documents
-    from kgeng.ops.extract import extract_records
+    from kgeng.ops.extract import extract_records_fused
 
     flat = ray.data.read_parquet(
         "/root/testdata/sf0.001/documents.parquet",
@@ -230,7 +240,9 @@ def test_wrap_flat_documents_runs_through_extract():
     rows = docs.take_all()
     assert all(len(r["spans"]) == 1 and r["spans"][0]["kind"] == "text"
                for r in rows)
-    recs = extract_records(docs, gazetteer={})
+    path = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.concat_tables(ray.get(docs.to_arrow_refs())), path)
+    recs = extract_records_fused([path], gazetteer={})
     out = recs.take_all()  # runs end-to-end; content has no capitalized
     assert isinstance(out, list)  # runs; likely zero mentions, that's fine
 
@@ -358,3 +370,30 @@ def test_write_partitioned_parquet_clears_stale_files(tmp_path):
     assert not os.path.exists(f"{root}/lang=en/part-deadbeef.parquet")
     back = ray.data.read_parquet(root).to_pandas()
     assert len(back) == 30 == m["n_rows"]
+
+
+def test_engine_reads_only_known_env_vars():
+    """Every environment variable read under kgeng/: a tuning knob that
+    nothing sets cannot come back unnoticed. KGENG_TIMING goes when the
+    structured run trace replaces its prints."""
+    import re
+
+    ref = re.compile(r"\b(?:environ|getenv)\b")
+    read = re.compile(
+        r"""(?:environ\.get\(|environ\[|getenv\()\s*["'](\w+)["']""")
+    root = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "kgeng")
+    names, refs, reads = set(), 0, 0
+    for dirpath, _dirs, files in os.walk(root):
+        for f in files:
+            if f.endswith(".py"):
+                with open(os.path.join(dirpath, f)) as fh:
+                    src = fh.read()
+                refs += len(ref.findall(src))
+                found = read.findall(src)
+                reads += len(found)
+                names.update(found)
+    # every environ/getenv reference is a read with a literal key (no
+    # dynamic keys, no copies of the whole environment)
+    assert refs == reads
+    assert names == {"RAY_ADDRESS", "KGENG_TIMING"}

@@ -8,6 +8,7 @@ per-shard lineage stays identical for every shard that did not hold the
 dropped fragment and the checkpoint gate reuses them untouched."""
 
 import os
+import tempfile
 
 import pyarrow.parquet as pq
 
@@ -86,6 +87,19 @@ def test_fragment_drop_recomputes_only_its_shard(tiny_corpus, tmp_path):
     else:  # shard lost its last fragment: dir must be gone
         assert aff_dir not in mt2
 
-    # resumed output == fresh uncheckpointed run on the reduced corpus
+    # resumed output == a fresh run without a checkpoint_root, which
+    # takes the same store-backed path through a temp root
     fresh = KGPipeline().run(cdir, gaz)
     assert tri2 == _triples(fresh)
+    tmp_root = fresh["checkpoint_root"]
+    assert os.path.commonpath([tmp_root, tempfile.gettempdir()]) \
+        == tempfile.gettempdir()
+    shards = [os.path.join("records", d)
+              for d in os.listdir(os.path.join(tmp_root, "records"))]
+    assert shards
+    for stage in shards + ["triples", "entities"]:
+        assert os.path.isfile(os.path.join(tmp_root, stage,
+                                           "_MANIFEST.json")), stage
+    again = KGPipeline().run(cdir, gaz)
+    assert again["checkpoint_root"] != tmp_root
+    assert _triples(again) == tri2

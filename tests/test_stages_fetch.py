@@ -1,48 +1,11 @@
-"""Stage protocol / detector registry / tar extraction."""
+"""Archive extraction (io/fetch) and document source readers (io/source)."""
 
 import os
 import tarfile
 
-import pyarrow as pa
 import pytest
-import ray.data
 
-from kgeng import stages
 from kgeng.io import fetch
-
-
-def test_stage_compose_and_context():
-    def add_one(ds, ctx):
-        ctx.metrics["saw"] = True
-        return ds.map_batches(
-            lambda t: t.append_column(
-                "y", pa.compute.add(t["x"], 1)), batch_format="pyarrow")
-
-    run = stages.compose([stages.FnStage("add_one", add_one)])
-    ctx = stages.StageContext()
-    out = run(ray.data.from_arrow(pa.table({"x": [1, 2]})), ctx)
-    assert [r["y"] for r in out.take_all()] == [2, 3]
-    assert ctx.metrics["saw"]
-
-
-def test_detector_registry_regex_and_gazetteer():
-    d = stages.get_detector("regex")(r"\d{4}-\d{2}-\d{2}", "DATE")
-    assert d("due 2024-05-17 ok") == [(4, "2024-05-17", "DATE")]
-    g = stages.get_detector("gazetteer")({"Acme Corp": "ORG", "Acme": "ORG"})
-    # longest-first alternation wins
-    assert g("at Acme Corp today") == [(3, "Acme Corp", "ORG")]
-    with pytest.raises(KeyError):
-        stages.get_detector("nope")
-
-
-def test_custom_stage_protocol_isinstance():
-    class MyStage:
-        name = "noop"
-
-        def apply(self, ds, ctx):
-            return ds
-
-    assert isinstance(MyStage(), stages.Stage)
 
 
 def test_tar_extract_roundtrip(tmp_path):

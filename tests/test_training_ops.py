@@ -2080,7 +2080,22 @@ def test_semantic_dup_pairs_q8_precision_and_recall_on_blobs():
                     * q8[list(ref_ids).index(b)]).sum())
 
 
+def test_semantic_dup_pairs_q8_rejects_int64_overflow():
+    """tau2_den * dot^2 must fit int64: with tau2_den = 2^40 even 8-dim
+    q8 vectors (dot up to 8*127^2) exceed 2^63, so the call must fail
+    loudly instead of wrapping in the integer cosine test."""
+    rng = np.random.default_rng(3)
+    m = rng.normal(0, 1, (12, 8)).astype(np.float32)
+    t = pa.table({"vec_id": pa.array(range(12), pa.int64()),
+                  "embedding": pa.array(list(m), pa.list_(pa.float32()))})
+    with pytest.raises(ValueError, match="overflows int64"):
+        similarity.semantic_dup_pairs_q8(
+            ray.data.from_arrow(t), k=2, iters=1,
+            tau2_num=1, tau2_den=2 ** 40)
+
+
 # ------------------------------------------------ sketch-rescan heavy hitters
+
 
 def test_heavy_hitters_rescan_matches_exact_topk():
     rng = np.random.default_rng(11)
