@@ -61,10 +61,13 @@ _COMMENT_CHARS = pa.array(["#", "/", "%"])
 # b"\n" (a line break byte never occurs inside a UTF-8 sequence, and no
 # splitlines break spans it), so a chunk splits exactly like the file
 _READ_CHUNK_BYTES = 1 << 20
-# blocks the driver plan hands over: the fewest that ops/graph's
-# _bounded_blocks keeps without a repartition. More would add per-block
-# tasks and driver-side partial reduces to every analytics round; the
-# Ray plan reads more blocks because its parse runs per block
+# blocks the driver plan hands over: they set the parallelism of the
+# consumer's first stage, the JSONL write (bulk_sink.write_jsonl_collection,
+# whose tasks take whole blocks up to its 10,000-row bulks; one block
+# would write the whole file in one task). Graph analytics on a file this
+# small run in-process (ops/graph._LOCAL_EDGES), so the count no longer
+# shapes their rounds. The Ray plan reads more blocks because its parse
+# runs per block
 _DRIVER_PLAN_BLOCKS = 8
 
 

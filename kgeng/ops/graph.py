@@ -22,9 +22,10 @@ Two state plans, same contract as canonicalize plan A/B:
 
 - ``state="driver"`` (plan A): the (node, rank) vector lives on the
   driver — bounded by NODE count, like the IVF centroids or the
-  canonicalize surface set, with per-iteration work distributed
-  (edge blocks stream through a vectorized contribution kernel; one
-  groupby(dst) reduce). Right up to ~10^8 nodes.
+  canonicalize surface set. Each round runs a vectorized per-block
+  kernel and adds the partials on the driver (:class:`_IndexedEdges`):
+  in-process for graphs of at most ``_LOCAL_EDGES`` edges, one raw
+  task per edge block above. Right up to ~10^8 nodes.
 - ``state="distributed"`` (plan B): ranks stay a Dataset; each round is
   broadcast-free joins (hash_join ranks into edges, groupby(dst) sum,
   left-join back onto the node set). The driver sees only the dangling
@@ -74,6 +75,32 @@ def _node_ids(t: pa.Table, src: str, dst: str) -> pa.Table:
 # the N-bounded reduce). This is the documented "raw tasks where the
 # Dataset API can't express it" case: an iterative algorithm whose
 # per-round work is far smaller than per-execution overhead.
+#
+# Small graphs skip Ray altogether: at or below ``_LOCAL_EDGES`` edges
+# even one task per block per round costs more than the round's numpy,
+# so the blocks are pulled to the driver once and every kernel runs
+# there as a plain function (the same kernels, see ``_kernel``).
+
+#: Edge count at or below which plan-A graph rounds run in-process on
+#: the driver. Measured at 4 CPUs on skewed random graphs in 8 input
+#: blocks, best wall of 4, in-process vs raw tasks, at 64k / 128k /
+#: 256k / 512k edges:
+#:   pagerank   0.07 vs 0.14, 0.09 vs 0.20, 0.16 vs 0.22, 0.29 vs 0.31 s
+#:   labelprop  0.12 vs 0.19, 0.20 vs 0.26, 0.39 vs 0.43, 0.76 vs 0.77 s
+#:   triangles  0.14 vs 0.18, 0.22 vs 0.24, 0.42 vs 0.40, 0.97 vs 0.69 s
+#: Triangles cross over first (between 128k and 256k), so one constant
+#: sits just below that. In-process used less CPU at every size
+#: (at 128k: 0.13 / 0.26 / 0.27 CPU-s against 0.60 / 0.61 / 0.55).
+_LOCAL_EDGES = 128_000
+
+
+def _kernel(fn):
+    """Mark a per-block kernel: ``fn`` stays a plain function, which the
+    in-process backend calls directly, and gains ``fn.remote``, its
+    raw-task form built from the same function."""
+    fn.remote = ray.remote(fn).remote
+    return fn
+
 
 def _blk_col(blk, c) -> np.ndarray:
     """Column of an Arrow-or-pandas block as numpy; a zero-column empty
@@ -87,7 +114,18 @@ def _blk_col(blk, c) -> np.ndarray:
             if isinstance(blk, pa.Table) else v.to_numpy())
 
 
-@ray.remote
+def _pull_edges(edges: ray.data.Dataset, cols: list[str]) -> pa.Table:
+    """The ``cols`` of a small MATERIALIZED edge Dataset as one Arrow
+    table on the driver — no Dataset execution, whatever the block
+    format (see _blk_col)."""
+    blks = ray.get([r for b in edges.iter_internal_ref_bundles()
+                    for r in b.block_refs])
+    return pa.table({c: np.concatenate([_blk_col(b, c) for b in blks]
+                                       or [np.zeros(0, np.int64)])
+                     for c in cols})
+
+
+@_kernel
 def _index_block(blk, nodes: np.ndarray, src: str, dst: str,
                  weight: str | None):
     si = np.searchsorted(nodes, _blk_col(blk, src)).astype(np.int32)
@@ -96,7 +134,7 @@ def _index_block(blk, nodes: np.ndarray, src: str, dst: str,
     return (si, di, w)
 
 
-@ray.remote
+@_kernel
 def _sweep_block(idx, vec: np.ndarray, n: int, direction: str):
     """out[x] += vec[y] over the block's edges (fwd: y=src,x=dst)."""
     si, di, _ = idx
@@ -105,7 +143,7 @@ def _sweep_block(idx, vec: np.ndarray, n: int, direction: str):
     return np.bincount(si, weights=vec[di], minlength=n)
 
 
-@ray.remote
+@_kernel
 def _relax_block(idx, dist: np.ndarray, inf: int):
     si, di, w = idx
     cand = np.full(len(dist), np.int64(inf), np.int64)
@@ -114,7 +152,7 @@ def _relax_block(idx, dist: np.ndarray, inf: int):
     return cand
 
 
-@ray.remote
+@_kernel
 def _ends_block(blk, src: str, dst: str):
     """Distinct endpoint ids of one block (driver unions the <=2E,
     <=blocks*N total — effectively N-bounded whenever E >> N, and when
@@ -125,20 +163,20 @@ def _ends_block(blk, src: str, dst: str):
         [_blk_col(blk, src), _blk_col(blk, dst)])).astype(np.int64)
 
 
-@ray.remote
+@_kernel
 def _deg_block(idx, n: int):
     si, _, _ = idx
     return np.bincount(si, minlength=n).astype(np.float64)
 
 
-@ray.remote
+@_kernel
 def _succ_block(idx, frontier_mask: np.ndarray):
     """Distinct successor positions of the masked frontier in one block."""
     si, di, _ = idx
     return np.unique(di[frontier_mask[si]])
 
 
-@ray.remote
+@_kernel
 def _ball_block(idx, regs: np.ndarray):
     """One HyperBall round over a src-sorted block: union each source's
     registers with its out-neighbors' (elementwise max). Returns the
@@ -155,41 +193,57 @@ def _ball_block(idx, regs: np.ndarray):
 def _bounded_blocks(edges: ray.data.Dataset,
                     lo: int = 8, hi: int = 256,
                     rows_per_block: int = 500_000) -> ray.data.Dataset:
-    """Materialize; repartition toward ~``rows_per_block`` edges per
-    block, clamped to [lo, hi] blocks. Iterative algorithms fan one
-    raw task per block PER ROUND, so a block must carry enough edges
-    to amortize its task launch (a 30k-edge sweep is ~0.1 ms of numpy
-    under ~5 ms of scheduling); the clamp keeps small graphs off a
-    single core and the per-block reduce fan-in bounded. Repartition
-    only when the count is far off target — an extra pass over an
-    already-shaped Dataset is wasted work."""
+    """Materialize; above ``_LOCAL_EDGES`` edges, repartition toward
+    ~``rows_per_block`` edges per block, clamped to [lo, hi] blocks.
+    The raw-task backend of :class:`_IndexedEdges` fans one task per
+    block PER ROUND, so a block must carry enough edges to amortize its
+    task launch (a 30k-edge sweep is ~0.1 ms of numpy under ~5 ms of
+    scheduling); the clamp spreads a graph just past the in-process
+    cutover over every core and keeps the per-block reduce fan-in
+    bounded. Repartition only when the count is far off target — an
+    extra pass over an already-shaped Dataset is wasted work — and
+    never at or below the cutover, where the blocks are pulled to the
+    driver as they are."""
     edges = edges.materialize()
+    m = edges.count()
     nb = edges.num_blocks()
-    target = int(max(lo, min(hi, edges.count() // rows_per_block + 1)))
-    if nb > 2 * target or nb < lo:
+    target = int(max(lo, min(hi, m // rows_per_block + 1)))
+    if m > _LOCAL_EDGES and (nb > 2 * target or nb < lo):
         edges = edges.repartition(target).materialize()
     return edges
 
 
 class _IndexedEdges:
-    """Per-block (si, di[, w]) index arrays for a MATERIALIZED edge
-    Dataset, staged once; `sweep`/`relax`/`ball` fan raw tasks over the
-    blocks and reduce on the driver. Vectors ship per round via one
-    ``ray.put`` (workers read zero-copy from plasma)."""
+    """Per-block (si, di[, w]) index arrays of a MATERIALIZED edge
+    Dataset, staged once, and one round method, :meth:`map`, with a
+    backend picked from the edge count alone:
 
-    def __init__(self, edges: ray.data.Dataset, nodes: np.ndarray | None,
-                 src: str, dst: str, weight: str | None = None,
+    - in-process (at most ``_LOCAL_EDGES`` edges): the blocks are pulled
+      to the driver once and indexed as ONE block, and ``map`` calls the
+      kernel as a plain function;
+    - raw tasks (above): the index arrays stay in the object store, one
+      per block, and ``map`` fans ``kernel.remote`` over them; each
+      array argument ships once per round via ``ray.put`` (workers read
+      it zero-copy from plasma).
+
+    Either way ``map`` returns the per-block results in block order and
+    the caller reduces them on the driver (node-count bounded)."""
+
+    def __init__(self, edges: ray.data.Dataset, src: str, dst: str,
+                 weight: str | None = None,
                  max_nodes: int | None = None,
                  max_nodes_hint: str = ""):
-        blk_refs = [r for b in edges.iter_internal_ref_bundles()
-                    for r in b.block_refs]
-        if nodes is None:
-            # raw-task node discovery: per-block distinct endpoints,
-            # one driver union — no Dataset execution, no shuffle
-            parts = ray.get([_ends_block.remote(r, src, dst)
-                             for r in blk_refs])
-            nodes = (np.unique(np.concatenate(parts)) if parts
-                     else np.zeros(0, np.int64))
+        self.local = edges.count() <= _LOCAL_EDGES
+        # the raw blocks until the index staging below replaces them
+        cols = [src, dst] + ([weight] if weight else [])
+        self.idx = ([_pull_edges(edges, cols)] if self.local else
+                    [r for b in edges.iter_internal_ref_bundles()
+                     for r in b.block_refs])
+        # node discovery: per-block distinct endpoints, one driver
+        # union — no Dataset execution, no shuffle
+        parts = self.map(_ends_block, src, dst)
+        nodes = (np.unique(np.concatenate(parts)) if parts
+                 else np.zeros(0, np.int64))
         self.nodes = nodes
         self.n = len(nodes)
         # scale cutovers fire HERE — after node discovery, BEFORE the
@@ -198,43 +252,24 @@ class _IndexedEdges:
             raise ValueError(
                 f"{self.n} nodes exceeds the plan-A driver bound "
                 f"{max_nodes}. {max_nodes_hint}")
-        nodes_ref = ray.put(nodes)
-        self.idx = [_index_block.remote(r, nodes_ref, src, dst, weight)
-                    for r in blk_refs]
+        self.idx = self._fan(_index_block, nodes, src, dst, weight)
 
-    def degrees(self) -> np.ndarray:
-        """Out-degree per node position (multi-edges count multiply) —
-        raw-task bincounts, driver adds <= blocks partials."""
-        out = np.zeros(self.n, np.float64)
-        for part in ray.get([_deg_block.remote(i, self.n)
-                             for i in self.idx]):
-            out += part
-        return out
+    def _fan(self, kernel, *args) -> list:
+        if self.local:
+            return [kernel(i, *args) for i in self.idx]
+        args = [ray.put(a) if isinstance(a, np.ndarray) else a
+                for a in args]
+        return [kernel.remote(i, *args) for i in self.idx]
+
+    def map(self, kernel, *args) -> list:
+        """One round: ``kernel(block_index, *args)`` for every block,
+        results in block order."""
+        out = self._fan(kernel, *args)
+        return out if self.local else ray.get(out)
 
     def sweep(self, vec: np.ndarray, direction: str = "fwd") -> np.ndarray:
-        ref = ray.put(vec)
-        futs = [_sweep_block.remote(i, ref, self.n, direction)
-                for i in self.idx]
-        out = np.zeros(self.n, np.float64)
-        for part in ray.get(futs):   # submission order == block order
-            out += part
-        return out
-
-    def relax(self, dist: np.ndarray, inf: int) -> np.ndarray:
-        ref = ray.put(dist)
-        futs = [_relax_block.remote(i, ref, inf) for i in self.idx]
-        out = dist.copy()
-        for part in ray.get(futs):
-            np.minimum(out, part, out=out)
-        return out
-
-    def ball(self, regs: np.ndarray) -> np.ndarray:
-        ref = ray.put(regs)
-        futs = [_ball_block.remote(i, ref) for i in self.idx]
-        out = regs.copy()
-        for uniq, mat in ray.get(futs):
-            out[uniq] = np.maximum(out[uniq], mat)
-        return out
+        return sum(self.map(_sweep_block, vec, self.n, direction),
+                   np.zeros(self.n, np.float64))
 
 
 def pagerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
@@ -254,17 +289,17 @@ def pagerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     # the edges is a whole executor run)
     edges = _bounded_blocks(edges)
 
-    # raw-task structure: node ids + out-degrees — no Dataset
-    # execution, no shuffle (see _IndexedEdges)
-    idx = _IndexedEdges(edges, None, src, dst)
+    # node ids + out-degrees — no Dataset execution, no shuffle (see
+    # _IndexedEdges); multi-edges count multiply
+    idx = _IndexedEdges(edges, src, dst)
     nodes, n = idx.nodes, idx.n
-    deg = idx.degrees()
+    deg = sum(idx.map(_deg_block, n), np.zeros(n, np.float64))
 
     base = (1.0 - damping) / n
     ranks = _round9(np.full(n, 1.0 / n), ndigits)
 
-    # dense raw-task rounds: each block returns one n-float64 partial;
-    # the driver adds <= 64 of them — no per-round Dataset execution,
+    # dense rounds: each block returns one n-float64 partial; the
+    # driver adds <= 256 of them — no per-round Dataset execution,
     # no shuffle. Right up to ~10^7 nodes (80 MB/partial); beyond that
     # fall back to the sparse (di, c) groupby reduce.
     dense = n <= 5_000_000
@@ -400,7 +435,7 @@ def sssp_hops(edges: ray.data.Dataset, source: int, src: str = "src",
 
     Plan A shape (like :func:`pagerank`): the distance vector is
     driver-held (node-count bounded, ``max_driver_nodes``-guarded);
-    each BFS layer is a raw-task fan-out over indexed edge blocks (see
+    each BFS layer is one round over indexed edge blocks (see
     :class:`_IndexedEdges`) — per-block vectorized frontier-membership
     filter emitting that block's distinct successors — until the
     frontier empties (exact BFS, no iteration cap). Integer distances:
@@ -413,7 +448,7 @@ def sssp_hops(edges: ray.data.Dataset, source: int, src: str = "src",
         return _sssp_hops_distributed(edges, source, src, dst)
     try:
         idx = _IndexedEdges(
-            _bounded_blocks(edges), None, src, dst,
+            _bounded_blocks(edges), src, dst,
             max_nodes=max_driver_nodes if state == "auto" else None,
             max_nodes_hint=("sssp_hops plan A holds two n-vectors on "
                             "the driver; use state='distributed'."))
@@ -437,10 +472,8 @@ def sssp_hops(edges: ray.data.Dataset, source: int, src: str = "src",
     d = 0
     while frontier.any():
         d += 1
-        ref = ray.put(frontier)
-        futs = [_succ_block.remote(i, ref) for i in idx.idx]
         nxt = np.zeros(n, bool)
-        for part in ray.get(futs):
+        for part in idx.map(_succ_block, frontier):
             nxt[part] = True
         frontier = nxt & (dist < 0)
         dist[frontier] = d
@@ -486,20 +519,21 @@ def hits(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     out-edges, each L2-normalized and rounded per round (IEEE sqrt is
     correctly rounded, so per-round rounding again pins the result
     across summation orders). Same plan-A shape as :func:`pagerank`:
-    driver-held node vectors, distributed edge scans with a dense
-    per-block reduce; ``state='distributed'`` switches to plan B
-    (:func:`_hits_distributed`), where the hub/auth vectors live as
-    Datasets and only two scalars (node count, norm) reach the driver —
-    the 100-TB path when the node set outgrows driver memory."""
+    driver-held node vectors, per-block edge scans with a dense
+    driver reduce (:class:`_IndexedEdges`); ``state='distributed'``
+    switches to plan B (:func:`_hits_distributed`), where the hub/auth
+    vectors live as Datasets and only two scalars (node count, norm)
+    reach the driver — the 100-TB path when the node set outgrows
+    driver memory."""
     if state == "distributed":
         return _hits_distributed(edges, src, dst, iters, ndigits)
 
-    # raw-task structure + sweeps over indexed blocks (_IndexedEdges):
-    # per half-round cost is <= blocks task launches + the n-bounded
-    # reduce, not a full streaming-executor startup. The node cutover
-    # fires before index staging (inside _IndexedEdges).
+    # sweeps over indexed blocks (_IndexedEdges): per half-round cost
+    # is the per-block kernels + the n-bounded reduce, not a full
+    # streaming-executor startup. The node cutover fires before index
+    # staging (inside _IndexedEdges).
     idx = _IndexedEdges(
-        _bounded_blocks(edges), None, src, dst, max_nodes=50_000_000,
+        _bounded_blocks(edges), src, dst, max_nodes=50_000_000,
         max_nodes_hint=("hits plan A holds two n-float64 vectors on "
                         "the driver; use state='distributed'."))
     nodes, n = idx.nodes, idx.n
@@ -677,11 +711,13 @@ def effective_closeness(edges: ray.data.Dataset, src: str = "src",
     deltas estimate the distance distribution. closeness(v) =
     (reached-1) / sum_d d*(newly reached at d), 0 for isolated nodes.
 
-    Plan shape: edges sort by src ONCE so each block covers a disjoint
-    source range and emits exactly its own nodes' candidate registers
-    (N x 2^p bytes total per round, not per block); the register matrix
-    broadcasts via ray.put and merges on the driver (node-count bounded
-    like the other plan-A vectors). Rounds stop when no register moves.
+    Plan shape (:class:`_IndexedEdges`): each edge block covers a
+    disjoint source range — one in-process block at or below
+    ``_LOCAL_EDGES`` edges, src-sorted raw-task blocks above — and
+    emits exactly its own nodes' candidate registers (N x 2^p bytes
+    total per round, not per block); they merge into the driver's
+    register matrix (node-count bounded like the other plan-A
+    vectors). Rounds stop when no register moves.
 
     Scale cutover: the plan-A driver matrix is N x 2^p bytes (3.2 GB
     at the default p=6 and the 50M-node default bound). Past
@@ -698,13 +734,16 @@ def effective_closeness(edges: ray.data.Dataset, src: str = "src",
         return _effective_closeness_distributed(
             edges, src, dst, p, max_rounds, ndigits)
     m = 1 << p
-    # ONE materialized copy: src-sorted blocks (disjoint source ranges
-    # per block) keep each round's per-block output N-bounded in total.
-    # The node cutover fires before index staging (inside _IndexedEdges).
-    by_src = edges.sort(src).materialize()
+    # raw tasks need src-sorted blocks (disjoint source ranges per
+    # block) to keep each round's per-block output N-bounded in total;
+    # the one in-process block has that already. The node cutover fires
+    # before index staging (inside _IndexedEdges).
+    by_src = edges.materialize()
+    if by_src.count() > _LOCAL_EDGES:
+        by_src = by_src.sort(src).materialize()
     try:
         idx = _IndexedEdges(
-            by_src, None, src, dst, max_nodes=max_driver_nodes,
+            by_src, src, dst, max_nodes=max_driver_nodes,
             max_nodes_hint=(f"effective_closeness max_driver_nodes="
                             f"{max_driver_nodes}: the driver register "
                             f"matrix is n x 2^p bytes. Lower p, raise "
@@ -723,11 +762,13 @@ def effective_closeness(edges: ray.data.Dataset, src: str = "src",
 
     prev_est = _hll_estimate(regs, m)
     sum_dist = np.zeros(n, np.float64)
-    # raw-task HyperBall rounds over the indexed src-sorted blocks
-    # (_IndexedEdges.ball): each block still emits only its own
-    # disjoint source range's registers — N x 2^p bytes total per round
+    # HyperBall rounds over the indexed blocks: each block emits only
+    # its own disjoint source range's registers — N x 2^p bytes total
+    # per round
     for d in range(1, max_rounds + 1):
-        new_regs = idx.ball(regs)
+        new_regs = regs.copy()
+        for uniq, mx in idx.map(_ball_block, regs):
+            new_regs[uniq] = np.maximum(new_regs[uniq], mx)
         if np.array_equal(new_regs, regs):
             break
         regs = new_regs
@@ -936,8 +977,8 @@ def bellman_ford_rounds(edges: ray.data.Dataset, source: int,
     ``rounds`` hops-by-relaxation.
 
     Plan A shape: driver distance vector (node-bounded), edge blocks
-    relax in parallel and emit dense per-block min-vectors (int64,
-    sentinel INF), driver takes the elementwise min of <= 64 blobs.
+    relax (:class:`_IndexedEdges`) and emit dense per-block min-vectors
+    (int64, sentinel INF), driver takes the elementwise min of them.
     ``state='distributed'`` switches to plan B
     (:func:`_bellman_ford_distributed`): the distance frontier lives as
     a Dataset and each round is one flow join + a union/min groupby —
@@ -948,9 +989,7 @@ def bellman_ford_rounds(edges: ray.data.Dataset, source: int,
                                          dst, weight)
     INF = np.int64(2**62)
 
-    # raw-task structure + relax rounds over indexed blocks
-    idx = _IndexedEdges(_bounded_blocks(edges), None, src, dst,
-                        weight=weight)
+    idx = _IndexedEdges(_bounded_blocks(edges), src, dst, weight=weight)
     nodes, n = idx.nodes, idx.n
     si0 = int(np.searchsorted(nodes, source))
     if si0 >= n or nodes[si0] != source:
@@ -958,7 +997,9 @@ def bellman_ford_rounds(edges: ray.data.Dataset, source: int,
     dist = np.full(n, INF, np.int64)
     dist[si0] = 0
     for _ in range(rounds):
-        new = idx.relax(dist, int(INF))
+        new = dist.copy()
+        for part in idx.map(_relax_block, dist, int(INF)):
+            np.minimum(new, part, out=new)
         if np.array_equal(new, dist):
             break
         dist = new
@@ -1093,7 +1134,7 @@ def linerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
                     damping=damping, ndigits=ndigits)
 
 
-@ray.remote
+@_kernel
 def _minlab_block(idx, lab: np.ndarray, active: np.ndarray):
     """Forward min-label candidates over one block, restricted to
     edges whose BOTH endpoints are active (unassigned)."""
@@ -1104,7 +1145,7 @@ def _minlab_block(idx, lab: np.ndarray, active: np.ndarray):
     return cand
 
 
-@ray.remote
+@_kernel
 def _backreach_block(idx, lab: np.ndarray, reach: np.ndarray,
                      active: np.ndarray):
     """Backward-reachability candidates: v reaches the root if some
@@ -1114,7 +1155,7 @@ def _backreach_block(idx, lab: np.ndarray, reach: np.ndarray,
     return np.unique(si[ok])
 
 
-@ray.remote
+@_kernel
 def _active_deg_block(idx, active: np.ndarray):
     """(in-degree, out-degree) partials over edges with BOTH endpoints
     active — feeds the trivial-SCC trim."""
@@ -1137,9 +1178,10 @@ def scc(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     subgraph (coloring), (2) from each color's root (the node owning
     the min id), walk BACKWARD within its color; nodes that both carry
     the color and reach its root form one SCC — assign and remove.
-    Every phase is a raw-task fan-out over the indexed edge blocks
-    (plan-A shape: driver label/frontier vectors, node-count bounded —
-    ~5 n-vectors, guarded by ``max_driver_nodes``). Returns
+    Every phase is a round over the indexed edge blocks
+    (:class:`_IndexedEdges`; plan-A shape: driver label/frontier
+    vectors, node-count bounded — ~5 n-vectors, guarded by
+    ``max_driver_nodes``). Returns
     Dataset(node, scc_id) where scc_id = min node id in the component
     (so the result is partition- and order-invariant by construction).
 
@@ -1154,7 +1196,7 @@ def scc(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
         return _scc_distributed(edges, src, dst)
     try:
         idx = _IndexedEdges(
-            _bounded_blocks(edges), None, src, dst,
+            _bounded_blocks(edges), src, dst,
             max_nodes=max_driver_nodes,
             max_nodes_hint=("scc plan A holds ~5 n-vectors on the "
                             "driver; use state='distributed'."))
@@ -1169,11 +1211,9 @@ def scc(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     while active.any():
         # ---- trim: peel trivial SCCs (no active in- or out-edges)
         while True:
-            ref_a = ray.put(active)
             indeg = np.zeros(n, np.int64)
             outdeg = np.zeros(n, np.int64)
-            for ip, op in ray.get([_active_deg_block.remote(i, ref_a)
-                                   for i in idx.idx]):
+            for ip, op in idx.map(_active_deg_block, active):
                 indeg += ip
                 outdeg += op
             trivial = active & ((indeg == 0) | (outdeg == 0))
@@ -1184,26 +1224,20 @@ def scc(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
         if not active.any():
             break
         # ---- forward min-label coloring to fixpoint
-        ref_a = ray.put(active)
         lab = np.where(active, nodes, np.int64(1 << 62))
         while True:
-            ref_l = ray.put(lab)
             new = lab.copy()
-            for part in ray.get([_minlab_block.remote(i, ref_l, ref_a)
-                                 for i in idx.idx]):
+            for part in idx.map(_minlab_block, lab, active):
                 np.minimum(new, part, out=new)
             if np.array_equal(new, lab):
                 break
             lab = new
         # ---- multi-pivot backward reachability within colors
-        ref_l = ray.put(lab)
         reach = active & (lab == nodes)      # each color's root
         while True:
-            ref_r = ray.put(reach)
             grew = False
             new = reach.copy()
-            for part in ray.get([_backreach_block.remote(
-                    i, ref_l, ref_r, ref_a) for i in idx.idx]):
+            for part in idx.map(_backreach_block, lab, reach, active):
                 before = new[part]
                 new[part] = True
                 if not before.all():
@@ -1428,7 +1462,7 @@ def _scc_distributed(edges: ray.data.Dataset, src: str,
     return assigned
 
 
-@ray.remote
+@_kernel
 def _slpa_block(idx, nodes: np.ndarray, mem: np.ndarray, r: int):
     """One SLPA speak step over a block: edge u->v delivers one label
     from speaker u's memory (slot chosen by a partition-invariant hash
@@ -1461,9 +1495,10 @@ def slpa(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     across cluster shapes (pinned rather than SQL-checked: the
     algorithm is inherently non-relational). Plan-A shape: the n x
     (rounds+1) label-memory matrix is driver-held (node-bounded, like
-    pagerank's vectors); each round is one raw-task fan-out over the
-    indexed edge blocks; per-round driver ingest is the distinct
-    (listener, label) pair set (<= E, vocabulary-bounded in practice).
+    pagerank's vectors); each speak step is one round over the
+    indexed edge blocks (:class:`_IndexedEdges`); per-round driver
+    ingest is the distinct (listener, label) pair set (<= E,
+    vocabulary-bounded in practice).
 
     Returns Dataset(node, primary_label, n_communities, communities)
     where communities are the labels (node ids) held in >= threshold
@@ -1482,7 +1517,7 @@ def slpa(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
         return _slpa_distributed(edges, src, dst, rounds, threshold)
     try:
         idx = _IndexedEdges(
-            _bounded_blocks(edges), None, src, dst,
+            _bounded_blocks(edges), src, dst,
             max_nodes=max_driver_nodes,
             max_nodes_hint=(f"slpa plan A holds an n x {rounds + 1} "
                             "int64 memory matrix on the driver; lower "
@@ -1496,11 +1531,8 @@ def slpa(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     mem = np.zeros((n, rounds + 1), np.int64)
     mem[:, 0] = np.arange(n)
 
-    nodes_ref = ray.put(nodes)
     for r in range(1, rounds + 1):
-        mem_ref = ray.put(mem[:, :r])
-        got = ray.get([_slpa_block.remote(i, nodes_ref, mem_ref, r)
-                       for i in idx.idx])
+        got = idx.map(_slpa_block, nodes, mem[:, :r], r)
         packs = np.concatenate([g[0] for g in got])
         cnts = np.concatenate([g[1] for g in got])
         new_col = np.arange(n)            # silent listeners keep self
@@ -1696,7 +1728,7 @@ def _slpa_distributed(edges: ray.data.Dataset, src: str, dst: str,
 
 # --------------------------------------- label propagation (communities)
 
-@ray.remote
+@_kernel
 def _lpa_block(idx, labpos: np.ndarray, n: int):
     """Per-block (dst_pos, src_label_pos) pair counts, packed as
     dst*n + labpos (n-bounded by the plan-A cutover, so the product
@@ -1725,13 +1757,14 @@ def label_propagation_communities(edges: ray.data.Dataset,
     (queries.labelprop_oracle_sql unrolls the same rounds).
 
     Plan A (default under the cutovers — the pagerank-plan-A shape):
-    edge blocks stage once as :class:`_IndexedEdges`; each round fans
-    one raw task per block computing packed (dst, src_label) pair
-    counts, and the driver merges the <= E pair partials with one
-    sort+reduceat and an argmax lexsort. A full Dataset execution per
-    round (joins + 2-key groupby + bucketed top-1) measured ~60 s of
-    pure fixed scheduling per round at bench scale for milliseconds
-    of numpy — the same pathology the r4 pagerank fix killed.
+    edge blocks stage once as :class:`_IndexedEdges`; each round runs
+    one kernel per block computing packed (dst, src_label) pair counts
+    (in-process at or below ``_LOCAL_EDGES`` edges, raw tasks above),
+    and the driver merges the <= E pair partials with one sort+reduceat
+    and an argmax lexsort. A full Dataset execution per round (joins +
+    2-key groupby + bucketed top-1) measured ~60 s of pure fixed
+    scheduling per round at bench scale for milliseconds of numpy —
+    the same pathology the r4 pagerank fix killed.
     ``max_driver_nodes`` bounds the label vector, ``max_driver_pairs``
     the per-merge pair stream (<= edge count); past either, plan B.
 
@@ -1741,14 +1774,13 @@ def label_propagation_communities(edges: ray.data.Dataset,
     a 2-key groupby sum, the bucketed top-1 argmax, and a left join
     carrying no-in-edge nodes. Only (node,label,count) int64 rows
     ever shuffle."""
-    eproj = _ren(edges, {"src": src, "dst": dst},
-                 ["src", "dst"]).materialize()
+    edges = edges.materialize()
     if state == "auto":
-        m = eproj.count()
-        state = "driver" if m <= max_driver_pairs else "distributed"
+        state = ("driver" if edges.count() <= max_driver_pairs
+                 else "distributed")
     if state == "driver":
         ie = _IndexedEdges(
-            _bounded_blocks(eproj), None, "src", "dst",
+            _bounded_blocks(edges), src, dst,
             max_nodes=max_driver_nodes,
             max_nodes_hint=("label_propagation_communities "
                             "max_driver_nodes=<n> or "
@@ -1760,13 +1792,9 @@ def label_propagation_communities(edges: ray.data.Dataset,
                  "label": pa.array([], pa.int64())}))
         labpos = np.arange(n, dtype=np.int64)
         for _ in range(rounds):
-            ref = ray.put(labpos)
-            parts = ray.get([_lpa_block.remote(i, ref, n)
-                             for i in ie.idx])
-            keys = np.concatenate([p[0] for p in parts]) if parts \
-                else np.zeros(0, np.int64)
-            cnts = np.concatenate([p[1] for p in parts]) if parts \
-                else np.zeros(0, np.int64)
+            parts = ie.map(_lpa_block, labpos, n)   # n > 0: >= 1 block
+            keys = np.concatenate([p[0] for p in parts])
+            cnts = np.concatenate([p[1] for p in parts])
             if keys.size == 0:
                 break
             order = np.argsort(keys, kind="stable")
@@ -1789,7 +1817,9 @@ def label_propagation_communities(edges: ray.data.Dataset,
             {"node": pa.array(ie.nodes),
              "label": pa.array(ie.nodes[labpos])}))
 
-    return _label_propagation_distributed(eproj, rounds)
+    return _label_propagation_distributed(
+        _ren(edges, {"src": src, "dst": dst}, ["src", "dst"])
+        .materialize(), rounds)
 
 
 def _label_propagation_distributed(eproj: ray.data.Dataset,
@@ -2220,7 +2250,7 @@ def _undirected_degrees(e: ray.data.Dataset,
                      batch_format="pyarrow")
 
 
-@ray.remote
+@_kernel
 def _tri_wedge_chunk(pe: np.ndarray, lens: np.ndarray,
                      pivots: np.ndarray, bsl: np.ndarray):
     """Wedge enumeration + packed-edge closure for one chunk of pivot
@@ -2242,22 +2272,71 @@ def _tri_wedge_chunk(pe: np.ndarray, lens: np.ndarray,
     return un, cn.astype(np.int64)
 
 
-def _triangle_counts_fanout(u: np.ndarray, v: np.ndarray,
-                            nodes: np.ndarray, deg: np.ndarray,
-                            num_buckets: int) -> ray.data.Dataset:
-    """Fast plan A (node count AND edge count both under their
-    broadcast cutovers, ids packable as (hi << 32 | lo)): the canonical
-    edge set is already driver-held for the packed closure broadcast,
-    so degrees / orientation / wedge-work chunking all run in numpy on
-    the driver; wedge enumeration + closure fan out as raw tasks
-    (pagerank-plan-A pattern, `_IndexedEdges` above) over equal-wedge-
-    work chunks of pivot segments; per-chunk (node, cnt) partials add
-    into one n-bounded accumulator. This replaces two sort shuffles
+def _canon_block(a: np.ndarray,
+                 b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical (u < v) pairs of one block of edges: loops dropped,
+    duplicates and reversals collapsed, sorted by (u, v) — the same
+    pre-reduction _canonical_undirected fuses before its shuffle."""
+    a, b = a.astype(np.int64), b.astype(np.int64)
+    u = np.minimum(a, b)
+    v = np.maximum(a, b)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    order = np.lexsort((v, u))
+    u, v = u[order], v[order]
+    keep = np.ones(u.size, bool)
+    keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+    return u[keep], v[keep]
+
+
+def _canonical_pairs(edges: ray.data.Dataset, src: str, dst: str,
+                     cutover: int):
+    """The triangle kernels' first step: per-block canonical pairs
+    (_canon_block). Returns ``(m, uu, vv, proj)``, ``m`` the number of
+    block-deduped pairs (an upper bound on the canonical edge count).
+    At or below ``_LOCAL_EDGES`` input edges the pulled edges are ONE
+    in-process block: ``uu``/``vv`` hold its pairs and ``proj`` is None
+    (no map stage, no pull). Above, ``proj`` is the materialized
+    Dataset of per-block pairs, and ``uu``/``vv`` its rows pulled to
+    the driver when ``0 < m <= cutover`` (the packed fast plans need
+    them there), else None."""
+    edges = edges.materialize()
+    if edges.count() <= _LOCAL_EDGES:
+        t = _pull_edges(edges, [src, dst])
+        uu, vv = _canon_block(_blk_col(t, src), _blk_col(t, dst))
+        return uu.size, uu, vv, None
+
+    def canon(t: pa.Table) -> pa.Table:
+        u, v = _canon_block(_blk_col(t, src), _blk_col(t, dst))
+        return pa.table({"u": u, "v": v})
+
+    proj = edges.map_batches(canon, batch_format="pyarrow").materialize()
+    m = proj.count()
+    if not 0 < m <= cutover:
+        return m, None, None, proj
+    blks = list(proj.iter_batches(batch_size=None, batch_format="pyarrow"))
+    return (m, np.concatenate([_blk_col(t, "u") for t in blks]),
+            np.concatenate([_blk_col(t, "v") for t in blks]), proj)
+
+
+def _wedge_partials(kernel, pe: np.ndarray, nodes: np.ndarray,
+                    deg: np.ndarray, num_buckets: int):
+    """Fast plan A of the triangle kernels (node and edge counts under
+    their broadcast cutovers, ids packable as (hi << 32 | lo)). ``pe``,
+    the sorted packed canonical edge set, is driver-held for the
+    closure anyway, so orientation and wedge-work chunking run in numpy
+    on the driver: every edge points from its lower (deg, id) end
+    (``nodes``/``deg``), each pivot's out-neighbors sorted by (deg, id)
+    form one segment, and ``kernel`` (_tri_wedge_chunk /
+    _tri_edge_chunk) enumerates + closes the wedges of one chunk of
+    segments. Yields each chunk's (keys, counts) partial — in-process
+    at or below ``_LOCAL_EDGES`` edges, else from raw tasks (``pe``
+    shipped once, partials fetched one at a time, so peak driver memory
+    stays accumulator + one partial). This replaces two sort shuffles
     (``groupby(wb).map_groups`` wedge co-location and the final
     ``groupby(node).sum``) whose fixed task overhead dominated wall
-    time at bench scale (the wedge arithmetic itself is seconds of
-    numpy). Past either cutover the shuffle plans below still run."""
-    pe = np.sort((u << 32) | v)
+    time at bench scale."""
+    u, v = pe >> 32, pe & np.int64(0xFFFFFFFF)
     du = deg[np.searchsorted(nodes, u)]
     dv = deg[np.searchsorted(nodes, v)]
     ufirst = (du < dv) | ((du == dv) & (u < v))
@@ -2265,41 +2344,28 @@ def _triangle_counts_fanout(u: np.ndarray, v: np.ndarray,
     b = np.where(ufirst, v, u)
     db = np.where(ufirst, dv, du)
     order = np.lexsort((b, db, a))
-    a = a[order]
-    b = b[order]
-    del du, dv, db, ufirst, order
+    a, b = a[order], b[order]
+    del u, v, du, dv, db, ufirst, order
     segs = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
     lens = np.diff(np.r_[segs, a.size])
     pivots = a[segs]
     wseg = lens * (lens - 1) // 2
     total_w = int(wseg.sum())
-    if total_w == 0:
-        return ray.data.from_arrow(pa.table(
-            {"node": pa.array([], pa.int64()),
-             "n_triangles": pa.array([], pa.int64())}))
     # chunks of ~equal wedge work (wedge cost is quadratic in pivot
     # out-degree, so equal-SEGMENT chunks would straggle); floor of
-    # ~20k wedges per task keeps tiny graphs at a handful of tasks
+    # ~20k wedges per chunk keeps tiny graphs at a handful of chunks
     n_chunks = int(max(1, min(num_buckets * 4, total_w // 20_000 + 1,
                               lens.size)))
-    cw = np.cumsum(wseg)
-    cuts = np.searchsorted(cw, np.arange(1, n_chunks)
+    cuts = np.searchsorted(np.cumsum(wseg), np.arange(1, n_chunks)
                            * (total_w / n_chunks))
     bounds = np.unique(np.r_[0, cuts, lens.size])
     eoff = np.r_[0, np.cumsum(lens)]
+    chunks = [(lens[s0:s1], pivots[s0:s1], b[eoff[s0]:eoff[s1]])
+              for s0, s1 in zip(bounds[:-1], bounds[1:])]
+    if pe.size <= _LOCAL_EDGES:
+        return (kernel(pe, *c) for c in chunks)
     pe_ref = ray.put(pe)
-    futs = [_tri_wedge_chunk.remote(pe_ref, lens[s0:s1], pivots[s0:s1],
-                                    b[eoff[s0]:eoff[s1]])
-            for s0, s1 in zip(bounds[:-1], bounds[1:])]
-    acc = np.zeros(nodes.size, np.int64)
-    for f in futs:  # fetch one partial at a time — peak driver memory
-        un, cn = ray.get(f)  # stays accumulator + one partial
-        if un.size:
-            acc[np.searchsorted(nodes, un)] += cn
-    mask = acc > 0
-    return ray.data.from_arrow(pa.table(
-        {"node": pa.array(nodes[mask]),
-         "n_triangles": pa.array(acc[mask])}))
+    return map(ray.get, [kernel.remote(pe_ref, *c) for c in chunks])
 
 
 def triangle_counts(edges: ray.data.Dataset, src: str = "src",
@@ -2333,8 +2399,9 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
        the oriented edge set in one hash-bucket shuffle (exact
        two-column pandas merge per bucket). When BOTH cutovers pass
        (ids packable, nodes under the node cutover), steps 2-6 run as
-       the raw-task fast path ``_triangle_counts_fanout`` with zero
-       shuffles past canonicalization;
+       the fast path ``_wedge_partials`` with zero shuffles past
+       canonicalization — and graphs of at most ``_LOCAL_EDGES``
+       edges run every step in-process;
     6. triangle corners reduced to per-block (node, cnt) partials +
        ``groupby(node).sum``.
 
@@ -2349,49 +2416,30 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
     """
     from kgeng.ops.join import hash_join
 
-    def _canon_block(t: pa.Table) -> pa.Table:
-        # per-block canonicalize (u < v, drop loops) + dedup — the same
-        # pre-reduction _canonical_undirected fuses before its shuffle
-        a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = np.minimum(a, b)
-        v = np.maximum(a, b)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        keep = np.ones(u.size, bool)
-        keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        return pa.table({"u": pa.array(u[keep]), "v": pa.array(v[keep])})
-
-    proj = edges.map_batches(_canon_block,
-                             batch_format="pyarrow").materialize()
-    m_probe = proj.count()  # block-deduped upper bound on |canonical|
-    if 0 < m_probe <= broadcast_edges_cutover:
-        # fast plan A (`_triangle_counts_fanout`): the packed closure
-        # would pull the canonical edges to the driver anyway, so when
-        # ids also pack and the node set fits its cutover, the GLOBAL
-        # dedup is one np.unique over packed pairs and every shuffle
-        # disappears — the whole job is one map stage + raw tasks
-        pu, pv = [], []
-        for blk in proj.iter_batches(batch_size=None,
-                                     batch_format="pyarrow"):
-            pu.append(blk["u"].to_numpy(zero_copy_only=False))
-            pv.append(blk["v"].to_numpy(zero_copy_only=False))
-        uu = np.concatenate(pu) if pu else np.zeros(0, np.int64)
-        vv = np.concatenate(pv) if pv else np.zeros(0, np.int64)
-        del pu, pv
-        if int(uu.min()) >= 0 and int(vv.max()) < (1 << 31):
-            pk = np.unique((uu << 32) | vv)
-            uu = pk >> 32
-            vv = pk & np.int64(0xFFFFFFFF)
-            del pk
-            nd, dg = np.unique(np.concatenate([uu, vv]),
-                               return_counts=True)
-            if nd.size <= broadcast_nodes_cutover:
-                return _triangle_counts_fanout(uu, vv, nd, dg,
-                                               num_buckets)
-        del uu, vv
+    m, uu, vv, proj = _canonical_pairs(edges, src, dst,
+                                       broadcast_edges_cutover)
+    if 0 < m <= broadcast_edges_cutover and int(uu.min()) >= 0 \
+            and int(vv.max()) < (1 << 31):
+        # fast plan A (_wedge_partials): the packed closure would pull
+        # the canonical edges to the driver anyway, so when ids also
+        # pack and the node set fits its cutover, the GLOBAL dedup is
+        # one np.unique over packed pairs and every shuffle disappears
+        pe = np.unique((uu << 32) | vv)
+        nodes, deg = np.unique(np.concatenate(
+            [pe >> 32, pe & np.int64(0xFFFFFFFF)]), return_counts=True)
+        if nodes.size <= broadcast_nodes_cutover:
+            acc = np.zeros(nodes.size, np.int64)
+            for un, cn in _wedge_partials(_tri_wedge_chunk, pe, nodes,
+                                          deg, num_buckets):
+                acc[np.searchsorted(nodes, un)] += cn
+            mask = acc > 0
+            return ray.data.from_arrow(pa.table(
+                {"node": pa.array(nodes[mask]),
+                 "n_triangles": pa.array(acc[mask])}))
+        del pe, nodes, deg
+    if proj is None:
+        proj = ray.data.from_arrow(pa.table({"u": uu, "v": vv}))
+    del uu, vv
 
     e = _canonical_undirected(proj, "u", "v", num_buckets) \
         .materialize()  # reused: degrees, orientation, closure
@@ -2895,7 +2943,7 @@ def _walks_distributed(adj: ray.data.Dataset, walk_len: int,
 
 # ------------------------------------------- edge triangle support (k-truss)
 
-@ray.remote
+@_kernel
 def _tri_edge_chunk(pe: np.ndarray, lens: np.ndarray,
                     pivots: np.ndarray, bsl: np.ndarray):
     """Wedge enumeration + packed-edge closure for one pivot chunk,
@@ -2934,7 +2982,9 @@ def edge_triangle_support(edges: ray.data.Dataset, src: str = "src",
     ``broadcast_edges_cutover``): the packed sorted edge set — which
     the closure broadcasts anyway — doubles as the driver-side
     accumulator index, so the O(m^1.5) wedge stream never shuffles;
-    per-chunk (edge, cnt) partials merge into one m-bounded array.
+    per-chunk (edge, cnt) partials (:func:`_wedge_partials`, in-process
+    at or below ``_LOCAL_EDGES`` edges) merge into one m-bounded
+    array.
     Plan B (bigger graphs): the wedge stream shuffles ONCE on its
     (v, w) packed key for a hash-bucket closure semi-merge, then the
     3-edge fan-out reduces through ``groupby(edge_key).sum`` — nothing
@@ -2949,81 +2999,32 @@ def edge_triangle_support(edges: ray.data.Dataset, src: str = "src",
 
     from kgeng.ops.join import hash_join
 
-    def _canon_block(t: pa.Table) -> pa.Table:
-        a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        u = np.minimum(a, b)
-        v = np.maximum(a, b)
-        keep = u != v
-        u, v = u[keep], v[keep]
-        order = np.lexsort((v, u))
-        u, v = u[order], v[order]
-        keep = np.ones(u.size, bool)
-        keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
-        return pa.table({"u": pa.array(u[keep]), "v": pa.array(v[keep])})
-
     empty = pa.table({"u": pa.array([], pa.int64()),
                       "v": pa.array([], pa.int64()),
                       "support": pa.array([], pa.int64())})
-    proj = edges.map_batches(_canon_block,
-                             batch_format="pyarrow").materialize()
-    m_probe = proj.count()
-    if m_probe == 0:
+    m, uu, vv, proj = _canonical_pairs(edges, src, dst,
+                                       broadcast_edges_cutover)
+    if m == 0:
         return ray.data.from_arrow(empty)
 
-    if m_probe <= broadcast_edges_cutover:
-        parts_u, parts_v = [], []
-        for blk in proj.iter_batches(batch_size=None,
-                                     batch_format="pyarrow"):
-            parts_u.append(blk["u"].to_numpy(zero_copy_only=False))
-            parts_v.append(blk["v"].to_numpy(zero_copy_only=False))
-        uu = np.concatenate(parts_u)
-        vv = np.concatenate(parts_v)
-        if int(uu.min()) >= 0 and int(vv.max()) < (1 << 31):
-            pe = np.unique((uu << 32) | vv)  # global dedup, sorted
-            uu = pe >> 32
-            vv = pe & np.int64(0xFFFFFFFF)
-            nodes, deg = np.unique(np.concatenate([uu, vv]),
-                                   return_counts=True)
-            du = deg[np.searchsorted(nodes, uu)]
-            dv = deg[np.searchsorted(nodes, vv)]
-            ufirst = (du < dv) | ((du == dv) & (uu < vv))
-            a = np.where(ufirst, uu, vv)
-            b = np.where(ufirst, vv, uu)
-            db = np.where(ufirst, dv, du)
-            order = np.lexsort((b, db, a))
-            a, b = a[order], b[order]
-            segs = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
-            lens = np.diff(np.r_[segs, a.size])
-            pivots = a[segs]
-            wseg = lens * (lens - 1) // 2
-            total_w = int(wseg.sum())
-            if total_w == 0:
-                return ray.data.from_arrow(empty)
-            n_chunks = int(max(1, min(num_buckets * 4,
-                                      total_w // 20_000 + 1,
-                                      lens.size)))
-            cw = np.cumsum(wseg)
-            cuts = np.searchsorted(cw, np.arange(1, n_chunks)
-                                   * (total_w / n_chunks))
-            bounds = np.unique(np.r_[0, cuts, lens.size])
-            eoff = np.r_[0, np.cumsum(lens)]
-            pe_ref = ray.put(pe)
-            futs = [_tri_edge_chunk.remote(pe_ref, lens[s0:s1],
-                                           pivots[s0:s1],
-                                           b[eoff[s0]:eoff[s1]])
-                    for s0, s1 in zip(bounds[:-1], bounds[1:])]
-            acc = np.zeros(pe.size, np.int64)
-            for f in futs:
-                un, cn = ray.get(f)
-                if un.size:
-                    acc[np.searchsorted(pe, un)] += cn
-            mask = acc > 0
-            return ray.data.from_arrow(pa.table({
-                "u": pa.array((pe[mask] >> 32).astype(np.int64)),
-                "v": pa.array((pe[mask]
-                               & np.int64(0xFFFFFFFF)).astype(np.int64)),
-                "support": pa.array(acc[mask])}))
+    if m <= broadcast_edges_cutover and int(uu.min()) >= 0 \
+            and int(vv.max()) < (1 << 31):
+        pe = np.unique((uu << 32) | vv)  # global dedup, sorted
+        nodes, deg = np.unique(np.concatenate(
+            [pe >> 32, pe & np.int64(0xFFFFFFFF)]), return_counts=True)
+        acc = np.zeros(pe.size, np.int64)
+        for un, cn in _wedge_partials(_tri_edge_chunk, pe, nodes, deg,
+                                      num_buckets):
+            acc[np.searchsorted(pe, un)] += cn
+        mask = acc > 0
+        return ray.data.from_arrow(pa.table({
+            "u": pa.array((pe[mask] >> 32).astype(np.int64)),
+            "v": pa.array((pe[mask]
+                           & np.int64(0xFFFFFFFF)).astype(np.int64)),
+            "support": pa.array(acc[mask])}))
+    if proj is None:
+        proj = ray.data.from_arrow(pa.table({"u": uu, "v": vv}))
+    del uu, vv
 
     # ---- plan B: fully distributed (no edge-sized driver state) ----
     e = _canonical_undirected(proj, "u", "v", num_buckets).materialize()
