@@ -18,19 +18,21 @@ this makes the result reproducible bit-for-bit across summation orders
 ~1e-17 relative, far below the rounding granularity), so a DuckDB
 oracle with the same per-round rounding hash-matches exactly.
 
-Two state plans, same contract as canonicalize plan A/B:
+Every algorithm has two plans, picked by one rule from sizes it
+already measures (node count, edge count, rounds, sketch width):
 
-- ``state="driver"`` (plan A): the (node, rank) vector lives on the
-  driver — bounded by NODE count, like the IVF centroids or the
-  canonicalize surface set. Each round runs a vectorized per-block
-  kernel and adds the partials on the driver (:class:`_IndexedEdges`):
-  in-process for graphs of at most ``_LOCAL_EDGES`` edges, one raw
-  task per edge block above. Right up to ~10^8 nodes.
-- ``state="distributed"`` (plan B): ranks stay a Dataset; each round is
-  broadcast-free joins (hash_join ranks into edges, groupby(dst) sum,
-  left-join back onto the node set). The driver sees only the dangling
-  scalar per round. Block growth per round is capped by an explicit
-  repartition (iterative Dataset loops otherwise double block counts).
+- plan A: the algorithm's state (rank vector, label memory, register
+  matrix, packed edge set, ...) lives on the driver, and each round
+  runs a vectorized per-block kernel whose partials the driver reduces
+  (:class:`_IndexedEdges`) — in-process for graphs of at most
+  ``_LOCAL_EDGES`` edges, one raw task per edge block above;
+- plan B (``_*_distributed`` and the join/shuffle branches): the state
+  stays a Dataset and each round is joins and groupbys; the driver
+  sees only scalars (node count, dangling mass, changed counts).
+
+Plan A runs whenever the driver bytes it would hold, computed from
+those sizes, fit ``_DRIVER_STATE_BYTES``; above that budget plan B
+runs. Both plans give the same rows bit-for-bit.
 """
 
 from __future__ import annotations
@@ -92,6 +94,18 @@ def _node_ids(t: pa.Table, src: str, dst: str) -> pa.Table:
 #: sits just below that. In-process used less CPU at every size
 #: (at 128k: 0.13 / 0.26 / 0.27 CPU-s against 0.60 / 0.61 / 0.55).
 _LOCAL_EDGES = 128_000
+
+#: Driver bytes a plan-A algorithm may hold (its node vectors, label
+#: memory, register matrix or packed edge set, counted per algorithm
+#: from the sizes it measures); above this the algorithm runs plan B.
+#: 2 GiB is the figure the bounded-BFS plan already applied to V x E.
+_DRIVER_STATE_BYTES = 2 << 30
+
+#: Shuffle bucket counts of the plan-B rounds (and of the triangle
+#: kernels' wedge chunking, at four chunks per bucket).
+_BUCKETS = 64
+_ROUND_BUCKETS = 32
+_BFS_BUCKETS = 16
 
 
 def _kernel(fn):
@@ -226,14 +240,19 @@ class _IndexedEdges:
       array argument ships once per round via ``ray.put`` (workers read
       it zero-copy from plasma).
 
-    Either way ``map`` returns the per-block results in block order and
-    the caller reduces them on the driver (node-count bounded)."""
+    Either way ``map`` yields the per-block results in block order and
+    the caller reduces them on the driver as they arrive.
+
+    The plan rule: the caller's plan A holds ``node_bytes`` per node
+    plus ``edge_bytes`` per edge on the driver. Node discovery runs
+    first; when that total exceeds ``_DRIVER_STATE_BYTES``, ``fits``
+    is False, nothing is indexed, and the caller runs its plan B."""
 
     def __init__(self, edges: ray.data.Dataset, src: str, dst: str,
-                 weight: str | None = None,
-                 max_nodes: int | None = None,
-                 max_nodes_hint: str = ""):
-        self.local = edges.count() <= _LOCAL_EDGES
+                 weight: str | None = None, node_bytes: int = 0,
+                 edge_bytes: int = 0):
+        m = edges.count()
+        self.local = m <= _LOCAL_EDGES
         # the raw blocks until the index staging below replaces them
         cols = [src, dst] + ([weight] if weight else [])
         self.idx = ([_pull_edges(edges, cols)] if self.local else
@@ -241,18 +260,15 @@ class _IndexedEdges:
                      for r in b.block_refs])
         # node discovery: per-block distinct endpoints, one driver
         # union — no Dataset execution, no shuffle
-        parts = self.map(_ends_block, src, dst)
+        parts = list(self.map(_ends_block, src, dst))
         nodes = (np.unique(np.concatenate(parts)) if parts
                  else np.zeros(0, np.int64))
         self.nodes = nodes
         self.n = len(nodes)
-        # scale cutovers fire HERE — after node discovery, BEFORE the
-        # expensive per-edge index staging below
-        if max_nodes is not None and self.n > max_nodes:
-            raise ValueError(
-                f"{self.n} nodes exceeds the plan-A driver bound "
-                f"{max_nodes}. {max_nodes_hint}")
-        self.idx = self._fan(_index_block, nodes, src, dst, weight)
+        self.fits = (node_bytes * self.n + edge_bytes * m
+                     <= _DRIVER_STATE_BYTES)
+        if self.fits:
+            self.idx = self._fan(_index_block, nodes, src, dst, weight)
 
     def _fan(self, kernel, *args) -> list:
         if self.local:
@@ -261,29 +277,45 @@ class _IndexedEdges:
                 for a in args]
         return [kernel.remote(i, *args) for i in self.idx]
 
-    def map(self, kernel, *args) -> list:
+    def map(self, kernel, *args):
         """One round: ``kernel(block_index, *args)`` for every block,
-        results in block order."""
+        yielded in block order. Raw-task results are fetched one at a
+        time, so a caller that reduces as it iterates holds its
+        accumulator plus one partial."""
         out = self._fan(kernel, *args)
-        return out if self.local else ray.get(out)
+        return iter(out) if self.local else (ray.get(r) for r in out)
+
+    def total(self, kernel, *args) -> np.ndarray:
+        """Sum of the per-block n-float64 partials of one round, added
+        in block order as they arrive."""
+        acc = np.zeros(self.n, np.float64)
+        for part in self.map(kernel, *args):
+            acc += part
+        return acc
 
     def sweep(self, vec: np.ndarray, direction: str = "fwd") -> np.ndarray:
-        return sum(self.map(_sweep_block, vec, self.n, direction),
-                   np.zeros(self.n, np.float64))
+        return self.total(_sweep_block, vec, self.n, direction)
+
+
+def _concat_pairs(parts) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenate a round's per-block (keys, counts) partials, taking
+    each partial once as it arrives."""
+    keys, cnts = [], []
+    for k, c in parts:
+        keys.append(k)
+        cnts.append(c)
+    return np.concatenate(keys), np.concatenate(cnts)
 
 
 def pagerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
-             iters: int = 5, damping: float = 0.85, ndigits: int = 9,
-             state: str = "driver") -> ray.data.Dataset:
+             iters: int = 5, damping: float = 0.85,
+             ndigits: int = 9) -> ray.data.Dataset:
     """PageRank over a directed edge Dataset; returns Dataset(node, rank).
 
     Multi-edges count multiply (dedup upstream if unwanted). See the
-    module docstring for semantics, rounding, and the two state plans.
-    """
-    if state == "distributed":
-        return _pagerank_distributed(edges, src, dst, iters, damping,
-                                     ndigits)
-
+    module docstring for semantics, rounding, and the two plans. Plan A
+    holds ~6 n-float64 vectors (48 bytes per node); each round adds the
+    per-block dense partials into one accumulator."""
     # materialize once; rebalance only when the incoming block count is
     # unsuitable for the per-block dense reduce (each extra pass over
     # the edges is a whole executor run)
@@ -291,46 +323,21 @@ def pagerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
 
     # node ids + out-degrees — no Dataset execution, no shuffle (see
     # _IndexedEdges); multi-edges count multiply
-    idx = _IndexedEdges(edges, src, dst)
+    idx = _IndexedEdges(edges, src, dst, node_bytes=48)
+    if not idx.fits:
+        return _pagerank_distributed(edges, src, dst, iters, damping,
+                                     ndigits)
     nodes, n = idx.nodes, idx.n
-    deg = sum(idx.map(_deg_block, n), np.zeros(n, np.float64))
+    deg = idx.total(_deg_block, n)
 
     base = (1.0 - damping) / n
     ranks = _round9(np.full(n, 1.0 / n), ndigits)
-
-    # dense rounds: each block returns one n-float64 partial; the
-    # driver adds <= 256 of them — no per-round Dataset execution,
-    # no shuffle. Right up to ~10^7 nodes (80 MB/partial); beyond that
-    # fall back to the sparse (di, c) groupby reduce.
-    dense = n <= 5_000_000
-
     for _ in range(iters):
         has_out = deg > 0
         contrib = np.where(has_out, ranks / np.where(has_out, deg, 1.0),
                            0.0)
         dangling = float(ranks[~has_out].sum()) / n
-
-        if dense:
-            incoming = idx.sweep(contrib, "fwd")
-        else:
-            ref = ray.put((nodes, contrib))
-
-            def partial(t: pa.Table) -> pa.Table:
-                nd, c = ray.get(ref)
-                si = np.searchsorted(
-                    nd, t[src].to_numpy(zero_copy_only=False))
-                di = np.searchsorted(
-                    nd, t[dst].to_numpy(zero_copy_only=False))
-                s = np.bincount(di, weights=c[si], minlength=len(nd))
-                nz = np.flatnonzero(s)
-                return pa.table({"di": pa.array(nz.astype(np.int64)),
-                                 "c": pa.array(s[nz])})
-
-            incoming = np.zeros(n, dtype=np.float64)
-            got = edges.map_batches(partial, batch_format="pyarrow") \
-                .groupby("di").sum("c").to_pandas()
-            incoming[got["di"].to_numpy(np.int64)] = \
-                got["sum(c)"].to_numpy(np.float64)
+        incoming = idx.sweep(contrib, "fwd")
         ranks = _round9(base + damping * (incoming + dangling), ndigits)
 
     return ray.data.from_arrow(pa.table({
@@ -341,17 +348,18 @@ def _pagerank_distributed(edges: ray.data.Dataset, src: str, dst: str,
                           iters: int, damping: float,
                           ndigits: int) -> ray.data.Dataset:
     """Plan B: the rank vector never materializes on the driver —
-    per-round hash joins move ranks along edges; only the dangling
-    scalar and the node count reach the driver."""
+    per-round hash joins move ranks along edges (:func:`_flow_sum`);
+    only the dangling scalar and the node count reach the driver."""
     from kgeng.ops.join import hash_join
 
     # project + materialize ONCE: the loop's flow join would otherwise
     # re-execute the whole upstream edge plan every iteration
     eproj = edges.map_batches(
-        lambda t: pa.table({"node": t[src], "dst_": t[dst]}),
+        lambda t: pa.table({"node": pc.cast(t[src], pa.int64()),
+                            "other": pc.cast(t[dst], pa.int64())}),
         batch_format="pyarrow").materialize()
 
-    nodes = _nodes_dataset(eproj, "node", "dst_")
+    nodes = _nodes_dataset(eproj, "node", "other")
     n = nodes.count()
     deg = eproj.groupby("node").count().map_batches(
         lambda t: pa.table({"node": t["node"],
@@ -368,56 +376,28 @@ def _pagerank_distributed(edges: ray.data.Dataset, src: str, dst: str,
         rd = hash_join(ranks, deg, key="node", how="left")
 
         def contrib_row(df: pd.DataFrame) -> pd.DataFrame:
-            out = df.copy()
             # hash_join emits the full stable column set per bucket;
             # unmatched left rows carry NaN deg (isfinite handles it)
-            d = out["deg"].to_numpy()
+            d = df["deg"].to_numpy()
             has = np.isfinite(d) & (d > 0)
-            out["c"] = np.where(has, out["r"].to_numpy()
-                                / np.where(has, d, 1.0), 0.0)
-            out["dang"] = np.where(has, 0.0, out["r"].to_numpy())
-            return out[["node", "c", "dang"]]
+            r = df["r"].to_numpy()
+            return pd.DataFrame({
+                "node": df["node"],
+                "v": np.where(has, r / np.where(has, d, 1.0), 0.0),
+                "dang": np.where(has, 0.0, r)})
 
         rc = mat(rd.map_batches(contrib_row, batch_format="pandas"))
         dangling = rc.sum("dang") / n
 
-        flow = hash_join(
-            eproj,
-            rc.map_batches(lambda t: t.select(["node", "c"]),
-                           batch_format="pyarrow"),
-            key="node", how="inner")
-        # explicit int64/float64 casts: empty-bucket merges upcast the
-        # key to double in some blocks, and a double key buckets/merges
-        # differently from the int64 node ids
-        incoming = flow.map_batches(
-            lambda t: pa.table({
-                "node": pc.cast(t["dst_"], pa.int64()),
-                "c_in": pc.cast(t["c"], pa.float64())}),
-            batch_format="pyarrow").groupby("node").sum("c_in")
-
-        # explicit right_cols: the post-groupby plan can carry
-        # zero-column empty partitions that defeat schema inference —
-        # the rename map must tolerate them too (early return)
-        def cast_in(t: pa.Table) -> pa.Table:
-            if t.num_columns < 2:
-                return pa.table({"node": pa.array([], pa.int64()),
-                                 "c_in": pa.array([], pa.float64())})
-            return pa.table({
-                "node": pc.cast(t[t.column_names[0]], pa.int64()),
-                "c_in": pc.cast(t[t.column_names[1]], pa.float64())})
-
-        joined = hash_join(nodes, incoming.map_batches(
-            cast_in, batch_format="pyarrow"), key="node", how="left",
-            right_cols=["node", "c_in"])
-
-        def finish(df: pd.DataFrame) -> pd.DataFrame:
-            inc = df["c_in"].fillna(0.0).to_numpy()
-            out = df[["node"]].copy()
-            out["r"] = _round9(base + damping * (inc + dangling), ndigits)
-            return out
+        def finish(t: pa.Table) -> pa.Table:
+            inc = t["v"].to_numpy(zero_copy_only=False)
+            return pa.table({"node": t["node"], "r": pa.array(_round9(
+                base + damping * (inc + dangling), ndigits))})
 
         # cap block growth (iterative loops otherwise double per round)
-        ranks = mat(joined.map_batches(finish, batch_format="pandas")
+        ranks = mat(_flow_sum(eproj, rc.select_columns(["node", "v"]),
+                              nodes)
+                    .map_batches(finish, batch_format="pyarrow")
                     .repartition(8))
 
     return ranks.map_batches(
@@ -426,35 +406,26 @@ def _pagerank_distributed(edges: ray.data.Dataset, src: str, dst: str,
 
 
 def sssp_hops(edges: ray.data.Dataset, source: int, src: str = "src",
-              dst: str = "dst", state: str = "auto",
-              max_driver_nodes: int = 100_000_000) -> ray.data.Dataset:
+              dst: str = "dst") -> ray.data.Dataset:
     """Single-source shortest path in hops (BFS layers) — 'sssp' in the
     reference's Pregel algorithm list (arguments.py:187), run
     server-side there. Returns Dataset(node, dist) for REACHED nodes
     only (matches the recursive-CTE oracle's reachability semantics).
 
     Plan A shape (like :func:`pagerank`): the distance vector is
-    driver-held (node-count bounded, ``max_driver_nodes``-guarded);
-    each BFS layer is one round over indexed edge blocks (see
+    driver-held (nodes, distances and two frontier masks, 24 bytes per
+    node); each BFS layer is one round over indexed edge blocks (see
     :class:`_IndexedEdges`) — per-block vectorized frontier-membership
     filter emitting that block's distinct successors — until the
     frontier empties (exact BFS, no iteration cap). Integer distances:
-    the oracle is exact. Past the cutover (or with
-    ``state='distributed'``) it falls back to plan B: unit-weight
-    Bellman-Ford dataset rounds (:func:`_bellman_ford_distributed`,
-    run to its fixpoint) — BFS IS Bellman-Ford with w=1, and integer
-    mins are order-invariant, so the plans agree bit-for-bit."""
-    if state == "distributed":
-        return _sssp_hops_distributed(edges, source, src, dst)
-    try:
-        idx = _IndexedEdges(
-            _bounded_blocks(edges), src, dst,
-            max_nodes=max_driver_nodes if state == "auto" else None,
-            max_nodes_hint=("sssp_hops plan A holds two n-vectors on "
-                            "the driver; use state='distributed'."))
-    except ValueError:
-        if state != "auto":
-            raise
+    the oracle is exact. Past ``_DRIVER_STATE_BYTES`` it runs plan B:
+    unit-weight Bellman-Ford dataset rounds
+    (:func:`_bellman_ford_distributed`, run to its fixpoint) — BFS IS
+    Bellman-Ford with w=1, and integer mins are order-invariant, so the
+    plans agree bit-for-bit."""
+    edges = _bounded_blocks(edges)
+    idx = _IndexedEdges(edges, src, dst, node_bytes=24)
+    if not idx.fits:
         return _sssp_hops_distributed(edges, source, src, dst)
     nodes, n = idx.nodes, idx.n
 
@@ -504,38 +475,33 @@ def _sssp_hops_distributed(edges: ray.data.Dataset, source: int,
                                          "s", "d", "w")
     except ValueError:
         # isolated source: plan A's seeded-CTE contract — one (source,
-        # 0) row, not an error (sssp_hops:418)
+        # 0) row, not an error
         return ray.data.from_arrow(pa.table({
             "node": pa.array([source], pa.int64()),
             "dist": pa.array([0], pa.int64())}))
 
 
 def hits(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
-         iters: int = 5, ndigits: int = 9,
-         state: str = "driver") -> ray.data.Dataset:
+         iters: int = 5, ndigits: int = 9) -> ray.data.Dataset:
     """HITS hubs-and-authorities ('hits' in the reference's Pregel
     algorithm list, arguments.py:187). Classic power iteration:
     auth(v) = sum of hub(u) over in-edges, hub(u) = sum of auth(v) over
     out-edges, each L2-normalized and rounded per round (IEEE sqrt is
     correctly rounded, so per-round rounding again pins the result
     across summation orders). Same plan-A shape as :func:`pagerank`:
-    driver-held node vectors, per-block edge scans with a dense
-    driver reduce (:class:`_IndexedEdges`); ``state='distributed'``
-    switches to plan B (:func:`_hits_distributed`), where the hub/auth
-    vectors live as Datasets and only two scalars (node count, norm)
-    reach the driver — the 100-TB path when the node set outgrows
-    driver memory."""
-    if state == "distributed":
-        return _hits_distributed(edges, src, dst, iters, ndigits)
-
+    driver-held node vectors (~5 n-float64, 40 bytes per node),
+    per-block edge scans with a dense driver reduce
+    (:class:`_IndexedEdges`). Past ``_DRIVER_STATE_BYTES`` it runs plan
+    B (:func:`_hits_distributed`), where the hub/auth vectors live as
+    Datasets and only two scalars (node count, norm) reach the
+    driver."""
     # sweeps over indexed blocks (_IndexedEdges): per half-round cost
     # is the per-block kernels + the n-bounded reduce, not a full
-    # streaming-executor startup. The node cutover fires before index
-    # staging (inside _IndexedEdges).
-    idx = _IndexedEdges(
-        _bounded_blocks(edges), src, dst, max_nodes=50_000_000,
-        max_nodes_hint=("hits plan A holds two n-float64 vectors on "
-                        "the driver; use state='distributed'."))
+    # streaming-executor startup
+    edges = _bounded_blocks(edges)
+    idx = _IndexedEdges(edges, src, dst, node_bytes=40)
+    if not idx.fits:
+        return _hits_distributed(edges, src, dst, iters, ndigits)
     nodes, n = idx.nodes, idx.n
 
     def norm(x: np.ndarray) -> np.ndarray:
@@ -572,10 +538,10 @@ def _nodes_dataset(proj: ray.data.Dataset, a: str,
 def _flow_sum(proj: ray.data.Dataset, vec: ray.data.Dataset,
               nodes: ray.data.Dataset) -> ray.data.Dataset:
     """Distributed sparse mat-vec: ``out[other] = sum of vec.v over proj
-    rows keyed by node`` — the shared plan-B sweep for HITS (and the
-    same flow-join shape as :func:`_pagerank_distributed`). ``proj`` is
-    Dataset(node, other); ``vec`` is Dataset(node, v). Returns
-    Dataset(node, v) covering EVERY node (absent inflow = 0.0)."""
+    rows keyed by node`` — the shared plan-B sweep of HITS and
+    PageRank. ``proj`` is Dataset(node, other); ``vec`` is
+    Dataset(node, v). Returns Dataset(node, v) covering EVERY node
+    (absent inflow = 0.0)."""
     from kgeng.ops.join import hash_join
 
     flow = hash_join(proj, vec, key="node", how="inner")
@@ -699,9 +665,8 @@ def _hll_estimate(r: np.ndarray, m: int) -> np.ndarray:
 
 def effective_closeness(edges: ray.data.Dataset, src: str = "src",
                         dst: str = "dst", p: int = 6,
-                        max_rounds: int = 32, ndigits: int = 6,
-                        max_driver_nodes: int = 50_000_000,
-                        state: str = "auto") -> ray.data.Dataset:
+                        max_rounds: int = 32,
+                        ndigits: int = 6) -> ray.data.Dataset:
     """Approximate closeness centrality ('effectivecloseness' in the
     reference's Pregel list, arguments.py:187) via the HyperBall method
     (Boldi & Vigna 2013): every node carries a 2^p-register HyperLogLog
@@ -711,48 +676,29 @@ def effective_closeness(edges: ray.data.Dataset, src: str = "src",
     deltas estimate the distance distribution. closeness(v) =
     (reached-1) / sum_d d*(newly reached at d), 0 for isolated nodes.
 
-    Plan shape (:class:`_IndexedEdges`): each edge block covers a
-    disjoint source range — one in-process block at or below
-    ``_LOCAL_EDGES`` edges, src-sorted raw-task blocks above — and
-    emits exactly its own nodes' candidate registers (N x 2^p bytes
-    total per round, not per block); they merge into the driver's
-    register matrix (node-count bounded like the other plan-A
-    vectors). Rounds stop when no register moves.
-
-    Scale cutover: the plan-A driver matrix is N x 2^p bytes (3.2 GB
-    at the default p=6 and the 50M-node default bound). Past
-    ``max_driver_nodes``, ``state='auto'`` falls back to plan B
-    (:func:`_effective_closeness_distributed`): registers live as a
-    binary column on a Dataset and each round is one candidate shuffle
-    + one bucketed segment-max merge — node-count unbounded.
-    ``state='driver'`` keeps the old loud raise; ``state='distributed'``
-    forces plan B. Both plans share ``_hll_init_regs`` /
+    Plan A (:class:`_IndexedEdges`): each edge block covers a disjoint
+    source range — one in-process block at or below ``_LOCAL_EDGES``
+    edges, src-sorted raw-task blocks above — and emits exactly its own
+    nodes' candidate registers (N x 2^p bytes total per round, not per
+    block); they merge into the driver's register matrix. The driver
+    holds two n x 2^p byte matrices (current and next round), so the
+    width ``p`` enters the plan rule: past ``_DRIVER_STATE_BYTES`` it
+    runs plan B (:func:`_effective_closeness_distributed`), where
+    registers live as a binary column on a Dataset and each round is
+    one candidate shuffle + one bucketed segment-max merge. Rounds stop
+    when no register moves. Both plans share ``_hll_init_regs`` /
     ``_hll_estimate`` and elementwise register max is order-invariant,
     so they agree bit-for-bit.
     """
-    if state == "distributed":
-        return _effective_closeness_distributed(
-            edges, src, dst, p, max_rounds, ndigits)
     m = 1 << p
     # raw tasks need src-sorted blocks (disjoint source ranges per
     # block) to keep each round's per-block output N-bounded in total;
-    # the one in-process block has that already. The node cutover fires
-    # before index staging (inside _IndexedEdges).
+    # the one in-process block has that already
     by_src = edges.materialize()
     if by_src.count() > _LOCAL_EDGES:
         by_src = by_src.sort(src).materialize()
-    try:
-        idx = _IndexedEdges(
-            by_src, src, dst, max_nodes=max_driver_nodes,
-            max_nodes_hint=(f"effective_closeness max_driver_nodes="
-                            f"{max_driver_nodes}: the driver register "
-                            f"matrix is n x 2^p bytes. Lower p, raise "
-                            "the bound on a bigger driver, or use "
-                            "state='distributed' (plan B keeps the "
-                            "registers as a Dataset column)."))
-    except ValueError:
-        if state != "auto":
-            raise
+    idx = _IndexedEdges(by_src, src, dst, node_bytes=2 * m)
+    if not idx.fits:
         return _effective_closeness_distributed(
             by_src, src, dst, p, max_rounds, ndigits)
     nodes, n = idx.nodes, idx.n
@@ -804,8 +750,7 @@ def _unpack_regs(col, m: int) -> np.ndarray:
 
 def _effective_closeness_distributed(
         edges: ray.data.Dataset, src: str, dst: str, p: int,
-        max_rounds: int, ndigits: int,
-        num_buckets: int = 32) -> ray.data.Dataset:
+        max_rounds: int, ndigits: int) -> ray.data.Dataset:
     """Plan B HyperBall closeness: the register matrix never touches
     the driver. State is Dataset(node, regs fixed_size_binary(2^p),
     est, sum_dist); each round is two bucketed shuffles — (1) state
@@ -820,7 +765,7 @@ def _effective_closeness_distributed(
     from kgeng.ops.agg import _splitmix64
 
     m = 1 << p
-    B = num_buckets
+    B = _ROUND_BUCKETS
     empty = pa.table({
         "bucket": pa.array([], pa.int64()),
         "is_state": pa.array([], pa.int8()),
@@ -966,8 +911,7 @@ def _effective_closeness_distributed(
 
 def bellman_ford_rounds(edges: ray.data.Dataset, source: int,
                         rounds: int, src: str = "src", dst: str = "dst",
-                        weight: str = "w",
-                        state: str = "driver") -> ray.data.Dataset:
+                        weight: str = "w") -> ray.data.Dataset:
     """Weighted SSSP as EXACTLY ``rounds`` Bellman-Ford relaxations —
     the round-synchronous Pregel formulation ('sssp' with weights).
     Integer weights make the oracle exact: a k-round unrolled SQL
@@ -976,20 +920,22 @@ def bellman_ford_rounds(edges: ray.data.Dataset, source: int,
     tuning knob. Returns (node, dist) for nodes reached within
     ``rounds`` hops-by-relaxation.
 
-    Plan A shape: driver distance vector (node-bounded), edge blocks
-    relax (:class:`_IndexedEdges`) and emit dense per-block min-vectors
+    Plan A shape: driver distance vector (nodes, distances, next round
+    and one partial: 32 bytes per node), edge blocks relax
+    (:class:`_IndexedEdges`) and emit dense per-block min-vectors
     (int64, sentinel INF), driver takes the elementwise min of them.
-    ``state='distributed'`` switches to plan B
+    Past ``_DRIVER_STATE_BYTES`` it runs plan B
     (:func:`_bellman_ford_distributed`): the distance frontier lives as
     a Dataset and each round is one flow join + a union/min groupby —
-    node-count unbounded, identical results (integer min is
-    order-invariant, so the two plans agree bit-for-bit)."""
-    if state == "distributed":
-        return _bellman_ford_distributed(edges, source, rounds, src,
-                                         dst, weight)
+    identical results (integer min is order-invariant, so the two plans
+    agree bit-for-bit)."""
     INF = np.int64(2**62)
 
-    idx = _IndexedEdges(_bounded_blocks(edges), src, dst, weight=weight)
+    edges = _bounded_blocks(edges)
+    idx = _IndexedEdges(edges, src, dst, weight=weight, node_bytes=32)
+    if not idx.fits:
+        return _bellman_ford_distributed(edges, source, rounds, src,
+                                         dst, weight)
     nodes, n = idx.nodes, idx.n
     si0 = int(np.searchsorted(nodes, source))
     if si0 >= n or nodes[si0] != source:
@@ -1071,8 +1017,7 @@ def _bellman_ford_distributed(edges: ray.data.Dataset, source: int,
 
 
 def line_graph(edges: ray.data.Dataset, src: str = "src",
-               dst: str = "dst", num_buckets: int = 32
-               ) -> ray.data.Dataset:
+               dst: str = "dst") -> ray.data.Dataset:
     """Directed line-graph transform: every edge (a, b) becomes a node
     (id = a*2^32 + b, exact while ids < 2^31 — loudly guarded), and
     consecutive edges (a, b) -> (b, c) become line edges. One
@@ -1106,7 +1051,7 @@ def line_graph(edges: ray.data.Dataset, src: str = "src",
 
     left = edges.map_batches(proj("l"), batch_format="pyarrow")
     right = edges.map_batches(proj("r"), batch_format="pyarrow")
-    joined = hash_join(left, right, key="k", num_buckets=num_buckets,
+    joined = hash_join(left, right, key="k", num_buckets=_ROUND_BUCKETS,
                        how="inner")
 
     def pack(t: pa.Table) -> pa.Table:
@@ -1166,9 +1111,8 @@ def _active_deg_block(idx, active: np.ndarray):
             np.bincount(si[ok], minlength=n))
 
 
-def scc(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
-        max_driver_nodes: int = 50_000_000,
-        state: str = "auto") -> ray.data.Dataset:
+def scc(edges: ray.data.Dataset, src: str = "src",
+        dst: str = "dst") -> ray.data.Dataset:
     """Strongly connected components ('scc' in the reference's Pregel
     list, arguments.py:187) via the Pregel-style forward-backward
     COLORING algorithm (Orzan): repeat — TRIM (peel active nodes with
@@ -1180,29 +1124,18 @@ def scc(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     the color and reach its root form one SCC — assign and remove.
     Every phase is a round over the indexed edge blocks
     (:class:`_IndexedEdges`; plan-A shape: driver label/frontier
-    vectors, node-count bounded — ~5 n-vectors, guarded by
-    ``max_driver_nodes``). Returns
+    vectors, ~8 n-vectors, 64 bytes per node). Returns
     Dataset(node, scc_id) where scc_id = min node id in the component
     (so the result is partition- and order-invariant by construction).
 
-    Scale cutover: past ``max_driver_nodes`` (or with
-    ``state='distributed'``) it falls back to plan B
+    Past ``_DRIVER_STATE_BYTES`` it runs plan B
     (:func:`_scc_distributed`) — the same trim / min-label /
-    backward-reach phases as Dataset join rounds, node-count unbounded.
-    Every phase is a set operation or an integer min (order-invariant),
-    so the two plans agree bit-for-bit. ``state='driver'`` keeps the
-    loud raise."""
-    if state == "distributed":
-        return _scc_distributed(edges, src, dst)
-    try:
-        idx = _IndexedEdges(
-            _bounded_blocks(edges), src, dst,
-            max_nodes=max_driver_nodes,
-            max_nodes_hint=("scc plan A holds ~5 n-vectors on the "
-                            "driver; use state='distributed'."))
-    except ValueError:
-        if state != "auto":
-            raise
+    backward-reach phases as Dataset join rounds. Every phase is a set
+    operation or an integer min (order-invariant), so the two plans
+    agree bit-for-bit."""
+    edges = _bounded_blocks(edges)
+    idx = _IndexedEdges(edges, src, dst, node_bytes=64)
+    if not idx.fits:
         return _scc_distributed(edges, src, dst)
     nodes, n = idx.nodes, idx.n
     scc_id = np.full(n, -1, np.int64)
@@ -1485,56 +1418,39 @@ def _slpa_block(idx, nodes: np.ndarray, mem: np.ndarray, r: int):
 
 
 def slpa(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
-         rounds: int = 10, threshold: float = 0.2,
-         max_driver_nodes: int = 20_000_000,
-         state: str = "auto") -> ray.data.Dataset:
+         rounds: int = 10, threshold: float = 0.2) -> ray.data.Dataset:
     """SLPA overlapping community detection ('slpa' in the reference's
     Pregel list, arguments.py:187-188), deterministic variant: the
     speaker's memory slot is chosen by a hash of (round, speaker id,
     listener id) — partition/order invariant, so results are stable
     across cluster shapes (pinned rather than SQL-checked: the
     algorithm is inherently non-relational). Plan-A shape: the n x
-    (rounds+1) label-memory matrix is driver-held (node-bounded, like
-    pagerank's vectors); each speak step is one round over the
-    indexed edge blocks (:class:`_IndexedEdges`); per-round driver
-    ingest is the distinct (listener, label) pair set (<= E,
-    vocabulary-bounded in practice).
+    (rounds+1) int64 label-memory matrix is driver-held; each speak
+    step is one round over the indexed edge blocks
+    (:class:`_IndexedEdges`); per-round driver ingest is the distinct
+    (listener, label) pair set (<= E, vocabulary-bounded in practice).
 
     Returns Dataset(node, primary_label, n_communities, communities)
     where communities are the labels (node ids) held in >= threshold
-    of memory, sorted, '|'-joined. The n x (rounds+1) driver memory
-    matrix is guarded by ``max_driver_nodes`` (1.8 GB at the defaults).
+    of memory, sorted, '|'-joined.
 
-    Scale cutover: past ``max_driver_nodes`` (or with
-    ``state='distributed'``) it falls back to plan B
-    (:func:`_slpa_distributed`): the memory matrix lives as wide int64
-    columns on a Dataset, each speak round is one edge-memory join +
-    one (listener, label) count shuffle + one bucketed argmax pass —
-    node-count unbounded. The slot hash, counts and (count desc, label
-    asc) tiebreaks are identical, so the plans agree bit-for-bit.
-    ``state='driver'`` keeps the loud raise."""
-    if state == "distributed":
-        return _slpa_distributed(edges, src, dst, rounds, threshold)
-    try:
-        idx = _IndexedEdges(
-            _bounded_blocks(edges), src, dst,
-            max_nodes=max_driver_nodes,
-            max_nodes_hint=(f"slpa plan A holds an n x {rounds + 1} "
-                            "int64 memory matrix on the driver; lower "
-                            "rounds, raise the bound, or use "
-                            "state='distributed'."))
-    except ValueError:
-        if state != "auto":
-            raise
+    When the memory matrix exceeds ``_DRIVER_STATE_BYTES`` it runs
+    plan B (:func:`_slpa_distributed`): the memory matrix lives as wide
+    int64 columns on a Dataset, each speak round is one edge-memory
+    join + one (listener, label) count shuffle + one bucketed argmax
+    pass. The slot hash, counts and (count desc, label asc) tiebreaks
+    are identical, so the plans agree bit-for-bit."""
+    edges = _bounded_blocks(edges)
+    idx = _IndexedEdges(edges, src, dst, node_bytes=8 * (rounds + 1))
+    if not idx.fits:
         return _slpa_distributed(edges, src, dst, rounds, threshold)
     nodes, n = idx.nodes, idx.n
     mem = np.zeros((n, rounds + 1), np.int64)
     mem[:, 0] = np.arange(n)
 
     for r in range(1, rounds + 1):
-        got = idx.map(_slpa_block, nodes, mem[:, :r], r)
-        packs = np.concatenate([g[0] for g in got])
-        cnts = np.concatenate([g[1] for g in got])
+        packs, cnts = _concat_pairs(idx.map(_slpa_block, nodes,
+                                            mem[:, :r], r))
         new_col = np.arange(n)            # silent listeners keep self
         if len(packs):
             uniq, inv = np.unique(packs, return_inverse=True)
@@ -1627,8 +1543,7 @@ def _slpa_post_block(t: pa.Table, rounds: int,
 
 
 def _slpa_distributed(edges: ray.data.Dataset, src: str, dst: str,
-                      rounds: int, threshold: float,
-                      num_buckets: int = 32) -> ray.data.Dataset:
+                      rounds: int, threshold: float) -> ray.data.Dataset:
     """Plan B SLPA: the n x (rounds+1) label memory lives as wide int64
     columns on a Dataset (labels are node IDS, not positions — the
     node array is sorted, so count/tiebreak orders match plan A's
@@ -1686,7 +1601,7 @@ def _slpa_distributed(edges: ray.data.Dataset, src: str, dst: str,
             node = pc.cast(t["node"], pa.int64())
             b = _splitmix64(node.to_numpy(zero_copy_only=False)
                             .astype(np.uint64)) \
-                % np.uint64(num_buckets)
+                % np.uint64(_ROUND_BUCKETS)
             return pa.table({"node": node,
                              "lab": pc.cast(t["lab"], pa.int64()),
                              "c": pc.cast(t["count()"], pa.int64()),
@@ -1731,7 +1646,7 @@ def _slpa_distributed(edges: ray.data.Dataset, src: str, dst: str,
 @_kernel
 def _lpa_block(idx, labpos: np.ndarray, n: int):
     """Per-block (dst_pos, src_label_pos) pair counts, packed as
-    dst*n + labpos (n-bounded by the plan-A cutover, so the product
+    dst*n + labpos (n-bounded by the plan-A budget, so the product
     stays well inside int64). Returns (packed keys, counts)."""
     si, di, _ = idx
     packed = di.astype(np.int64) * n + labpos[si]
@@ -1741,10 +1656,7 @@ def _lpa_block(idx, labpos: np.ndarray, n: int):
 
 def label_propagation_communities(edges: ray.data.Dataset,
                                   src: str = "src", dst: str = "dst",
-                                  rounds: int = 4, state: str = "auto",
-                                  max_driver_nodes: int = 50_000_000,
-                                  max_driver_pairs: int = 50_000_000
-                                  ) -> ray.data.Dataset:
+                                  rounds: int = 4) -> ray.data.Dataset:
     """Synchronous label-propagation community detection —
     'labelpropagation' in the reference's Pregel algorithm list
     (arguments.py:187-188), run server-side there. Labels start as
@@ -1756,70 +1668,56 @@ def label_propagation_communities(edges: ray.data.Dataset,
     result deterministic and SQL-replayable
     (queries.labelprop_oracle_sql unrolls the same rounds).
 
-    Plan A (default under the cutovers — the pagerank-plan-A shape):
-    edge blocks stage once as :class:`_IndexedEdges`; each round runs
-    one kernel per block computing packed (dst, src_label) pair counts
-    (in-process at or below ``_LOCAL_EDGES`` edges, raw tasks above),
-    and the driver merges the <= E pair partials with one sort+reduceat
-    and an argmax lexsort. A full Dataset execution per round (joins +
-    2-key groupby + bucketed top-1) measured ~60 s of pure fixed
-    scheduling per round at bench scale for milliseconds of numpy —
-    the same pathology the r4 pagerank fix killed.
-    ``max_driver_nodes`` bounds the label vector, ``max_driver_pairs``
-    the per-merge pair stream (<= edge count); past either, plan B.
+    Plan A (the pagerank-plan-A shape): edge blocks stage once as
+    :class:`_IndexedEdges`; each round runs one kernel per block
+    computing packed (dst, src_label) pair counts (in-process at or
+    below ``_LOCAL_EDGES`` edges, raw tasks above), and the driver
+    merges the <= E pair partials with one sort+reduceat and an argmax
+    lexsort. A full Dataset execution per round (joins + 2-key groupby
+    + bucketed top-1) measured ~60 s of pure fixed scheduling per round
+    at bench scale for milliseconds of numpy. The driver holds three
+    n-vectors and the round's pair stream with its sorted copy (24
+    bytes per node, 32 per edge).
 
-    Plan B (``state='distributed'`` or past the cutovers): fully
-    distributed dataset rounds — per round one hash join of labels
-    onto edge sources, combiner-style per-block (node,label) counts,
-    a 2-key groupby sum, the bucketed top-1 argmax, and a left join
-    carrying no-in-edge nodes. Only (node,label,count) int64 rows
-    ever shuffle."""
-    edges = edges.materialize()
-    if state == "auto":
-        state = ("driver" if edges.count() <= max_driver_pairs
-                 else "distributed")
-    if state == "driver":
-        ie = _IndexedEdges(
-            _bounded_blocks(edges), src, dst,
-            max_nodes=max_driver_nodes,
-            max_nodes_hint=("label_propagation_communities "
-                            "max_driver_nodes=<n> or "
-                            "state='distributed'"))
-        n = ie.n
-        if n == 0:
-            return ray.data.from_arrow(pa.table(
-                {"node": pa.array([], pa.int64()),
-                 "label": pa.array([], pa.int64())}))
-        labpos = np.arange(n, dtype=np.int64)
-        for _ in range(rounds):
-            parts = ie.map(_lpa_block, labpos, n)   # n > 0: >= 1 block
-            keys = np.concatenate([p[0] for p in parts])
-            cnts = np.concatenate([p[1] for p in parts])
-            if keys.size == 0:
-                break
-            order = np.argsort(keys, kind="stable")
-            keys, cnts = keys[order], cnts[order]
-            starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-            ks = keys[starts]
-            cs = np.add.reduceat(cnts, starts)
-            dsts = ks // n
-            lp = ks % n
-            # argmax per dst, ties to the smallest label (nodes are
-            # sorted ascending, so position order == value order)
-            o2 = np.lexsort((lp, -cs, dsts))
-            d_sorted = dsts[o2]
-            first = np.flatnonzero(np.r_[True,
-                                         d_sorted[1:] != d_sorted[:-1]])
-            new = labpos.copy()
-            new[d_sorted[first]] = lp[o2][first]
-            labpos = new
+    Plan B (past ``_DRIVER_STATE_BYTES``): fully distributed dataset
+    rounds — per round one hash join of labels onto edge sources,
+    combiner-style per-block (node,label) counts, a 2-key groupby sum,
+    the bucketed top-1 argmax, and a left join carrying no-in-edge
+    nodes. Only (node,label,count) int64 rows ever shuffle."""
+    edges = _bounded_blocks(edges)
+    ie = _IndexedEdges(edges, src, dst, node_bytes=24, edge_bytes=32)
+    if not ie.fits:
+        return _label_propagation_distributed(
+            _ren(edges, {"src": src, "dst": dst}, ["src", "dst"])
+            .materialize(), rounds)
+    n = ie.n
+    if n == 0:
         return ray.data.from_arrow(pa.table(
-            {"node": pa.array(ie.nodes),
-             "label": pa.array(ie.nodes[labpos])}))
-
-    return _label_propagation_distributed(
-        _ren(edges, {"src": src, "dst": dst}, ["src", "dst"])
-        .materialize(), rounds)
+            {"node": pa.array([], pa.int64()),
+             "label": pa.array([], pa.int64())}))
+    labpos = np.arange(n, dtype=np.int64)
+    for _ in range(rounds):
+        keys, cnts = _concat_pairs(ie.map(_lpa_block, labpos, n))
+        if keys.size == 0:
+            break
+        order = np.argsort(keys, kind="stable")
+        keys, cnts = keys[order], cnts[order]
+        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        ks = keys[starts]
+        cs = np.add.reduceat(cnts, starts)
+        dsts = ks // n
+        lp = ks % n
+        # argmax per dst, ties to the smallest label (nodes are sorted
+        # ascending, so position order == value order)
+        o2 = np.lexsort((lp, -cs, dsts))
+        d_sorted = dsts[o2]
+        first = np.flatnonzero(np.r_[True, d_sorted[1:] != d_sorted[:-1]])
+        new = labpos.copy()
+        new[d_sorted[first]] = lp[o2][first]
+        labpos = new
+    return ray.data.from_arrow(pa.table(
+        {"node": pa.array(ie.nodes),
+         "label": pa.array(ie.nodes[labpos])}))
 
 
 def _label_propagation_distributed(eproj: ray.data.Dataset,
@@ -1918,11 +1816,7 @@ def _harmonic_driver(se: np.ndarray, de: np.ndarray, max_hops: int,
 
 def bounded_harmonic(edges: ray.data.Dataset, src: str = "src",
                      dst: str = "dst", max_hops: int = 6,
-                     num_buckets: int = 16, ndigits: int = 6,
-                     state: str = "auto",
-                     max_driver_nodes: int = 10_000,
-                     max_driver_edges: int = 1_000_000
-                     ) -> ray.data.Dataset:
+                     ndigits: int = 6) -> ray.data.Dataset:
     """EXACT harmonic centrality within ``max_hops`` (directed):
     harmonic(u) = sum over v != u reachable in d <= max_hops hops of
     1/d, with d the true shortest distance.
@@ -1933,27 +1827,24 @@ def bounded_harmonic(edges: ray.data.Dataset, src: str = "src",
     same final double division + half-away round, keeping the
     recursive-CTE oracle bit-exact.
 
-    Two plans (same convention as pagerank/hits):
+    Two plans (:func:`_bounded_bfs_plan` picks one):
 
-    - plan A (``state='driver'``, or 'auto' under the size bounds):
-      dense vectorized multi-source BFS on the driver — V^2 bits of
-      frontier, one reduceat sweep per round. Right for the
+    - plan A: dense vectorized multi-source BFS on the driver — V^2
+      bits of frontier, one reduceat sweep per round. Right for the
       bounded-subgraph sizes this exact op is meant for.
-    - plan B (``state='distributed'``): all-pairs BFS as dataset
-      rounds — the (root, node) frontier hash-joins the edge list,
-      first-arrival depth kept by a (root, node) min-groupby, next
-      frontier = rows whose depth equals the round number. Convergence
-      is read from the MATERIALIZED row-count metadata (no extra
-      per-round count execution). State is O(reachable pairs):
-      inherently quadratic, so this exact op is the VERIFY-stage twin
-      of ``effective_closeness`` (HyperBall) — the sketch is the
-      100-TB path."""
+    - plan B: all-pairs BFS as dataset rounds — the (root, node)
+      frontier hash-joins the edge list, first-arrival depth kept by a
+      (root, node) min-groupby, next frontier = rows whose depth equals
+      the round number. Convergence is read from the MATERIALIZED
+      row-count metadata (no extra per-round count execution). State
+      is O(reachable pairs): inherently quadratic, so this exact op is
+      the VERIFY-stage twin of ``effective_closeness`` (HyperBall) —
+      the sketch is the 100-TB path."""
     import math
 
     lcm = math.lcm(*range(1, max_hops + 1))
-    kind, payload = _bounded_bfs_plan(
-        edges, src, dst, max_hops, num_buckets, state,
-        max_driver_nodes, max_driver_edges, lcm, "bounded_harmonic")
+    kind, payload = _bounded_bfs_plan(edges, src, dst, max_hops, lcm,
+                                      "bounded_harmonic")
     if kind == "driver":
         nodes, s60, _cnt, _sd = payload
         h = pc.round(
@@ -1984,11 +1875,7 @@ def bounded_harmonic(edges: ray.data.Dataset, src: str = "src",
 
 def bounded_closeness(edges: ray.data.Dataset, src: str = "src",
                       dst: str = "dst", max_hops: int = 6,
-                      num_buckets: int = 16, ndigits: int = 6,
-                      state: str = "auto",
-                      max_driver_nodes: int = 10_000,
-                      max_driver_edges: int = 1_000_000
-                      ) -> ray.data.Dataset:
+                      ndigits: int = 6) -> ray.data.Dataset:
     """EXACT closeness centrality within ``max_hops`` (directed):
     closeness(u) = reached / sum of true shortest distances, over nodes
     v != u reachable in d <= max_hops hops; 0 when nothing is reached.
@@ -1998,9 +1885,8 @@ def bounded_closeness(edges: ray.data.Dataset, src: str = "src",
     exact verify-stage twin of :func:`effective_closeness` (HyperBall),
     same plan A/B convention as :func:`bounded_harmonic` (shared
     machinery: `_bounded_bfs_plan`)."""
-    kind, payload = _bounded_bfs_plan(
-        edges, src, dst, max_hops, num_buckets, state,
-        max_driver_nodes, max_driver_edges, 1, "bounded_closeness")
+    kind, payload = _bounded_bfs_plan(edges, src, dst, max_hops, 1,
+                                      "bounded_closeness")
     if kind == "driver":
         nodes, _s, cnt, sd = payload
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -2036,41 +1922,28 @@ def bounded_closeness(edges: ray.data.Dataset, src: str = "src",
 
 
 def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
-                      max_hops: int, num_buckets: int, state: str,
-                      max_driver_nodes: int, max_driver_edges: int,
-                      lcm: int, opname: str):
+                      max_hops: int, lcm: int, opname: str):
     """Shared plan selection + BFS core for the exact bounded
     centralities. Returns ``('driver', (nodes, s_lcm, cnt, sd))`` from
-    the dense driver BFS (:func:`_harmonic_driver`) when the subgraph
-    fits the documented bounds, else ``('pairs', visited)`` where
+    the dense driver BFS (:func:`_harmonic_driver`) when its state
+    fits ``_DRIVER_STATE_BYTES``, else ``('pairs', visited)`` where
     ``visited`` is the distributed Dataset(root, node, dist) of all
-    shortest-path facts within ``max_hops``."""
+    shortest-path facts within ``max_hops``. Plan A holds the pulled
+    edges (16 bytes each), three V x V boolean matrices and one V x E
+    boolean gather per round: 3V^2 + V*E bytes."""
     from kgeng.ops.join import hash_join
 
     proj = edges.select_columns([src, dst])
 
-    if state != "distributed":
-        n_edges = proj.count()
-        if n_edges <= max_driver_edges:
-            t = pa.concat_tables(
-                ray.get(b) for b in proj.to_arrow_refs())
-            se = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-            de = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-            nodes = np.unique(np.concatenate([se, de])) \
-                if len(se) else np.zeros(0, np.int64)
-            if (len(nodes) <= max_driver_nodes
-                    and len(nodes) * max(n_edges, 1) <= 2_000_000_000):
-                return "driver", _harmonic_driver(se, de, max_hops, lcm)
-            if state == "driver":
-                raise ValueError(
-                    f"{opname} plan A bounds exceeded "
-                    f"({len(nodes)} nodes, {n_edges} edges): use "
-                    f"state='distributed'")
-        elif state == "driver":
-            raise ValueError(
-                f"{opname} plan A bounds exceeded "
-                f"({n_edges} edges > {max_driver_edges}): use "
-                f"state='distributed'")
+    n_edges = proj.count()
+    if 16 * n_edges <= _DRIVER_STATE_BYTES:
+        t = pa.concat_tables(
+            ray.get(b) for b in proj.to_arrow_refs())
+        se = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
+        de = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = len(np.unique(np.concatenate([se, de])))
+        if 3 * v * v + v * n_edges <= _DRIVER_STATE_BYTES:
+            return "driver", _harmonic_driver(se, de, max_hops, lcm)
 
     def seed(t: pa.Table) -> pa.Table:
         ids = np.unique(np.concatenate([
@@ -2109,7 +1982,7 @@ def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
     prev_rows = visited.count()
     for t_round in range(1, max_hops + 1):
         j = hash_join(frontier.select_columns(["root", "node"]), hop,
-                      key="node", num_buckets=num_buckets,
+                      key="node", num_buckets=_BFS_BUCKETS,
                       left_cols=["root", "node"],
                       right_cols=["node", "nxt"])
 
@@ -2127,7 +2000,7 @@ def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
         # union/groupby loops otherwise double the block count per round
         visited = mat(merged.map_batches(
             lambda t: t.rename_columns(["root", "node", "dist"]),
-            batch_format="pyarrow").repartition(num_buckets))
+            batch_format="pyarrow").repartition(_BFS_BUCKETS))
         rows = visited.count()
         if rows == prev_rows:
             break
@@ -2170,8 +2043,8 @@ def _segment_pairs(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fi, fi + off + 1
 
 
-def _canonical_undirected(edges: ray.data.Dataset, src: str, dst: str,
-                          num_buckets: int = 64) -> ray.data.Dataset:
+def _canonical_undirected(edges: ray.data.Dataset, src: str,
+                          dst: str) -> ray.data.Dataset:
     """Canonical undirected edge set as (u < v) int64 pairs: loops
     dropped, duplicates/reversals collapsed — one coarse-bucket shuffle
     of id pairs with a per-bucket ``lexsort`` dedup."""
@@ -2183,7 +2056,7 @@ def _canonical_undirected(edges: ray.data.Dataset, src: str, dst: str,
         v = np.maximum(a, b)
         keep = u != v
         u, v = u[keep], v[keep]
-        bkt = (_mix2(u, v) % np.uint64(num_buckets)).astype(np.int32)
+        bkt = (_mix2(u, v) % np.uint64(_BUCKETS)).astype(np.int32)
         return pa.table({"u": pa.array(u), "v": pa.array(v),
                          "bkt": pa.array(bkt)})
 
@@ -2200,9 +2073,7 @@ def _canonical_undirected(edges: ray.data.Dataset, src: str, dst: str,
         .groupby("bkt").map_groups(dedup_group, batch_format="pandas")
 
 
-def _undirected_degrees(e: ray.data.Dataset,
-                        driver_rows_cutover: int = 20_000_000
-                        ) -> ray.data.Dataset:
+def _undirected_degrees(e: ray.data.Dataset) -> ray.data.Dataset:
     """(node, deg) from a canonical (u, v) edge set.
 
     Plan A: per-block partial endpoint counts (vocabulary-bounded —
@@ -2210,8 +2081,8 @@ def _undirected_degrees(e: ray.data.Dataset,
     stream to the driver and reduce with one argsort + ``reduceat``
     (24x faster than the groupby at sf0.1: the sort shuffle dominates
     a 20k-node reduce). Aborts to the distributed groupby (plan B)
-    the moment the partial stream exceeds ``driver_rows_cutover`` —
-    one wasted partial pass, never an OOM."""
+    the moment the pulled partials (16 bytes a row) exceed
+    ``_DRIVER_STATE_BYTES`` — one wasted partial pass, never an OOM."""
 
     def deg_part(t: pa.Table) -> pa.Table:
         n = np.concatenate([t["u"].to_numpy(zero_copy_only=False),
@@ -2221,33 +2092,28 @@ def _undirected_degrees(e: ray.data.Dataset,
                          "cnt": pa.array(cn.astype(np.int64))})
 
     parts = e.map_batches(deg_part, batch_format="pyarrow")
-    if driver_rows_cutover:
-        ns, cs, total, aborted = [], [], 0, False
-        for b in parts.iter_batches(batch_size=None,
-                                    batch_format="pyarrow"):
-            ns.append(b["node"].to_numpy(zero_copy_only=False))
-            cs.append(b["cnt"].to_numpy(zero_copy_only=False))
-            total += len(b)
-            if total > driver_rows_cutover:
-                aborted = True
-                break
-        if not aborted:
-            if total == 0:
-                return ray.data.from_arrow(pa.table(
-                    {"node": pa.array([], pa.int64()),
-                     "deg": pa.array([], pa.int64())}))
-            n = np.concatenate(ns)
-            c = np.concatenate(cs)
-            order = np.argsort(n, kind="stable")
-            n, c = n[order], c[order]
-            starts = np.flatnonzero(np.r_[True, n[1:] != n[:-1]])
-            deg = np.add.reduceat(c, starts)
-            return ray.data.from_arrow(pa.table(
-                {"node": pa.array(n[starts]),
-                 "deg": pa.array(deg.astype(np.int64))}))
-    return parts.groupby("node").sum("cnt") \
-        .map_batches(lambda t: t.rename_columns(["node", "deg"]),
-                     batch_format="pyarrow")
+    ns, cs, total = [], [], 0
+    for b in parts.iter_batches(batch_size=None, batch_format="pyarrow"):
+        total += len(b)
+        if 16 * total > _DRIVER_STATE_BYTES:
+            return parts.groupby("node").sum("cnt") \
+                .map_batches(lambda t: t.rename_columns(["node", "deg"]),
+                             batch_format="pyarrow")
+        ns.append(b["node"].to_numpy(zero_copy_only=False))
+        cs.append(b["cnt"].to_numpy(zero_copy_only=False))
+    if total == 0:
+        return ray.data.from_arrow(pa.table(
+            {"node": pa.array([], pa.int64()),
+             "deg": pa.array([], pa.int64())}))
+    n = np.concatenate(ns)
+    c = np.concatenate(cs)
+    order = np.argsort(n, kind="stable")
+    n, c = n[order], c[order]
+    starts = np.flatnonzero(np.r_[True, n[1:] != n[:-1]])
+    deg = np.add.reduceat(c, starts)
+    return ray.data.from_arrow(pa.table(
+        {"node": pa.array(n[starts]),
+         "deg": pa.array(deg.astype(np.int64))}))
 
 
 @_kernel
@@ -2289,43 +2155,62 @@ def _canon_block(a: np.ndarray,
     return u[keep], v[keep]
 
 
-def _canonical_pairs(edges: ray.data.Dataset, src: str, dst: str,
-                     cutover: int):
-    """The triangle kernels' first step: per-block canonical pairs
-    (_canon_block). Returns ``(m, uu, vv, proj)``, ``m`` the number of
-    block-deduped pairs (an upper bound on the canonical edge count).
-    At or below ``_LOCAL_EDGES`` input edges the pulled edges are ONE
-    in-process block: ``uu``/``vv`` hold its pairs and ``proj`` is None
-    (no map stage, no pull). Above, ``proj`` is the materialized
-    Dataset of per-block pairs, and ``uu``/``vv`` its rows pulled to
-    the driver when ``0 < m <= cutover`` (the packed fast plans need
-    them there), else None."""
+def _packed_edges(edges: ray.data.Dataset, src: str, dst: str,
+                  edge_bytes: int, node_bytes: int):
+    """The triangle kernels' plan choice. Each edge block is reduced to
+    its canonical (u < v) pairs (_canon_block); ``m`` counts them (an
+    upper bound on the canonical edge count). Plan A holds the
+    canonical edge set on the driver as one sorted packed
+    (u << 32 | v) int64 array ``pe`` plus its (node, degree) arrays,
+    with ``edge_bytes`` per edge and ``node_bytes`` per node of driver
+    state. It runs when the pairs (16 bytes each) and then that state
+    fit ``_DRIVER_STATE_BYTES`` and every id packs into [0, 2^31).
+
+    Returns ``(m, pe, nodes, deg, None)`` for plan A and
+    ``(m, None, None, None, proj)`` for plan B, ``proj`` a Dataset of
+    the per-block (u, v) pairs; a graph without a non-loop edge gives
+    ``m == 0`` and no plan. At or below ``_LOCAL_EDGES`` input edges
+    the pulled edges are ONE in-process block (no map stage)."""
     edges = edges.materialize()
     if edges.count() <= _LOCAL_EDGES:
         t = _pull_edges(edges, [src, dst])
         uu, vv = _canon_block(_blk_col(t, src), _blk_col(t, dst))
-        return uu.size, uu, vv, None
+        m, proj = uu.size, None
+    else:
+        def canon(t: pa.Table) -> pa.Table:
+            u, v = _canon_block(_blk_col(t, src), _blk_col(t, dst))
+            return pa.table({"u": u, "v": v})
 
-    def canon(t: pa.Table) -> pa.Table:
-        u, v = _canon_block(_blk_col(t, src), _blk_col(t, dst))
-        return pa.table({"u": u, "v": v})
-
-    proj = edges.map_batches(canon, batch_format="pyarrow").materialize()
-    m = proj.count()
-    if not 0 < m <= cutover:
-        return m, None, None, proj
-    blks = list(proj.iter_batches(batch_size=None, batch_format="pyarrow"))
-    return (m, np.concatenate([_blk_col(t, "u") for t in blks]),
-            np.concatenate([_blk_col(t, "v") for t in blks]), proj)
+        proj = edges.map_batches(canon,
+                                 batch_format="pyarrow").materialize()
+        m = proj.count()
+        uu = vv = None
+        if 0 < 16 * m <= _DRIVER_STATE_BYTES:
+            blks = list(proj.iter_batches(batch_size=None,
+                                          batch_format="pyarrow"))
+            uu = np.concatenate([_blk_col(t, "u") for t in blks])
+            vv = np.concatenate([_blk_col(t, "v") for t in blks])
+    if m == 0:
+        return 0, None, None, None, None
+    if (uu is not None and 16 * m <= _DRIVER_STATE_BYTES
+            and int(uu.min()) >= 0 and int(vv.max()) < (1 << 31)):
+        pe = np.unique((uu << 32) | vv)  # global dedup, sorted
+        nodes, deg = np.unique(np.concatenate(
+            [pe >> 32, pe & np.int64(0xFFFFFFFF)]), return_counts=True)
+        if edge_bytes * pe.size + node_bytes * nodes.size \
+                <= _DRIVER_STATE_BYTES:
+            return m, pe, nodes, deg, None
+    if proj is None:
+        proj = ray.data.from_arrow(pa.table({"u": uu, "v": vv}))
+    return m, None, None, None, proj
 
 
 def _wedge_partials(kernel, pe: np.ndarray, nodes: np.ndarray,
-                    deg: np.ndarray, num_buckets: int):
-    """Fast plan A of the triangle kernels (node and edge counts under
-    their broadcast cutovers, ids packable as (hi << 32 | lo)). ``pe``,
-    the sorted packed canonical edge set, is driver-held for the
-    closure anyway, so orientation and wedge-work chunking run in numpy
-    on the driver: every edge points from its lower (deg, id) end
+                    deg: np.ndarray):
+    """Fast plan A of the triangle kernels (see :func:`_packed_edges`).
+    ``pe``, the sorted packed canonical edge set, is driver-held for
+    the closure anyway, so orientation and wedge-work chunking run in
+    numpy on the driver: every edge points from its lower (deg, id) end
     (``nodes``/``deg``), each pivot's out-neighbors sorted by (deg, id)
     form one segment, and ``kernel`` (_tri_wedge_chunk /
     _tri_edge_chunk) enumerates + closes the wedges of one chunk of
@@ -2354,7 +2239,7 @@ def _wedge_partials(kernel, pe: np.ndarray, nodes: np.ndarray,
     # chunks of ~equal wedge work (wedge cost is quadratic in pivot
     # out-degree, so equal-SEGMENT chunks would straggle); floor of
     # ~20k wedges per chunk keeps tiny graphs at a handful of chunks
-    n_chunks = int(max(1, min(num_buckets * 4, total_w // 20_000 + 1,
+    n_chunks = int(max(1, min(_BUCKETS * 4, total_w // 20_000 + 1,
                               lens.size)))
     cuts = np.searchsorted(np.cumsum(wseg), np.arange(1, n_chunks)
                            * (total_w / n_chunks))
@@ -2368,42 +2253,86 @@ def _wedge_partials(kernel, pe: np.ndarray, nodes: np.ndarray,
     return map(ray.get, [kernel.remote(pe_ref, *c) for c in chunks])
 
 
+def _oriented_by_degree(proj: ray.data.Dataset) -> ray.data.Dataset:
+    """Plan B front half of the triangle kernels: the canonical
+    undirected edge set of ``proj``'s (u, v) pairs, each edge pointing
+    from its lower (deg, id) end, degrees fetched by two joins (nothing
+    node-sized on the driver). Returns Dataset(a, b, db, wb): edge
+    a -> b, b's degree, and a's wedge bucket (4 x ``_BUCKETS``: wedge
+    work is quadratic in pivot out-degree, so finer groups
+    load-balance the heaviest stage). Out-degree after orientation is
+    O(sqrt(m)), which bounds both the group sizes and the total wedge
+    count to O(m^1.5). Materialized: the wedges and the closure both
+    read it."""
+    e = _canonical_undirected(proj, "u", "v").materialize()
+    degs = _undirected_degrees(e).materialize()
+    dj = _ijoin(e, _ren(degs, {"u": "node", "du": "deg"}, ["u", "du"]),
+                key="u", how="inner", left_cols=["u", "v"],
+                right_cols=["u", "du"])
+    dj2 = _ijoin(dj, _ren(degs, {"v": "node", "dv": "deg"}, ["v", "dv"]),
+                 key="v", how="inner", left_cols=["u", "v", "du"],
+                 right_cols=["v", "dv"])
+
+    def orient(t: pa.Table) -> pa.Table:
+        u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
+        v = t["v"].to_numpy(zero_copy_only=False).astype(np.int64)
+        du = t["du"].to_numpy(zero_copy_only=False).astype(np.int64)
+        dv = t["dv"].to_numpy(zero_copy_only=False).astype(np.int64)
+        ufirst = (du < dv) | ((du == dv) & (u < v))
+        a = np.where(ufirst, u, v)
+        bkt = ((a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
+               >> np.uint64(33)) % np.uint64(_BUCKETS * 4)
+        return pa.table({"a": pa.array(a),
+                         "b": pa.array(np.where(ufirst, v, u)),
+                         "db": pa.array(np.where(ufirst, dv, du)),
+                         "wb": pa.array(bkt.astype(np.int32))})
+
+    return dj2.map_batches(orient, batch_format="pyarrow").materialize()
+
+
+def _pivot_wedges(df: pd.DataFrame):
+    """All wedges of one wedge-bucket group of oriented edges: per
+    pivot ``a``, its out-neighbors sorted by (deg, id), so an emitted
+    wedge (v, w) is already in oriented-edge order. Returns the (pivot,
+    v, w) arrays."""
+    a = df["a"].to_numpy(np.int64)
+    b = df["b"].to_numpy(np.int64)
+    db = df["db"].to_numpy(np.int64)
+    order = np.lexsort((b, db, a))
+    a, b = a[order], b[order]
+    segs = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
+    lens = np.diff(np.r_[segs, a.size])
+    fi, se = _segment_pairs(lens)
+    return a[fi], b[fi], b[se]
+
+
 def triangle_counts(edges: ray.data.Dataset, src: str = "src",
-                    dst: str = "dst", num_buckets: int = 64,
-                    broadcast_nodes_cutover: int = 5_000_000,
-                    broadcast_edges_cutover: int = 20_000_000
-                    ) -> ray.data.Dataset:
+                    dst: str = "dst") -> ray.data.Dataset:
     """Exact per-node triangle participation counts over an undirected
     graph (edges may arrive directed / duplicated / with loops).
 
     Degree-ordered node-iterator algorithm (each triangle is generated
-    exactly once, at its lowest-(degree, id) corner):
+    exactly once, at its lowest-(degree, id) corner): canonicalize
+    (u < v, drop loops) + dedup, orient every edge from the lower
+    (deg, id) endpoint to the higher, enumerate per-pivot neighbor
+    pairs (wedges, the vectorized ``_segment_pairs`` kernel), and count
+    each wedge closed by an edge at its three corners.
 
-    1. canonicalize (u < v, drop loops) + dedup — one coarse-bucket
-       shuffle of id pairs, per-bucket ``lexsort`` dedup;
-    2. degrees via per-block partial counts + ``groupby(node).sum``;
-    3. orient every edge from the lower (deg, id) endpoint to the
-       higher — degree lookup is a broadcast ``searchsorted`` while the
-       node table fits ``broadcast_nodes_cutover``, else two
-       ``hash_join`` passes (plan B, nothing node-sized on the driver);
-    4. wedges: per-pivot neighbor pairs (neighbors sorted by
-       (deg, id)), generated by the vectorized ``_segment_pairs``
-       kernel — out-degree after orientation is O(sqrt(m)), which
-       bounds both the group sizes and the total wedge count to
-       O(m^1.5);
-    5. closure plan A (edge count under ``broadcast_edges_cutover``
-       and ids in [0, 2^31)): the canonical edge set broadcasts ONCE
-       as a packed sorted int64 array and each wedge task membership-
-       tests its own wedges with one ``searchsorted`` — the O(m^1.5)
-       wedge stream never shuffles; plan B: wedges semi-merged against
-       the oriented edge set in one hash-bucket shuffle (exact
-       two-column pandas merge per bucket). When BOTH cutovers pass
-       (ids packable, nodes under the node cutover), steps 2-6 run as
-       the fast path ``_wedge_partials`` with zero shuffles past
-       canonicalization — and graphs of at most ``_LOCAL_EDGES``
-       edges run every step in-process;
-    6. triangle corners reduced to per-block (node, cnt) partials +
-       ``groupby(node).sum``.
+    Two plans (:func:`_packed_edges` picks one):
+
+    - plan A (ids in [0, 2^31), the packed edge set plus three node
+      vectors — 8 bytes per edge, 24 per node — within
+      ``_DRIVER_STATE_BYTES``): the global dedup is one np.unique over
+      packed pairs, orientation and chunking run on the driver, and
+      each wedge chunk membership-tests its wedges against the packed
+      set with one ``searchsorted`` (:func:`_wedge_partials`) — zero
+      shuffles, and graphs of at most ``_LOCAL_EDGES`` edges run every
+      step in-process;
+    - plan B: join orientation (:func:`_oriented_by_degree`), wedges
+      generated per wedge bucket, then semi-merged against the
+      oriented edge set in one hash-bucket shuffle (exact two-column
+      pandas merge per bucket) and reduced by ``groupby(node).sum``.
+      Plan B takes any int64 ids, negatives included.
 
     All arithmetic is integer — results are exact, so the SQL oracle
     (a three-way self-join) hash-matches. Only (int64, int64) pairs
@@ -2414,177 +2343,30 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
     the native family alongside pagerank/sssp/hits/closeness/harmonic/
     scc/slpa/k-core.
     """
-    from kgeng.ops.join import hash_join
-
-    m, uu, vv, proj = _canonical_pairs(edges, src, dst,
-                                       broadcast_edges_cutover)
-    if 0 < m <= broadcast_edges_cutover and int(uu.min()) >= 0 \
-            and int(vv.max()) < (1 << 31):
-        # fast plan A (_wedge_partials): the packed closure would pull
-        # the canonical edges to the driver anyway, so when ids also
-        # pack and the node set fits its cutover, the GLOBAL dedup is
-        # one np.unique over packed pairs and every shuffle disappears
-        pe = np.unique((uu << 32) | vv)
-        nodes, deg = np.unique(np.concatenate(
-            [pe >> 32, pe & np.int64(0xFFFFFFFF)]), return_counts=True)
-        if nodes.size <= broadcast_nodes_cutover:
-            acc = np.zeros(nodes.size, np.int64)
-            for un, cn in _wedge_partials(_tri_wedge_chunk, pe, nodes,
-                                          deg, num_buckets):
-                acc[np.searchsorted(nodes, un)] += cn
-            mask = acc > 0
-            return ray.data.from_arrow(pa.table(
-                {"node": pa.array(nodes[mask]),
-                 "n_triangles": pa.array(acc[mask])}))
-        del pe, nodes, deg
-    if proj is None:
-        proj = ray.data.from_arrow(pa.table({"u": uu, "v": vv}))
-    del uu, vv
-
-    e = _canonical_undirected(proj, "u", "v", num_buckets) \
-        .materialize()  # reused: degrees, orientation, closure
-    # materialize degs: it feeds count + id probe + (on plan B) two
-    # joins — the distributed degree groupby must not re-run per use
-    degs = _undirected_degrees(e).materialize()
-
-    n_nodes = degs.count()
-    if n_nodes <= broadcast_nodes_cutover:
-        # plan A: one sorted (node, deg) pair of arrays in the object
-        # store, read by every orientation task
-        dt = degs.to_pandas()
-        order = np.argsort(dt["node"].to_numpy(np.int64))
-        nodes_arr = dt["node"].to_numpy(np.int64)[order]
-        ref = ray.put((nodes_arr, dt["deg"].to_numpy(np.int64)[order]))
-
-        def orient(t: pa.Table) -> pa.Table:
-            nodes, deg = ray.get(ref)
-            u = t["u"].to_numpy(zero_copy_only=False)
-            v = t["v"].to_numpy(zero_copy_only=False)
-            du = deg[np.searchsorted(nodes, u)]
-            dv = deg[np.searchsorted(nodes, v)]
-            ufirst = (du < dv) | ((du == dv) & (u < v))
-            a = np.where(ufirst, u, v)
-            b = np.where(ufirst, v, u)
-            db = np.where(ufirst, dv, du)
-            return pa.table({"a": pa.array(a), "b": pa.array(b),
-                             "db": pa.array(db)})
-
-        oriented = e.map_batches(orient, batch_format="pyarrow")
-    else:
-        # plan B: degree lookup via two hash joins — nothing node-sized
-        # ever lands on the driver
-        du = hash_join(
-            e, degs.map_batches(
-                lambda t: t.rename_columns(["u", "du"]),
-                batch_format="pyarrow"),
-            key="u", num_buckets=num_buckets)
-        duv = hash_join(
-            du, degs.map_batches(
-                lambda t: t.rename_columns(["v", "dv"]),
-                batch_format="pyarrow"),
-            key="v", num_buckets=num_buckets)
-
-        def orient_j(t: pa.Table) -> pa.Table:
-            u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-            v = t["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-            du_ = t["du"].to_numpy(zero_copy_only=False).astype(np.int64)
-            dv_ = t["dv"].to_numpy(zero_copy_only=False).astype(np.int64)
-            ufirst = (du_ < dv_) | ((du_ == dv_) & (u < v))
-            a = np.where(ufirst, u, v)
-            b = np.where(ufirst, v, u)
-            db = np.where(ufirst, dv_, du_)
-            return pa.table({"a": pa.array(a), "b": pa.array(b),
-                             "db": pa.array(db)})
-
-        oriented = duv.map_batches(orient_j, batch_format="pyarrow")
-
-    oriented = oriented.materialize()  # reused: wedges + closure
-
-    def wedge_bucket(t: pa.Table) -> pa.Table:
-        # 4x buckets: wedge work is quadratic in pivot out-degree, so
-        # finer groups load-balance the heaviest stage
-        a = t["a"].to_numpy(zero_copy_only=False)
-        bkt = ((a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-               >> np.uint64(33)) % np.uint64(num_buckets * 4)
-        return t.append_column("wb", pa.array(bkt.astype(np.int32)))
-
-    # closure plan A: when the canonical edge set packs into one
-    # broadcastable sorted int64 array (ids in [0, 2^31), count under
-    # the cutover), wedges are membership-tested IN the wedge task via
-    # one searchsorted — the O(m^1.5) wedge stream never shuffles at
-    # all; only per-block (node, cnt) partials do. Plan B (below) is
-    # the fully distributed bucket-merge closure for bigger graphs.
-    m_edges = e.count()
-    if n_nodes == 0:
+    m, pe, nodes, deg, proj = _packed_edges(edges, src, dst, 8, 24)
+    if m == 0:
         return ray.data.from_arrow(pa.table(
             {"node": pa.array([], pa.int64()),
              "n_triangles": pa.array([], pa.int64())}))
-    id_lo, id_hi = (int(nodes_arr[0]), int(nodes_arr[-1])) \
-        if n_nodes <= broadcast_nodes_cutover else (-1, -1)
-    if id_lo < 0 or id_hi >= (1 << 31):
-        # unknown or unpackable ids: probe cheaply only if plan A is
-        # even in reach
-        if m_edges <= broadcast_edges_cutover:
-            from ray.data.aggregate import Max, Min
+    if pe is not None:
+        acc = np.zeros(nodes.size, np.int64)
+        for un, cn in _wedge_partials(_tri_wedge_chunk, pe, nodes, deg):
+            acc[np.searchsorted(nodes, un)] += cn
+        mask = acc > 0
+        return ray.data.from_arrow(pa.table(
+            {"node": pa.array(nodes[mask]),
+             "n_triangles": pa.array(acc[mask])}))
 
-            mm = degs.aggregate(Min("node"), Max("node"))
-            id_lo, id_hi = int(mm["min(node)"]), int(mm["max(node)"])
-    if m_edges <= broadcast_edges_cutover and id_lo >= 0 \
-            and id_hi < (1 << 31):
-        packed_parts = [
-            (b["u"].to_numpy(zero_copy_only=False) << 32)
-            | b["v"].to_numpy(zero_copy_only=False)
-            for b in e.iter_batches(batch_size=None,
-                                    batch_format="pyarrow")]
-        pref = ray.put(np.sort(np.concatenate(packed_parts))
-                       if packed_parts else np.zeros(0, np.int64))
-
-        def wedge_count_group(df: pd.DataFrame) -> pa.Table:
-            a = df["a"].to_numpy(np.int64)
-            b = df["b"].to_numpy(np.int64)
-            db = df["db"].to_numpy(np.int64)
-            order = np.lexsort((b, db, a))
-            a, b = a[order], b[order]
-            segs = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
-            lens = np.diff(np.r_[segs, a.size])
-            fi, se = _segment_pairs(lens)
-            v, w, piv = b[fi], b[se], a[fi]
-            pk = (np.minimum(v, w) << 32) | np.maximum(v, w)
-            pe = ray.get(pref)
-            idx = np.searchsorted(pe, pk)
-            hit = (idx < pe.size) \
-                & (pe[np.minimum(idx, pe.size - 1)] == pk)
-            nn = np.concatenate([v[hit], w[hit], piv[hit]])
-            un, cn = np.unique(nn, return_counts=True)
-            return pa.table({"node": pa.array(un),
-                             "cnt": pa.array(cn.astype(np.int64))})
-
-        return oriented.map_batches(wedge_bucket,
-                                    batch_format="pyarrow") \
-            .groupby("wb").map_groups(wedge_count_group,
-                                      batch_format="pandas") \
-            .groupby("node").sum("cnt") \
-            .map_batches(
-                lambda t: t.rename_columns(["node", "n_triangles"]),
-                batch_format="pyarrow")
+    oriented = _oriented_by_degree(proj)
 
     def wedges_group(df: pd.DataFrame) -> pa.Table:
-        a = df["a"].to_numpy(np.int64)
-        b = df["b"].to_numpy(np.int64)
-        db = df["db"].to_numpy(np.int64)
-        # neighbors sorted by (deg, id) WITHIN each pivot segment so an
-        # emitted wedge (v, w) is already in oriented-edge order
-        order = np.lexsort((b, db, a))
-        a, b = a[order], b[order]
-        segs = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
-        lens = np.diff(np.r_[segs, a.size])
-        fi, se = _segment_pairs(lens)
-        return pa.table({"v": pa.array(b[fi]), "w": pa.array(b[se]),
-                         "pivot": pa.array(a[fi]),
-                         "tag": pa.array(np.ones(fi.size, np.int8))})
+        piv, v, w = _pivot_wedges(df)
+        return pa.table({"v": pa.array(v), "w": pa.array(w),
+                         "pivot": pa.array(piv),
+                         "tag": pa.array(np.ones(v.size, np.int8))})
 
-    wedges = oriented.map_batches(wedge_bucket, batch_format="pyarrow") \
-        .groupby("wb").map_groups(wedges_group, batch_format="pandas")
+    wedges = oriented.groupby("wb").map_groups(wedges_group,
+                                               batch_format="pandas")
 
     def edge_tagged(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False)
@@ -2596,7 +2378,7 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
     def close_bucket(t: pa.Table) -> pa.Table:
         v = t["v"].to_numpy(zero_copy_only=False)
         w = t["w"].to_numpy(zero_copy_only=False)
-        bkt = (_mix2(v, w) % np.uint64(num_buckets)).astype(np.int32)
+        bkt = (_mix2(v, w) % np.uint64(_BUCKETS)).astype(np.int32)
         return t.append_column("cb", pa.array(bkt))
 
     both = wedges.union(oriented.map_batches(edge_tagged,
@@ -2626,20 +2408,18 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
 
 
 def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
-           dst: str = "dst", num_buckets: int = 64,
-           broadcast_cutover: int = 10_000_000,
-           max_rounds: int = 200) -> ray.data.Dataset:
+           dst: str = "dst", max_rounds: int = 200) -> ray.data.Dataset:
     """The k-core of an undirected graph (maximal subgraph where every
     node has degree >= k), by distributed iterative peeling: each round
     computes degrees (per-block partials + one groupby), finds nodes
     below ``k``, and filters their edges out — a broadcast sorted-array
-    ``searchsorted`` filter while the doomed set fits
-    ``broadcast_cutover``, else two anti ``hash_join`` passes (plan B,
-    nothing node-sized on the driver). Converges when a round removes
-    nothing; ``max_rounds`` raises loudly instead of looping silently
-    (pathological chains peel one node per round — raise k or
-    pre-trim). Returns (node, deg): the surviving nodes with their
-    in-core degrees. Exact, all-integer.
+    ``searchsorted`` filter while the doomed ids (8 bytes each) fit
+    ``_DRIVER_STATE_BYTES``, else two semi ``hash_join`` passes against
+    the surviving nodes (plan B, nothing node-sized on the driver).
+    Converges when a round removes nothing; ``max_rounds`` raises
+    loudly instead of looping silently (pathological chains peel one
+    node per round — raise k or pre-trim). Returns (node, deg): the
+    surviving nodes with their in-core degrees. Exact, all-integer.
 
     Reference analogue: none (the reference delegates all graph
     analytics to server-side Pregel, start_Pregel.py:194-198); k-core
@@ -2649,7 +2429,7 @@ def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    e = _canonical_undirected(edges, src, dst, num_buckets).materialize()
+    e = _canonical_undirected(edges, src, dst).materialize()
 
     for _ in range(max_rounds):
         if e.count() == 0:
@@ -2659,12 +2439,11 @@ def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
         n_bad = bad.count()
         if n_bad == 0:
             return degs
-        if n_bad <= broadcast_cutover:
+        if 8 * n_bad <= _DRIVER_STATE_BYTES:
             doomed = np.sort(np.concatenate([
                 t["node"].to_numpy(zero_copy_only=False)
                 for t in bad.select_columns(["node"]).iter_batches(
-                    batch_size=None, batch_format="pyarrow")]) if n_bad
-                else np.zeros(0, np.int64))
+                    batch_size=None, batch_format="pyarrow")]))
             ref = ray.put(doomed)
 
             def drop(t: pa.Table) -> pa.Table:
@@ -2687,13 +2466,12 @@ def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
                 e, keep.map_batches(
                     lambda t: t.rename_columns(["u"]),
                     batch_format="pyarrow"),
-                key="u", how="semi", num_buckets=num_buckets)
+                key="u", how="semi", num_buckets=_BUCKETS)
             e = mat(hash_join(
                 e1, keep.map_batches(
                     lambda t: t.rename_columns(["v"]),
                     batch_format="pyarrow"),
-                key="v", how="semi",
-                num_buckets=num_buckets))
+                key="v", how="semi", num_buckets=_BUCKETS))
     else:
         raise RuntimeError(
             f"k_core did not converge within {max_rounds} rounds "
@@ -2715,9 +2493,7 @@ _WALK_B = 0xBF58476D1CE4E5B9
 
 def random_walks(edges: ray.data.Dataset, src: str = "src",
                  dst: str = "dst", walk_len: int = 4,
-                 walks_per_node: int = 2,
-                 max_driver_edges: int = 50_000_000,
-                 state: str = "auto") -> ray.data.Dataset:
+                 walks_per_node: int = 2) -> ray.data.Dataset:
     """Deterministic DeepWalk-style random-walk corpus generation — the
     sequence-sampling step before training graph embeddings
     (node2vec/DeepWalk) or walk-based features. The reference triggers
@@ -2739,11 +2515,12 @@ def random_walks(edges: ray.data.Dataset, src: str = "src",
     identically in numpy uint64 and DuckDB HUGEINT only then; map
     string keys through a dense-id pass first).
 
-    Plan A (<= ``max_driver_edges`` distinct edges): the CSR adjacency
-    is pulled once to the driver and every step is three vectorized
-    numpy gathers over all live walks — zero shuffles after the
-    distinct. Plan B (``state='distributed'`` or past the cutover):
-    the rank table is built with the bucketed-window pass, and each
+    Plan A: the CSR adjacency is pulled once to the driver and every
+    step is three vectorized numpy gathers over all live walks — zero
+    shuffles after the distinct. Its driver state is the adjacency (16
+    bytes per edge) and the walk rows (32 bytes each, at most
+    ``walks_per_node * (walk_len + 1)`` per source node). Plan B (past
+    ``_DRIVER_STATE_BYTES``): the rank table is built with the bucketed-window pass, and each
     step is two hash-partitioned joins (degree fetch, then the
     (cur, choice) -> neighbor rank lookup) — edge- and walk-count
     unbounded, bit-identical to plan A by integer construction."""
@@ -2769,19 +2546,14 @@ def random_walks(edges: ray.data.Dataset, src: str = "src",
 
     proj = edges.map_batches(_pair_block,
                              batch_format="pyarrow").materialize()
-    if state == "distributed":
+    # block-deduped edge count: an upper bound on |distinct| and on the
+    # number of source nodes
+    n_probe = proj.count()
+    if n_probe * (16 + 32 * walks_per_node * (walk_len + 1)) \
+            > _DRIVER_STATE_BYTES:
         return _walks_distributed(
             distinct(proj, ["src", "dst"]).materialize(),
             walk_len, walks_per_node)
-    n_probe = proj.count()  # block-deduped upper bound on |distinct|
-    if n_probe > max_driver_edges:
-        if state == "auto":
-            return _walks_distributed(
-                distinct(proj, ["src", "dst"]).materialize(),
-                walk_len, walks_per_node)
-        raise ValueError(
-            f"{n_probe} edges exceed the plan-A driver bound "
-            f"{max_driver_edges}; use state='distributed'")
 
     srcs, dsts = [], []
     for b in proj.iter_batches(batch_size=None, batch_format="pyarrow"):
@@ -2969,28 +2741,25 @@ def _tri_edge_chunk(pe: np.ndarray, lens: np.ndarray,
 
 
 def edge_triangle_support(edges: ray.data.Dataset, src: str = "src",
-                          dst: str = "dst", num_buckets: int = 64,
-                          broadcast_edges_cutover: int = 20_000_000
-                          ) -> ray.data.Dataset:
+                          dst: str = "dst") -> ray.data.Dataset:
     """Per-EDGE triangle support |N(u) ∩ N(v)| over the undirected
     graph — the k-truss peeling kernel (an edge is in the k-truss iff
-    support >= k-2). Same degree-ordered wedge generation as
-    :func:`triangle_counts` (each triangle generated exactly once);
-    each closed wedge credits its THREE canonical edges.
+    support >= k-2). Same degree-ordered wedge generation and the same
+    two plans as :func:`triangle_counts` (each triangle generated
+    exactly once); each closed wedge credits its THREE canonical edges.
 
-    Plan A (ids in [0, 2^31), canonical edge count <=
-    ``broadcast_edges_cutover``): the packed sorted edge set — which
-    the closure broadcasts anyway — doubles as the driver-side
-    accumulator index, so the O(m^1.5) wedge stream never shuffles;
-    per-chunk (edge, cnt) partials (:func:`_wedge_partials`, in-process
-    at or below ``_LOCAL_EDGES`` edges) merge into one m-bounded
-    array.
-    Plan B (bigger graphs): the wedge stream shuffles ONCE on its
-    (v, w) packed key for a hash-bucket closure semi-merge, then the
-    3-edge fan-out reduces through ``groupby(edge_key).sum`` — nothing
-    edge-sized on the driver. Output (u, v, support), u < v,
-    support >= 1 rows only; integer-exact, so the three-way self-join
-    SQL oracle hash-matches.
+    Plan A (ids in [0, 2^31), packed edge set plus per-edge accumulator
+    and two node vectors — 16 bytes per edge and per node — within
+    ``_DRIVER_STATE_BYTES``): the packed sorted edge set doubles as the
+    driver-side accumulator index, so the O(m^1.5) wedge stream never
+    shuffles; per-chunk (edge, cnt) partials (:func:`_wedge_partials`,
+    in-process at or below ``_LOCAL_EDGES`` edges) merge into one
+    m-bounded array.
+    Plan B: the wedge stream shuffles ONCE on its (v, w) packed key for
+    a hash-bucket closure semi-merge, then the 3-edge fan-out reduces
+    through ``groupby(edge_key).sum`` — nothing edge-sized on the
+    driver. Output (u, v, support), u < v, support >= 1 rows only;
+    integer-exact, so the three-way self-join SQL oracle hash-matches.
 
     Reference analogue: none (server-side Pregel family,
     start_Pregel.py:194-198); extends the native graph family's
@@ -2999,22 +2768,15 @@ def edge_triangle_support(edges: ray.data.Dataset, src: str = "src",
 
     from kgeng.ops.join import hash_join
 
-    empty = pa.table({"u": pa.array([], pa.int64()),
-                      "v": pa.array([], pa.int64()),
-                      "support": pa.array([], pa.int64())})
-    m, uu, vv, proj = _canonical_pairs(edges, src, dst,
-                                       broadcast_edges_cutover)
+    m, pe, nodes, deg, proj = _packed_edges(edges, src, dst, 16, 16)
     if m == 0:
-        return ray.data.from_arrow(empty)
-
-    if m <= broadcast_edges_cutover and int(uu.min()) >= 0 \
-            and int(vv.max()) < (1 << 31):
-        pe = np.unique((uu << 32) | vv)  # global dedup, sorted
-        nodes, deg = np.unique(np.concatenate(
-            [pe >> 32, pe & np.int64(0xFFFFFFFF)]), return_counts=True)
+        return ray.data.from_arrow(pa.table({
+            "u": pa.array([], pa.int64()),
+            "v": pa.array([], pa.int64()),
+            "support": pa.array([], pa.int64())}))
+    if pe is not None:
         acc = np.zeros(pe.size, np.int64)
-        for un, cn in _wedge_partials(_tri_edge_chunk, pe, nodes, deg,
-                                      num_buckets):
+        for un, cn in _wedge_partials(_tri_edge_chunk, pe, nodes, deg):
             acc[np.searchsorted(pe, un)] += cn
         mask = acc > 0
         return ray.data.from_arrow(pa.table({
@@ -3022,75 +2784,31 @@ def edge_triangle_support(edges: ray.data.Dataset, src: str = "src",
             "v": pa.array((pe[mask]
                            & np.int64(0xFFFFFFFF)).astype(np.int64)),
             "support": pa.array(acc[mask])}))
-    if proj is None:
-        proj = ray.data.from_arrow(pa.table({"u": uu, "v": vv}))
-    del uu, vv
 
     # ---- plan B: fully distributed (no edge-sized driver state) ----
-    e = _canonical_undirected(proj, "u", "v", num_buckets).materialize()
-    degs = _undirected_degrees(e).materialize()
-    dj = _ijoin(e, _ren(degs, {"u": "node", "du": "deg"}, ["u", "du"]),
-                key="u", how="inner", left_cols=["u", "v"],
-                right_cols=["u", "du"])
-    dj2 = _ijoin(dj, _ren(degs, {"v": "node", "dv": "deg"}, ["v", "dv"]),
-                 key="v", how="inner", left_cols=["u", "v", "du"],
-                 right_cols=["v", "dv"])
+    oriented = _oriented_by_degree(proj)
 
-    def orient_j(t: pa.Table) -> pa.Table:
-        u = t["u"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = t["v"].to_numpy(zero_copy_only=False).astype(np.int64)
-        du_ = t["du"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dv_ = t["dv"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if len(u) and (u.min() < 0 or max(int(u.max()),
-                                          int(v.max())) >= (1 << 31)):
+    def pack(x: np.ndarray, y: np.ndarray) -> pa.Array:
+        return pa.array((np.minimum(x, y) << 32) | np.maximum(x, y))
+
+    def wedges_group(df: pd.DataFrame) -> pa.Table:
+        ids = df[["a", "b"]].to_numpy(np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= (1 << 31)):
             raise ValueError("edge_triangle_support ids must pack into "
                              "31 bits; remap node ids upstream")
-        ufirst = (du_ < dv_) | ((du_ == dv_) & (u < v))
-        a = np.where(ufirst, u, v)
-        bb = np.where(ufirst, v, u)
-        db = np.where(ufirst, dv_, du_)
-        bkt = ((a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-               >> np.uint64(33)) % np.uint64(num_buckets * 4)
-        return pa.table({"a": pa.array(a), "b": pa.array(bb),
-                         "db": pa.array(db),
-                         "wb": pa.array(bkt.astype(np.int32))})
-
-    oriented = dj2.map_batches(orient_j, batch_format="pyarrow")
-
-    def wedges_group(df: "pd.DataFrame") -> pa.Table:
-        import pandas as pd  # noqa: F401
-        a = df["a"].to_numpy(np.int64)
-        b = df["b"].to_numpy(np.int64)
-        db = df["db"].to_numpy(np.int64)
-        order = np.lexsort((b, db, a))
-        a, b = a[order], b[order]
-        segs = np.flatnonzero(np.r_[True, a[1:] != a[:-1]])
-        lens = np.diff(np.r_[segs, a.size])
-        fi, se = _segment_pairs(lens)
-        if fi.size == 0:
-            return pa.table({"vw": pa.array([], pa.int64()),
-                             "pv": pa.array([], pa.int64()),
-                             "pw": pa.array([], pa.int64())})
-        pv_ = np.repeat(a[segs], lens)[fi]
-        v_ = b[fi]
-        w_ = b[se]
-        return pa.table({
-            "vw": pa.array((np.minimum(v_, w_) << 32)
-                           | np.maximum(v_, w_)),
-            "pv": pa.array((np.minimum(pv_, v_) << 32)
-                           | np.maximum(pv_, v_)),
-            "pw": pa.array((np.minimum(pv_, w_) << 32)
-                           | np.maximum(pv_, w_))})
+        pv_, v_, w_ = _pivot_wedges(df)
+        return pa.table({"vw": pack(v_, w_), "pv": pack(pv_, v_),
+                         "pw": pack(pv_, w_)})
 
     wedges = oriented.groupby("wb").map_groups(wedges_group,
                                                batch_format="pandas")
-    epk = e.map_batches(
-        lambda t: pa.table({"vw": pa.array(
-            (t["u"].to_numpy(zero_copy_only=False) << 32)
-            | t["v"].to_numpy(zero_copy_only=False))}),
+    epk = oriented.map_batches(
+        lambda t: pa.table({"vw": pack(
+            t["a"].to_numpy(zero_copy_only=False),
+            t["b"].to_numpy(zero_copy_only=False))}),
         batch_format="pyarrow")
     closed = hash_join(wedges, epk, key="vw", how="semi",
-                       num_buckets=num_buckets,
+                       num_buckets=_BUCKETS,
                        left_cols=["vw", "pv", "pw"], right_cols=["vw"],
                        left_types={c: "int64" for c in
                                    ("vw", "pv", "pw")},

@@ -1114,9 +1114,10 @@ def lineitem_labelprop(sf_dir: str):
     ops/graph.label_propagation_communities: plan A (per-block kernels
     with a driver-side merge — in-process at or below
     ops/graph._LOCAL_EDGES edges, raw tasks above, as for sf0.1's ~1.2M
-    edges) under its node and pair cutovers, plan B (distributed
-    dataset rounds) past them. The unrolled-CTE oracle replays the same
-    rounds exactly (all-integer, hash-match)."""
+    edges) while its label vectors and pair stream fit
+    ops/graph._DRIVER_STATE_BYTES, plan B (distributed dataset rounds)
+    past it. The unrolled-CTE oracle replays the same rounds exactly
+    (all-integer, hash-match)."""
     from kgeng.ops.graph import label_propagation_communities
 
     return label_propagation_communities(_order_part_edges(sf_dir),

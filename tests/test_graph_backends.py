@@ -1,7 +1,9 @@
-"""The two backends of the plan-A graph rounds (ops/graph._IndexedEdges
-and the triangle fast path): in-process at or below
-``graph._LOCAL_EDGES`` edges, raw Ray tasks above."""
+"""The plan rule of ops/graph: plan A runs in-process at or below
+``graph._LOCAL_EDGES`` edges and on raw Ray tasks above
+(_IndexedEdges and the triangle fast path), and plan B runs when plan
+A's driver state exceeds ``graph._DRIVER_STATE_BYTES``."""
 
+import fnmatch
 import inspect
 
 import numpy as np
@@ -12,10 +14,11 @@ import ray.data
 import tests.test_join_window as jw
 import tests.test_training_ops as to
 from kgeng.ops import graph as G
+from tests.graph_plans import graph_plan
 
 # every graph in these tests is far below the cutover, so on their own
-# they check the in-process backend; here each runs once more on raw
-# tasks
+# they check the in-process plan A against plan B; here each runs plan
+# A on raw tasks
 RAW_BACKEND_CASES = [
     jw.test_pagerank_plans_agree_and_match_numpy,
     jw.test_hits_matches_numpy_reference,
@@ -32,9 +35,46 @@ RAW_BACKEND_CASES = [
 
 @pytest.mark.parametrize("case", RAW_BACKEND_CASES,
                          ids=lambda f: f.__name__)
-def test_raw_task_backend_passes_reference_tests(case, monkeypatch):
-    monkeypatch.setattr(G, "_LOCAL_EDGES", 0)
-    case()
+def test_raw_task_backend_passes_reference_tests(case):
+    case(plans=("raw",))
+
+
+def test_graph_functions_take_no_plan_parameters():
+    """The plan is chosen from measured sizes only: no public function
+    of the module takes a plan switch, a driver bound, a cutover or a
+    bucket count."""
+    banned = ("state", "num_buckets", "max_driver_*", "*cutover*")
+    public = [f for name, f in vars(G).items()
+              if inspect.isfunction(f) and not name.startswith("_")
+              and f.__module__ == G.__name__]
+    assert len(public) >= 16
+    for f in public:
+        for p in inspect.signature(f).parameters:
+            assert not any(fnmatch.fnmatch(p, b) for b in banned), \
+                (f.__name__, p)
+
+
+ZERO_BUDGET_CASES = {
+    "pagerank": lambda ds: G.pagerank(ds, iters=1),
+    "hits": lambda ds: G.hits(ds, iters=1),
+    "bellman_ford": lambda ds: G.bellman_ford_rounds(ds, 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", ZERO_BUDGET_CASES)
+def test_zero_budget_reaches_distributed_plan(name, monkeypatch):
+    """The three algorithms that had no plan-B fallback before the
+    budget: a zero budget sends each to its ``_*_distributed`` plan."""
+    calls = []
+    plan_b = getattr(G, f"_{name}_distributed")
+    monkeypatch.setattr(G, f"_{name}_distributed",
+                        lambda *a: calls.append(name) or plan_b(*a))
+    ds = ray.data.from_arrow(pa.table({"src": [0, 1, 2, 2],
+                                       "dst": [1, 2, 0, 3],
+                                       "w": [1, 1, 1, 1]}))
+    with graph_plan("distributed"):
+        ZERO_BUDGET_CASES[name](ds).to_pandas()
+    assert calls == [name]
 
 
 def _graph(m: int) -> pa.Table:

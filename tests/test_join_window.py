@@ -8,6 +8,7 @@ import ray.data
 
 from kgeng.ops.join import hash_join
 from kgeng.ops.window import sessionize, tumbling
+from tests.graph_plans import PARITY, graph_plan
 
 
 def test_hash_join_inner_matches_pandas():
@@ -459,10 +460,10 @@ def test_bloom_prefilter_no_false_negatives_and_bounded_fp():
     assert fp < 0.01, fp
 
 
-def test_pagerank_plans_agree_and_match_numpy():
+def test_pagerank_plans_agree_and_match_numpy(plans=PARITY):
     """Plan A (driver rank vector) and plan B (rank Dataset, join-based
-    rounds) must produce IDENTICAL ranks, and both must match a dense
-    numpy reference — including dangling-node mass redistribution."""
+    rounds) must both match a dense numpy reference exactly —
+    including dangling-node mass redistribution."""
     import numpy as np
 
     from kgeng.ops.graph import pagerank
@@ -475,17 +476,6 @@ def test_pagerank_plans_agree_and_match_numpy():
     keep = src != 39
     src, dst = src[keep], dst[keep]
     edges = pa.table({"src": src, "dst": dst})
-
-    def run(state):
-        out = pagerank(ray.data.from_arrow(edges).repartition(4),
-                       iters=6, damping=0.85, ndigits=9,
-                       state=state).to_pandas()
-        return out.sort_values("node").reset_index(drop=True)
-
-    a = run("driver")
-    b = run("distributed")
-    assert a["node"].tolist() == b["node"].tolist()
-    assert a["rank"].tolist() == b["rank"].tolist()
 
     # dense numpy reference with identical per-round rounding
     nodes = np.unique(np.concatenate([src, dst]))
@@ -502,13 +492,19 @@ def test_pagerank_plans_agree_and_match_numpy():
                   contrib[[idx[s] for s in src]])
         r = np.floor((0.15 / N + 0.85 * (inc + dang)) * 1e9 + 0.5) / 1e9
     ref = dict(zip(nodes.tolist(), r.tolist()))
-    got = dict(zip(a["node"], a["rank"]))
-    assert got == ref
-    # rank mass sanity: sums to ~1 (dangling redistributed, not leaked)
-    assert abs(a["rank"].sum() - 1.0) < 1e-3
+    for plan in plans:
+        with graph_plan(plan):
+            a = pagerank(ray.data.from_arrow(edges).repartition(4),
+                         iters=6, damping=0.85, ndigits=9).to_pandas()
+        assert dict(zip(a["node"], a["rank"])) == ref, plan
+        # rank mass sanity: sums to ~1 (dangling redistributed, not
+        # leaked)
+        assert abs(a["rank"].sum() - 1.0) < 1e-3
 
 
-def test_sssp_hops_matches_bfs_reference():
+def test_sssp_hops_matches_bfs_reference(plans=PARITY):
+    """Plan A (driver BFS layers) and plan B (unit-weight Bellman-Ford
+    Dataset rounds to the fixpoint) both match a python BFS."""
     import collections
 
     import numpy as np
@@ -518,10 +514,6 @@ def test_sssp_hops_matches_bfs_reference():
     rng = np.random.default_rng(37)
     src = rng.integers(0, 60, 250).astype(np.int64)
     dst = rng.integers(0, 60, 250).astype(np.int64)
-    out = (sssp_hops(ray.data.from_arrow(
-        pa.table({"src": src, "dst": dst})).repartition(5), source=0)
-        .to_pandas())
-    got = dict(zip(out["node"], out["dist"]))
 
     adj = collections.defaultdict(list)
     for s, d in zip(src.tolist(), dst.tolist()):
@@ -533,24 +525,17 @@ def test_sssp_hops_matches_bfs_reference():
             if v not in ref:
                 ref[v] = ref[u] + 1
                 q.append(v)
-    assert got == ref
-
-    # plan B (distributed distance Dataset, unit-weight Bellman-Ford to
-    # the fixpoint) agrees bit-for-bit — integer mins are order-invariant
-    outb = (sssp_hops(ray.data.from_arrow(
-        pa.table({"src": src, "dst": dst})).repartition(5), source=0,
-        state="distributed").to_pandas())
-    assert dict(zip(outb["node"], outb["dist"])) == ref
-    # auto falls BACK to plan B past the driver cutover (not a raise)
-    outc = (sssp_hops(ray.data.from_arrow(
-        pa.table({"src": src, "dst": dst})).repartition(5), source=0,
-        max_driver_nodes=5).to_pandas())
-    assert dict(zip(outc["node"], outc["dist"])) == ref
+    for plan in plans:
+        with graph_plan(plan):
+            out = sssp_hops(ray.data.from_arrow(
+                pa.table({"src": src, "dst": dst})).repartition(5),
+                source=0).to_pandas()
+        assert dict(zip(out["node"], out["dist"])) == ref, plan
 
 
-def test_hits_matches_numpy_reference():
-    """3-way parity: plan A (driver vectors) == plan B (distributed
-    hub/auth Datasets, join-based sweeps) == dense numpy reference,
+def test_hits_matches_numpy_reference(plans=PARITY):
+    """Plan A (driver vectors) and plan B (distributed hub/auth
+    Datasets, join-based sweeps) both equal a dense numpy reference,
     under the shared per-half-round round-to-9 policy."""
     import numpy as np
 
@@ -559,16 +544,6 @@ def test_hits_matches_numpy_reference():
     rng = np.random.default_rng(41)
     src = rng.integers(0, 30, 120).astype(np.int64)
     dst = rng.integers(0, 30, 120).astype(np.int64)
-    out = (hits(ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
-           .repartition(4), iters=4).to_pandas()
-           .sort_values("node").reset_index(drop=True))
-    outb = (hits(ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
-            .repartition(4), iters=4, state="distributed").to_pandas()
-            .sort_values("node").reset_index(drop=True))
-    assert out["node"].tolist() == outb["node"].tolist()
-    assert out["hub"].tolist() == outb["hub"].tolist()
-    assert out["auth"].tolist() == outb["auth"].tolist()
-
     nodes = np.unique(np.concatenate([src, dst]))
     idx = {v: i for i, v in enumerate(nodes)}
     si = np.array([idx[v] for v in src])
@@ -586,15 +561,24 @@ def test_hits_matches_numpy_reference():
     for _ in range(4):
         a = np.zeros(N); np.add.at(a, di, hub[si]); auth = norm(a)
         h = np.zeros(N); np.add.at(h, si, auth[di]); hub = norm(h)
-    assert out["hub"].tolist() == hub.tolist()
-    assert out["auth"].tolist() == auth.tolist()
+    for plan in plans:
+        with graph_plan(plan):
+            out = (hits(ray.data.from_arrow(
+                pa.table({"src": src, "dst": dst})).repartition(4),
+                iters=4).to_pandas()
+                .sort_values("node").reset_index(drop=True))
+        assert out["node"].tolist() == nodes.tolist(), plan
+        assert out["hub"].tolist() == hub.tolist(), plan
+        assert out["auth"].tolist() == auth.tolist(), plan
 
 
-def test_effective_closeness_tracks_exact_bfs():
+def test_effective_closeness_tracks_exact_bfs(plans=PARITY):
     """HyperBall closeness must track the exact BFS closeness within
     the sketch's error (m=64, linear-counting regime on a small graph)
     and be identical under a different edge partitioning (register
-    union is an elementwise max)."""
+    union is an elementwise max) and on every plan: plan B keeps the
+    registers as a Dataset column with a bucketed segment-max merge,
+    sharing init/estimate kernels with plan A."""
     import collections
 
     import numpy as np
@@ -613,14 +597,9 @@ def test_effective_closeness_tracks_exact_bfs():
 
     got = run(4)
     assert run(7) == got
-
-    # plan B (registers as a Dataset column, bucketed segment-max
-    # merge) agrees bit-for-bit: shared init/estimate kernels and
-    # order-invariant elementwise register max
-    outb = effective_closeness(
-        ray.data.from_arrow(et).repartition(4),
-        state="distributed").to_pandas()
-    assert dict(zip(outb["node"], outb["closeness"])) == got
+    for plan in plans:
+        with graph_plan(plan):
+            assert run(4) == got, plan
 
     adj = collections.defaultdict(set)
     for s, d in zip(src.tolist(), dst.tolist()):
@@ -640,9 +619,11 @@ def test_effective_closeness_tracks_exact_bfs():
             (v, got[v], exact)
 
 
-def test_bellman_ford_rounds_matches_reference():
+def test_bellman_ford_rounds_matches_reference(plans=PARITY):
     """k-round relaxation must equal a python Bellman-Ford run for the
-    same k, including the not-yet-converged middle rounds."""
+    same k, including the not-yet-converged middle rounds, on plan A
+    and on plan B (distributed distance Dataset; integer mins are
+    order-invariant)."""
     import numpy as np
 
     from kgeng.ops.graph import bellman_ford_rounds
@@ -654,10 +635,6 @@ def test_bellman_ford_rounds_matches_reference():
     et = pa.table({"src": src, "dst": dst, "w": w})
 
     for rounds in (1, 2, 6):
-        out = bellman_ford_rounds(
-            ray.data.from_arrow(et).repartition(4), source=0,
-            rounds=rounds).to_pandas()
-        got = dict(zip(out["node"], out["dist"]))
         ref = {0: 0}
         for _ in range(rounds):
             nxt = dict(ref)
@@ -667,34 +644,42 @@ def test_bellman_ford_rounds_matches_reference():
                     if c < nxt.get(d, 1 << 62):
                         nxt[d] = c
             ref = nxt
-        assert got == ref, rounds
-        # plan B (distributed distance Dataset) agrees bit-for-bit —
-        # integer mins are order-invariant
-        outb = bellman_ford_rounds(
-            ray.data.from_arrow(et).repartition(4), source=0,
-            rounds=rounds, state="distributed").to_pandas()
-        assert dict(zip(outb["node"], outb["dist"])) == ref, rounds
+        for plan in plans:
+            with graph_plan(plan):
+                out = bellman_ford_rounds(
+                    ray.data.from_arrow(et).repartition(4), source=0,
+                    rounds=rounds).to_pandas()
+            assert dict(zip(out["node"], out["dist"])) == ref, \
+                (rounds, plan)
 
 
-def test_effective_closeness_node_cutover_falls_back():
-    """Beyond max_driver_nodes, state='auto' must fall back to the
-    distributed plan (same answers), while state='driver' keeps the
-    loud refusal (documented bound)."""
+def test_effective_closeness_node_cutover_falls_back(monkeypatch):
+    """The register matrix (two n x 2^p byte copies) enters the plan
+    rule: with the driver budget between its size at p=6 and at p=12,
+    p=6 runs plan A and p=12 falls back to plan B, with the same
+    answers plan A gives under the default budget."""
     import numpy as np
-    import pytest
 
-    from kgeng.ops.graph import effective_closeness
+    from kgeng.ops import graph as G
 
     et = pa.table({"src": np.arange(10, dtype=np.int64),
                    "dst": np.arange(1, 11, dtype=np.int64)})
-    full = effective_closeness(ray.data.from_arrow(et)).to_pandas()
-    auto = effective_closeness(
-        ray.data.from_arrow(et), max_driver_nodes=5).to_pandas()
-    assert dict(zip(auto["node"], auto["closeness"])) == \
-        dict(zip(full["node"], full["closeness"]))
-    with pytest.raises(ValueError, match="max_driver_nodes"):
-        effective_closeness(ray.data.from_arrow(et), max_driver_nodes=5,
-                            state="driver")
+    n = 11
+    full = {p: G.effective_closeness(ray.data.from_arrow(et), p=p)
+            .to_pandas() for p in (6, 12)}
+    calls = []
+    plan_b = G._effective_closeness_distributed
+    monkeypatch.setattr(
+        G, "_effective_closeness_distributed",
+        lambda *a, **k: calls.append(a[3]) or plan_b(*a, **k))
+    monkeypatch.setattr(G, "_DRIVER_STATE_BYTES",
+                        (n * 2 * (1 << 6) + n * 2 * (1 << 12)) // 2)
+    for p in (6, 12):
+        got = G.effective_closeness(ray.data.from_arrow(et),
+                                    p=p).to_pandas()
+        assert dict(zip(got["node"], got["closeness"])) == \
+            dict(zip(full[p]["node"], full[p]["closeness"])), p
+    assert calls == [12]
 
 
 def test_approx_quantiles_degenerate_group_exact():
@@ -821,9 +806,10 @@ def test_bellman_ford_planB_absent_source_raises():
     et = pa.table({"src": np.array([1], np.int64),
                    "dst": np.array([2], np.int64),
                    "w": np.array([1], np.int64)})
-    with pytest.raises(ValueError, match="no edges"):
+    with graph_plan("distributed"), \
+            pytest.raises(ValueError, match="no edges"):
         bellman_ford_rounds(ray.data.from_arrow(et), source=42,
-                            rounds=2, state="distributed")
+                            rounds=2)
 
 
 def test_hits_distributed_zero_iters_matches_plan_a():
@@ -835,9 +821,9 @@ def test_hits_distributed_zero_iters_matches_plan_a():
                    "dst": np.array([2, 3], np.int64)})
     a = hits(ray.data.from_arrow(et), iters=0).to_pandas() \
         .sort_values("node").reset_index(drop=True)
-    b = hits(ray.data.from_arrow(et), iters=0,
-             state="distributed").to_pandas() \
-        .sort_values("node").reset_index(drop=True)
+    with graph_plan("distributed"):
+        b = hits(ray.data.from_arrow(et), iters=0).to_pandas() \
+            .sort_values("node").reset_index(drop=True)
     assert a["hub"].tolist() == b["hub"].tolist()
     assert a["auth"].tolist() == b["auth"].tolist()
 
@@ -854,25 +840,20 @@ def test_graph_ops_int32_edges_emit_int64_nodes():
     assert str(tbl.schema.field("node").type) == "int64"
 
 
-def test_scc_matches_tarjan_reference():
-    """FB-coloring SCC vs an iterative Tarjan on a random directed
-    graph with planted cycles; scc_id = min node id per component."""
+def _scc_graph():
+    """A random directed graph with two planted cycles."""
     import numpy as np
-
-    from kgeng.ops.graph import scc
 
     rng = np.random.default_rng(61)
     src = rng.integers(0, 40, 150).astype(np.int64).tolist()
     dst = rng.integers(0, 40, 150).astype(np.int64).tolist()
-    # plant two cycles
     src += [50, 51, 52, 60, 61]
     dst += [51, 52, 50, 61, 60]
-    et = pa.table({"src": pa.array(src, pa.int64()),
-                   "dst": pa.array(dst, pa.int64())})
-    out = scc(ray.data.from_arrow(et).repartition(4)).to_pandas()
-    got = dict(zip(out["node"], out["scc_id"]))
+    return src, dst
 
-    # iterative Tarjan
+
+def _tarjan_scc(src, dst) -> dict:
+    """Iterative Tarjan: node -> min node id of its component."""
     import collections
     adj = collections.defaultdict(list)
     nodes = sorted(set(src) | set(dst))
@@ -923,7 +904,19 @@ def test_scc_matches_tarjan_reference():
     for v in nodes:
         if v not in index:
             strong(v)
-    assert got == comp
+    return comp
+
+
+def test_scc_matches_tarjan_reference():
+    """FB-coloring SCC vs an iterative Tarjan on a random directed
+    graph with planted cycles; scc_id = min node id per component."""
+    from kgeng.ops.graph import scc
+
+    src, dst = _scc_graph()
+    et = pa.table({"src": pa.array(src, pa.int64()),
+                   "dst": pa.array(dst, pa.int64())})
+    out = scc(ray.data.from_arrow(et).repartition(4)).to_pandas()
+    assert dict(zip(out["node"], out["scc_id"])) == _tarjan_scc(src, dst)
 
 
 def test_slpa_partition_invariant_and_overlapping():
@@ -960,45 +953,27 @@ def test_slpa_partition_invariant_and_overlapping():
     assert a.loc[a["node"] == 4, "n_communities"].iloc[0] >= 2
 
 
-def test_scc_distributed_matches_plan_a_and_cutover():
-    """Plan B SCC (Dataset join rounds) must agree bit-for-bit with
-    plan A (every phase is a set op or an integer min), the auto
-    cutover must fall back to it, and state='driver' must keep the
-    loud raise."""
-    import numpy as np
-    import pytest
-
+def test_scc_distributed_matches_plan_a_and_cutover(plans=PARITY):
+    """Plan B SCC (Dataset join rounds) agrees bit-for-bit with plan A
+    (every phase is a set op or an integer min): both equal Tarjan."""
     from kgeng.ops.graph import scc
 
-    rng = np.random.default_rng(61)
-    src = rng.integers(0, 40, 150).astype(np.int64).tolist()
-    dst = rng.integers(0, 40, 150).astype(np.int64).tolist()
-    src += [50, 51, 52, 60, 61]
-    dst += [51, 52, 50, 61, 60]
+    src, dst = _scc_graph()
     et = pa.table({"src": pa.array(src, pa.int64()),
                    "dst": pa.array(dst, pa.int64())})
-
-    plan_a = scc(ray.data.from_arrow(et).repartition(4)).to_pandas()
-    plan_b = scc(ray.data.from_arrow(et).repartition(4),
-                 state="distributed").to_pandas()
-    assert dict(zip(plan_b["node"], plan_b["scc_id"])) == \
-        dict(zip(plan_a["node"], plan_a["scc_id"]))
-    auto = scc(ray.data.from_arrow(et).repartition(4),
-               max_driver_nodes=5).to_pandas()
-    assert dict(zip(auto["node"], auto["scc_id"])) == \
-        dict(zip(plan_a["node"], plan_a["scc_id"]))
-    with pytest.raises(ValueError, match="driver bound"):
-        scc(ray.data.from_arrow(et), max_driver_nodes=5,
-            state="driver")
+    want = _tarjan_scc(src, dst)
+    for plan in plans:
+        with graph_plan(plan):
+            out = scc(ray.data.from_arrow(et).repartition(4)).to_pandas()
+        assert dict(zip(out["node"], out["scc_id"])) == want, plan
 
 
-def test_slpa_distributed_matches_plan_a_and_cutover():
-    """Plan B SLPA (wide-column memory Dataset) must agree bit-for-bit
-    with plan A — same slot hash, same counts, same (count desc, label
-    asc) tiebreaks — including the overlapping communities string; the
-    auto cutover must fall back; state='driver' keeps the raise."""
+def test_slpa_distributed_matches_plan_a_and_cutover(plans=PARITY):
+    """Every plan of SLPA — plan B's wide-column memory Dataset
+    included — agrees bit-for-bit with in-process plan A: same slot
+    hash, same counts, same (count desc, label asc) tiebreaks,
+    including the overlapping communities string."""
     import numpy as np
-    import pytest
 
     from kgeng.ops.graph import slpa
 
@@ -1019,19 +994,14 @@ def test_slpa_distributed_matches_plan_a_and_cutover():
     def norm(df):
         return df.sort_values("node").reset_index(drop=True)
 
-    plan_a = norm(slpa(ray.data.from_arrow(et).repartition(4),
-                       rounds=7, threshold=0.2).to_pandas())
-    plan_b = norm(slpa(ray.data.from_arrow(et).repartition(4),
-                       rounds=7, threshold=0.2,
-                       state="distributed").to_pandas())
-    pd.testing.assert_frame_equal(plan_a, plan_b)
-    auto = norm(slpa(ray.data.from_arrow(et).repartition(4),
-                     rounds=7, threshold=0.2,
-                     max_driver_nodes=5).to_pandas())
-    pd.testing.assert_frame_equal(plan_a, auto)
-    with pytest.raises(ValueError, match="driver bound"):
-        slpa(ray.data.from_arrow(et), rounds=7, max_driver_nodes=5,
-             state="driver")
+    def run():
+        return norm(slpa(ray.data.from_arrow(et).repartition(4),
+                         rounds=7, threshold=0.2).to_pandas())
+
+    plan_a = run()
+    for plan in plans:
+        with graph_plan(plan):
+            pd.testing.assert_frame_equal(run(), plan_a)
 
 
 def test_line_graph_exact_above_2_53_packing():
@@ -1090,10 +1060,11 @@ def test_bounded_harmonic_matches_bfs_reference():
         want[u] = round(s / lcm, 6)
 
     ds = ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
-    for state in ("driver", "distributed"):
-        got = bounded_harmonic(ds, max_hops=H, state=state).to_pandas()
+    for plan in PARITY:
+        with graph_plan(plan):
+            got = bounded_harmonic(ds, max_hops=H).to_pandas()
         got_map = dict(zip(got["node"], got["harmonic"]))
-        assert got_map == want, state
+        assert got_map == want, plan
         assert len(got_map) == len(nodes)
 
 
@@ -1139,10 +1110,11 @@ def test_bounded_closeness_matches_bfs_reference():
         want[u] = round(c / s, 6) if s > 0 else 0.0
 
     ds = ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
-    for state in ("driver", "distributed"):
-        got = bounded_closeness(ds, max_hops=H, state=state).to_pandas()
+    for plan in PARITY:
+        with graph_plan(plan):
+            got = bounded_closeness(ds, max_hops=H).to_pandas()
         got_map = dict(zip(got["node"], got["closeness"]))
-        assert got_map == want, state
+        assert got_map == want, plan
         assert len(got_map) == len(nodes)
 
 
@@ -1154,16 +1126,12 @@ def test_bounded_harmonic_early_exit_on_converged_bfs():
     ds = ray.data.from_arrow(pa.table({"src": [1, 2], "dst": [2, 3]}))
     # distributed plan: the converged-count break must fire before the
     # dead rounds; driver plan: the empty-frontier break
-    for state in ("distributed", "driver"):
-        got = bounded_harmonic(ds, max_hops=6, state=state).to_pandas()
+    for plan in PARITY:
+        with graph_plan(plan):
+            got = bounded_harmonic(ds, max_hops=6).to_pandas()
         got_map = dict(zip(got["node"], got["harmonic"]))
         # node1 reaches 2 at d1, 3 at d2: 1/1 + 1/2 = 1.5
-        assert got_map == {1: 1.5, 2: 1.0, 3: 0.0}, state
-    # plan-A bound rejection is loud, not silent
-    import pytest as _pt
-    with _pt.raises(ValueError, match="bounds exceeded"):
-        bounded_harmonic(ds, max_hops=2, state="driver",
-                         max_driver_edges=1)
+        assert got_map == {1: 1.5, 2: 1.0, 3: 0.0}, plan
 
 
 # ------------------------------------------------------------ triangles
@@ -1206,7 +1174,10 @@ def test_triangle_counts_k4_and_path():
     assert triangle_counts(ray.data.from_arrow(p)).count() == 0
 
 
-def test_triangle_counts_random_parity_both_plans():
+def test_triangle_counts_random_parity_both_plans(plans=PARITY):
+    """Packed fast plan A and join-orientation + bucket-merge plan B
+    both match brute force; negative ids cannot pack, so they take
+    plan B under the default budget."""
     import ray.data
 
     from kgeng.ops.graph import triangle_counts
@@ -1219,18 +1190,15 @@ def test_triangle_counts_random_parity_both_plans():
     ref = _brute_triangles(pairs)
     t = pa.table({"src": pa.array(u, pa.int64()),
                   "dst": pa.array(v, pa.int64())})
-    # all four plan combinations: orientation (broadcast / joins) x
-    # closure (packed broadcast / bucket-merge shuffle)
-    for n_cut in (5_000_000, 0):
-        for e_cut in (20_000_000, 0):
+    for plan in plans:
+        with graph_plan(plan):
             out = triangle_counts(
-                ray.data.from_arrow(t).repartition(5),
-                broadcast_nodes_cutover=n_cut,
-                broadcast_edges_cutover=e_cut).to_pandas()
-            got = dict(zip(out["node"].astype(int),
-                           out["n_triangles"].astype(int)))
-            assert got == ref, f"cutovers={n_cut},{e_cut}"
-    # negative ids are unpackable -> closure must fall back to plan B
+                ray.data.from_arrow(t).repartition(5)).to_pandas()
+        got = dict(zip(out["node"].astype(int),
+                       out["n_triangles"].astype(int)))
+        assert got == ref, plan
+    if "distributed" not in plans:
+        return
     tn = pa.table({"src": pa.array((u - 30).tolist(), pa.int64()),
                    "dst": pa.array((v - 30).tolist(), pa.int64())})
     refn = _brute_triangles(list(zip((u - 30).tolist(),
@@ -1305,11 +1273,12 @@ def test_k_core_random_parity_both_plans():
     ref = _peel_ref(list(zip(u.tolist(), v.tolist())), 3)
     t = pa.table({"src": pa.array(u, pa.int64()),
                   "dst": pa.array(v, pa.int64())})
-    for cutover in (10_000_000, 0):  # broadcast plan / anti-join plan
-        out = k_core(ray.data.from_arrow(t).repartition(4), k=3,
-                     broadcast_cutover=cutover).to_pandas()
+    for plan in PARITY:  # broadcast filter / semi-join filter
+        with graph_plan(plan):
+            out = k_core(ray.data.from_arrow(t).repartition(4),
+                         k=3).to_pandas()
         got = dict(zip(out["node"].astype(int), out["deg"].astype(int)))
-        assert got == ref, f"cutover={cutover}"
+        assert got == ref, plan
 
 
 def test_partitioned_locf_carries_within_key_only():
@@ -1506,9 +1475,8 @@ def test_fuzzy_lookup_exact_match_ties_and_no_match():
 
 def test_random_walks_reference_plans_and_sinks():
     """random_walks vs a pure-Python replay of the documented step
-    rule (sorted-rank adjacency, splitmix64 choice), plan A == plan B
-    == auto cutover, sink nodes end walks early, and partition
-    invariance."""
+    rule (sorted-rank adjacency, splitmix64 choice) on plan A and plan
+    B, and sink nodes end walks early."""
     import numpy as np
 
     from kgeng.ops.agg import _splitmix64
@@ -1546,16 +1514,14 @@ def test_random_walks_reference_plans_and_sinks():
                 want.append((s, w, t, cur))
     want.sort()
 
-    outs = {}
-    for name, kw in (("plan_a", {}),
-                     ("plan_b", {"state": "distributed"}),
-                     ("cutover", {"max_driver_edges": 1})):
+    for plan in PARITY:
         ds = ray.data.from_arrow(et).repartition(3)
-        outs[name] = sorted(
-            (r["start"], r["walk"], r["step"], r["node"])
-            for r in random_walks(ds, walk_len=L, walks_per_node=wpn,
-                                  **kw).take_all())
-        assert outs[name] == want, name
+        with graph_plan(plan):
+            got = sorted(
+                (r["start"], r["walk"], r["step"], r["node"])
+                for r in random_walks(ds, walk_len=L,
+                                      walks_per_node=wpn).take_all())
+        assert got == want, plan
     # walks through the sink stopped early: node 0 appears as a walk
     # node but never as a start
     assert any(r[3] == 0 for r in want)

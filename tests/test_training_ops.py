@@ -8,6 +8,7 @@ import pytest
 import ray.data
 
 from kgeng.ops import agg, dedup, media, similarity, text
+from tests.graph_plans import PARITY, graph_plan
 
 SF = "/root/testdata/sf0.001"
 
@@ -2149,7 +2150,8 @@ def test_heavy_hitters_rescan_bounds_candidates_before_pull(monkeypatch):
 
 # ------------------------------------------------ edge triangle support
 
-def test_edge_triangle_support_plans_agree_and_match_bruteforce():
+def test_edge_triangle_support_plans_agree_and_match_bruteforce(
+        plans=PARITY):
     from kgeng.ops import graph as G
     rng = np.random.default_rng(7)
     m = 400
@@ -2158,12 +2160,6 @@ def test_edge_triangle_support_plans_agree_and_match_bruteforce():
     t = pa.table({"src": pa.array(src, pa.int64()),
                   "dst": pa.array(dst, pa.int64())})
     ds = ray.data.from_arrow(t).repartition(5)
-    a = G.edge_triangle_support(ds, "src", "dst") \
-        .to_pandas().sort_values(["u", "v"]).reset_index(drop=True)
-    b = G.edge_triangle_support(ds, "src", "dst",
-                                broadcast_edges_cutover=0) \
-        .to_pandas().sort_values(["u", "v"]).reset_index(drop=True)
-    assert a.equals(b), "plan A != plan B"
     # brute force
     E = set()
     for s, d in zip(src.tolist(), dst.tolist()):
@@ -2181,20 +2177,28 @@ def test_edge_triangle_support_plans_agree_and_match_bruteforce():
                     sup[(x, y)] += 1
                     sup[(lo, hi)] += 1
     want = sorted((u, v, c) for (u, v), c in sup.items())
-    got = list(map(tuple, a[["u", "v", "support"]].values.tolist()))
-    assert got == want
+    for plan in plans:
+        with graph_plan(plan):
+            a = G.edge_triangle_support(ds, "src", "dst").to_pandas() \
+                .sort_values(["u", "v"])
+        got = list(map(tuple, a[["u", "v", "support"]].values.tolist()))
+        assert got == want, plan
 
 
-def test_labelprop_plans_agree():
+def test_labelprop_plans_agree(plans=PARITY):
     from kgeng.ops import graph as G
     rng = np.random.default_rng(3)
     m = 300
     t = pa.table({"src": pa.array(rng.integers(0, 40, m), pa.int64()),
                   "dst": pa.array(rng.integers(0, 40, m), pa.int64())})
     ds = ray.data.from_arrow(t).repartition(4)
-    a = G.label_propagation_communities(ds, rounds=3, state="driver") \
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    b = G.label_propagation_communities(ds, rounds=3,
-                                        state="distributed") \
-        .to_pandas().sort_values("node").reset_index(drop=True)
-    assert a.equals(b), (a.head(), b.head())
+
+    def run():
+        return G.label_propagation_communities(ds, rounds=3) \
+            .to_pandas().sort_values("node").reset_index(drop=True)
+
+    a = run()
+    for plan in plans:
+        with graph_plan(plan):
+            b = run()
+        assert a.equals(b), (plan, a.head(), b.head())
