@@ -18,21 +18,31 @@ this makes the result reproducible bit-for-bit across summation orders
 ~1e-17 relative, far below the rounding granularity), so a DuckDB
 oracle with the same per-round rounding hash-matches exactly.
 
-Every algorithm has two plans, picked by one rule from sizes it
-already measures (node count, edge count, rounds, sketch width):
+The eight iterative algorithms (pagerank, hits, sssp_hops,
+bellman_ford_rounds, effective_closeness, scc, slpa,
+label_propagation_communities) are each written once, as a vertex
+program in the Pregel / GAS shape: the loop and its convergence test
+run on the driver, and a round is ``send`` (one message per edge, from
+the sender's state), a combine per receiver (``sum``, ``min``, ``max``
+or ``mode``) and ``apply`` (the receiver's new state), all numpy over
+arrays of node state. One round interface runs them on three backends,
+picked by one rule from sizes the algorithm already measures (node
+count, edge count, rounds, sketch width):
 
-- plan A: the algorithm's state (rank vector, label memory, register
-  matrix, packed edge set, ...) lives on the driver, and each round
-  runs a vectorized per-block kernel whose partials the driver reduces
-  (:class:`_IndexedEdges`) — in-process for graphs of at most
-  ``_LOCAL_EDGES`` edges, one raw task per edge block above;
-- plan B (``_*_distributed`` and the join/shuffle branches): the state
-  stays a Dataset and each round is joins and groupbys; the driver
-  sees only scalars (node count, dangling mass, changed counts).
+- in-process (plan A, at most ``_LOCAL_EDGES`` edges): the state is a
+  dict of numpy arrays on the driver and a round is one call of
+  :func:`_round_block` over the pulled edges (:class:`_IndexedEdges`);
+- raw tasks (plan A, above): the same kernel runs as one Ray task per
+  edge block, the state shipped once per round, and the driver reduces
+  the per-block partials;
+- Dataset (plan B, when the driver bytes plan A would hold exceed
+  ``_DRIVER_STATE_BYTES``): the state is a Dataset and a round is two
+  co-bucketed ``groupby(bucket).map_groups`` stages
+  (:class:`_DatasetRounds`); the driver sees only scalar sums.
 
-Plan A runs whenever the driver bytes it would hold, computed from
-those sizes, fit ``_DRIVER_STATE_BYTES``; above that budget plan B
-runs. Both plans give the same rows bit-for-bit.
+The three give the same rows. Triangles, ``edge_triangle_support``,
+``k_core``, ``random_walks`` and the bounded-BFS pair plan keep plans of
+their own under the same budget.
 """
 
 from __future__ import annotations
@@ -54,14 +64,6 @@ def _round9(x, ndigits: int) -> np.ndarray:
     # oracles — every algorithm in this module must round through it.
     scale = 10.0 ** ndigits
     return np.floor(np.asarray(x, dtype=np.float64) * scale + 0.5) / scale
-
-
-def _node_ids(t: pa.Table, src: str, dst: str) -> pa.Table:
-    """Per-batch distinct endpoint ids (both columns) — the shared
-    node-extraction partial for every algorithm here."""
-    both = pa.concat_arrays([t[src].combine_chunks(),
-                             t[dst].combine_chunks()])
-    return pa.table({"node": pc.unique(both)})
 
 
 # --------------------------------------------------- indexed edge blocks
@@ -117,15 +119,19 @@ def _kernel(fn):
 
 
 def _blk_col(blk, c) -> np.ndarray:
-    """Column of an Arrow-or-pandas block as numpy; a zero-column empty
-    partition (post-groupby artifact) reads as an empty array."""
+    """Column of an Arrow-or-pandas block as numpy, a fixed_size_binary
+    column as a 2-D uint8 matrix; a zero-column empty partition
+    (post-groupby artifact) reads as an empty array."""
     names = (blk.column_names if isinstance(blk, pa.Table)
              else list(blk.columns))
     if c not in names:
         return np.zeros(0, np.int64)
     v = blk[c]
-    return (v.to_numpy(zero_copy_only=False)
-            if isinstance(blk, pa.Table) else v.to_numpy())
+    if not isinstance(blk, pa.Table):
+        return v.to_numpy()
+    if pa.types.is_fixed_size_binary(v.type):
+        return _unpack_regs(v, v.type.byte_width)
+    return v.to_numpy(zero_copy_only=False)
 
 
 def _pull_edges(edges: ray.data.Dataset, cols: list[str]) -> pa.Table:
@@ -149,24 +155,6 @@ def _index_block(blk, nodes: np.ndarray, src: str, dst: str,
 
 
 @_kernel
-def _sweep_block(idx, vec: np.ndarray, n: int, direction: str):
-    """out[x] += vec[y] over the block's edges (fwd: y=src,x=dst)."""
-    si, di, _ = idx
-    if direction == "fwd":
-        return np.bincount(di, weights=vec[si], minlength=n)
-    return np.bincount(si, weights=vec[di], minlength=n)
-
-
-@_kernel
-def _relax_block(idx, dist: np.ndarray, inf: int):
-    si, di, w = idx
-    cand = np.full(len(dist), np.int64(inf), np.int64)
-    ok = dist[si] < inf
-    np.minimum.at(cand, di[ok], dist[si[ok]] + w[ok])
-    return cand
-
-
-@_kernel
 def _ends_block(blk, src: str, dst: str):
     """Distinct endpoint ids of one block (driver unions the <=2E,
     <=blocks*N total — effectively N-bounded whenever E >> N, and when
@@ -177,31 +165,138 @@ def _ends_block(blk, src: str, dst: str):
         [_blk_col(blk, src), _blk_col(blk, dst)])).astype(np.int64)
 
 
-@_kernel
-def _deg_block(idx, n: int):
-    si, _, _ = idx
-    return np.bincount(si, minlength=n).astype(np.float64)
+# ------------------------------------------------------ vertex programs
+#
+# A round of a vertex program, on every backend:
+#
+#   keep, vals = send(s, i, e)     one message per edge; ``s`` is the
+#                                  node state (dict of arrays, ``node``
+#                                  = ids), ``i`` each edge's sender row
+#                                  in it, ``e["dst"]`` the receiver ids
+#                                  and ``e["w"]`` the weights; ``keep``
+#                                  (or None) masks the edges that send
+#   ok = accept(s, j, vals)        optional: receiver-side filter, ``j``
+#                                  each message's receiver row
+#   agg, has = combine per receiver: "sum" (float64, has None), or
+#                                  "min" / "max" (rows or register
+#                                  matrices) / "mode" (most frequent
+#                                  value, ties to the smallest), with
+#                                  ``has`` marking receivers that heard
+#   s |= apply(s, agg, has)        the columns apply returns replace or
+#                                  join the state
+#
+# A backend cuts the edges into parts (blocks, or buckets of
+# receivers), reduces each part with ``_part`` and the parts with
+# ``_merge``; both are exact for integers and registers, and a float
+# sum only changes its addition order.
+
+
+def _reduce_by(rcv: np.ndarray, vals: np.ndarray, ufunc):
+    """(distinct receivers, ``ufunc``-reduced rows per receiver)."""
+    if not len(rcv):
+        return rcv.astype(np.int64), vals
+    order = np.argsort(rcv, kind="stable")
+    r = rcv[order]
+    starts = np.flatnonzero(np.r_[True, r[1:] != r[:-1]])
+    return r[starts].astype(np.int64), ufunc.reduceat(vals[order], starts,
+                                                      axis=0)
+
+
+def _pair_counts(r: np.ndarray, v: np.ndarray, c: np.ndarray | None = None):
+    """Distinct (receiver, value) pairs with their counts (the summed
+    ``c`` when given). One packed ``unique`` when receiver x value-range
+    fits an int64, a two-key lexsort otherwise."""
+    if not len(r):
+        z = np.zeros(0, np.int64)
+        return z, v.astype(np.int64), z
+    lo = int(v.min())
+    k = int(v.max()) - lo + 1
+    if (int(r.max()) + 1) * k < 1 << 63:
+        key = r.astype(np.int64) * k + (v - lo)
+        if c is None:
+            key, cnt = np.unique(key, return_counts=True)
+        else:
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            key, cnt = key[starts], np.add.reduceat(c[order], starts)
+        return key // k, key % k + lo, cnt.astype(np.int64)
+    order = np.lexsort((v, r))
+    r, v = r[order], v[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1])
+                                  | (v[1:] != v[:-1])])
+    c = np.ones(len(r), np.int64) if c is None else c[order]
+    return (r[starts].astype(np.int64), v[starts],
+            np.add.reduceat(c, starts).astype(np.int64))
+
+
+_UFUNC = {"min": np.minimum, "max": np.maximum}
+
+
+def _part(combine: str, rcv: np.ndarray, vals: np.ndarray, n: int):
+    """One part's partial: a dense n-float64 sum, or sparse
+    (receivers, rows) for min/max, or (receivers, values, counts)."""
+    if combine == "sum":
+        return np.bincount(rcv, weights=vals, minlength=n)
+    if combine == "mode":
+        return _pair_counts(rcv, vals)
+    return _reduce_by(rcv, vals, _UFUNC[combine])
+
+
+def _merge(combine: str, parts, n: int):
+    """The parts' partials (at least one), reduced as they arrive, as
+    dense per-node (agg, has)."""
+    if combine == "sum":
+        acc = np.zeros(n, np.float64)
+        for p in parts:
+            acc += p
+        return acc, None
+    parts = list(parts)
+    cat = parts[0] if len(parts) == 1 else \
+        [np.concatenate(c) for c in zip(*parts)]
+    if combine == "mode":
+        r, v, c = cat if len(parts) == 1 else _pair_counts(*cat)
+        order = np.lexsort((v, -c, r))  # per receiver: count desc, value asc
+        r, v = r[order], v[order]
+        first = np.r_[True, r[1:] != r[:-1]] if len(r) else r.astype(bool)
+        r, v = r[first], v[first]
+    else:
+        r, v = cat if len(parts) == 1 else _reduce_by(*cat, _UFUNC[combine])
+    agg = np.zeros((n,) + v.shape[1:], v.dtype)
+    agg[r] = v
+    has = np.zeros(n, bool)
+    has[r] = True
+    return agg, has
+
+
+class _Lazy(dict):
+    """A dict whose values are made on first read, each by the
+    zero-argument callable of the same name it was built with."""
+
+    def __init__(self, **makers):
+        super().__init__()
+        self._makers = makers
+
+    def __missing__(self, key):
+        v = self[key] = self._makers[key]()
+        return v
 
 
 @_kernel
-def _succ_block(idx, frontier_mask: np.ndarray):
-    """Distinct successor positions of the masked frontier in one block."""
-    si, di, _ = idx
-    return np.unique(di[frontier_mask[si]])
-
-
-@_kernel
-def _ball_block(idx, regs: np.ndarray):
-    """One HyperBall round over a src-sorted block: union each source's
-    registers with its out-neighbors' (elementwise max). Returns the
-    block's (unique source positions, merged registers) — N-bounded
-    because sorted blocks hold disjoint source ranges."""
-    si, di, _ = idx
-    uniq = np.unique(si)
-    out = regs[uniq].copy()
-    pos = np.searchsorted(uniq, si)
-    np.maximum.at(out, pos, regs[di])
-    return (uniq.astype(np.int64), out)
+def _round_block(idx, s: dict, send, combine: str, accept, reverse: bool):
+    """One vertex-program round over one indexed edge block (see the
+    notes above): sender and receiver are the edge's (src, dst), or
+    (dst, src) when ``reverse``. Returns the block's ``_part``."""
+    si, di, w = idx
+    snd, rcv = (di, si) if reverse else (si, di)
+    keep, vals = send(s, snd, _Lazy(dst=lambda: s["node"][rcv],
+                                    w=lambda: w))
+    if keep is not None:
+        rcv, vals = rcv[keep], vals[keep]
+    if accept is not None:
+        ok = accept(s, rcv, vals)
+        rcv, vals = rcv[ok], vals[ok]
+    return _part(combine, rcv, vals, len(s["node"]))
 
 
 def _bounded_blocks(edges: ray.data.Dataset,
@@ -228,25 +323,27 @@ def _bounded_blocks(edges: ray.data.Dataset,
 
 
 class _IndexedEdges:
-    """Per-block (si, di[, w]) index arrays of a MATERIALIZED edge
-    Dataset, staged once, and one round method, :meth:`map`, with a
-    backend picked from the edge count alone:
+    """Plan A's round backend: per-block (si, di[, w]) index arrays of a
+    MATERIALIZED edge Dataset, staged once, with the backend picked from
+    the edge count alone:
 
     - in-process (at most ``_LOCAL_EDGES`` edges): the blocks are pulled
-      to the driver once and indexed as ONE block, and ``map`` calls the
-      kernel as a plain function;
+      to the driver once and indexed as ONE block, and every kernel is
+      called as a plain function;
     - raw tasks (above): the index arrays stay in the object store, one
-      per block, and ``map`` fans ``kernel.remote`` over them; each
-      array argument ships once per round via ``ray.put`` (workers read
-      it zero-copy from plasma).
+      per block, and a kernel fans out as ``kernel.remote`` over them;
+      each array or state argument ships once per round via ``ray.put``
+      (workers read it zero-copy from plasma).
 
-    Either way ``map`` yields the per-block results in block order and
-    the caller reduces them on the driver as they arrive.
+    The node state is a dict of n-row numpy arrays on the driver, the
+    sorted ids as ``node``; :meth:`round` reduces the per-block partials
+    in block order as they arrive.
 
     The plan rule: the caller's plan A holds ``node_bytes`` per node
     plus ``edge_bytes`` per edge on the driver. Node discovery runs
     first; when that total exceeds ``_DRIVER_STATE_BYTES``, ``fits``
-    is False, nothing is indexed, and the caller runs its plan B."""
+    is False, nothing is indexed, and :func:`_rounds` runs the
+    algorithm on :class:`_DatasetRounds` instead."""
 
     def __init__(self, edges: ray.data.Dataset, src: str, dst: str,
                  weight: str | None = None, node_bytes: int = 0,
@@ -273,38 +370,228 @@ class _IndexedEdges:
     def _fan(self, kernel, *args) -> list:
         if self.local:
             return [kernel(i, *args) for i in self.idx]
-        args = [ray.put(a) if isinstance(a, np.ndarray) else a
+        args = [ray.put(a) if isinstance(a, (np.ndarray, dict)) else a
                 for a in args]
         return [kernel.remote(i, *args) for i in self.idx]
 
     def map(self, kernel, *args):
-        """One round: ``kernel(block_index, *args)`` for every block,
-        yielded in block order. Raw-task results are fetched one at a
-        time, so a caller that reduces as it iterates holds its
-        accumulator plus one partial."""
+        """``kernel(block_index, *args)`` for every block, yielded in
+        block order. Raw-task results are fetched one at a time, so a
+        caller that reduces as it iterates holds its accumulator plus
+        one partial."""
         out = self._fan(kernel, *args)
         return iter(out) if self.local else (ray.get(r) for r in out)
 
-    def total(self, kernel, *args) -> np.ndarray:
-        """Sum of the per-block n-float64 partials of one round, added
-        in block order as they arrive."""
-        acc = np.zeros(self.n, np.float64)
-        for part in self.map(kernel, *args):
-            acc += part
-        return acc
+    def state(self, init) -> dict:
+        """The first state: ``init(ids)`` gives the columns."""
+        return {"node": self.nodes, **init(self.nodes)}
 
-    def sweep(self, vec: np.ndarray, direction: str = "fwd") -> np.ndarray:
-        return self.total(_sweep_block, vec, self.n, direction)
+    def round(self, s: dict, send, combine: str, apply,
+              reverse: bool = False, accept=None) -> dict:
+        parts = self.map(_round_block, s, send, combine, accept, reverse)
+        return {**s, **apply(s, *_merge(combine, parts, self.n))}
+
+    def update(self, s: dict, fn) -> dict:
+        """A node-local step: the columns ``fn(s)`` returns replace or
+        join the state."""
+        return {**s, **fn(s)}
+
+    def sum(self, s: dict, fn) -> float:
+        """The scalar sum of the array ``fn(s)``."""
+        return float(fn(s).sum())
+
+    def table(self, s: dict, fn) -> ray.data.Dataset:
+        """The result rows: ``fn(s)`` gives the output columns."""
+        return ray.data.from_arrow(pa.table(fn(s)))
 
 
-def _concat_pairs(parts) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate a round's per-block (keys, counts) partials, taking
-    each partial once as it arrives."""
-    keys, cnts = [], []
-    for k, c in parts:
-        keys.append(k)
-        cnts.append(c)
-    return np.concatenate(keys), np.concatenate(cnts)
+# ----------------------------------------------------- Dataset rounds
+
+_STATE, _EDGE, _MSG = 0, 1, 2
+
+
+def _bkt(ids: np.ndarray) -> np.ndarray:
+    """Round bucket of each node id."""
+    from kgeng.ops.agg import _splitmix64
+
+    return (_splitmix64(ids.astype(np.uint64))
+            % np.uint64(_ROUND_BUCKETS)).astype(np.int64)
+
+
+def _pack_regs(regs: np.ndarray) -> pa.Array:
+    """(k, m) uint8 register matrix -> fixed_size_binary(m) Arrow
+    array, one zero-copy buffer (no per-row bytes objects)."""
+    k, m = regs.shape
+    buf = pa.py_buffer(np.ascontiguousarray(regs).tobytes())
+    return pa.FixedSizeBinaryArray.from_buffers(
+        pa.binary(m), k, [None, buf])
+
+
+def _unpack_regs(col, m: int) -> np.ndarray:
+    """fixed_size_binary(m) column -> (k, m) uint8 matrix. Only called
+    on all-valid slices; honors the array offset after filters."""
+    a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    data = np.frombuffer(a.buffers()[1], np.uint8)
+    off = a.offset * m
+    return data[off:off + len(a) * m].reshape(len(a), m)
+
+
+def _rows(kind: int, bucket: np.ndarray, cols: dict) -> pa.Table:
+    """Rows of one kind (state, edge or message) in a round bucket;
+    register matrices travel as fixed_size_binary."""
+    return pa.table({
+        "__b": pa.array(bucket, pa.int64()),
+        "__k": pa.array(np.full(len(bucket), kind, np.int8)),
+        **{c: _pack_regs(v) if v.ndim == 2 else pa.array(v)
+           for c, v in cols.items()}})
+
+
+def _of(t: pa.Table, kind: int) -> pa.Table:
+    return t.filter(pc.equal(t["__k"], kind))
+
+
+def _cols(t: pa.Table) -> dict:
+    """The node state held by state rows, sorted by node."""
+    order = np.argsort(_blk_col(t, "node"), kind="stable")
+    return {c: _blk_col(t, c)[order] for c in t.column_names
+            if not c.startswith("__")}
+
+
+def _speak(t: pa.Table, send) -> pa.Table:
+    """Stage 1, one bucket: the senders' state rows meet their edges;
+    one message per kept edge, keyed by the receiver's bucket."""
+    st, ed = _of(t, _STATE), _of(t, _EDGE)
+    if not len(st) or not len(ed):
+        none = np.zeros(0, np.int64)
+        return _rows(_MSG, none, {"node": none})
+    s = _cols(st)
+    to, tb = _blk_col(ed, "__to"), _blk_col(ed, "__tb")
+    w = _blk_col(ed, "__w") if "__w" in ed.column_names else None
+    keep, vals = send(s, np.searchsorted(s["node"], _blk_col(ed, "node")),
+                      {"dst": to, "w": w})
+    if keep is not None:
+        to, tb, vals = to[keep], tb[keep], vals[keep]
+    return _rows(_MSG, tb, {"node": to, "__v": vals})
+
+
+def _listen(t: pa.Table, send, combine: str, apply, accept) -> pa.Table:
+    """Stage 2, one bucket: the receivers' state rows combine their
+    messages and apply them."""
+    s = _cols(_of(t, _STATE))
+    ms = _of(t, _MSG)
+    if len(ms):
+        j = np.searchsorted(s["node"], _blk_col(ms, "node"))
+        vals = _blk_col(ms, "__v")
+    else:
+        # no message reached this bucket: an empty one of the
+        # program's own dtype and shape
+        j = np.zeros(0, np.int64)
+        vals = send(s, j, {"dst": j, "w": j})[1]
+    if accept is not None:
+        ok = accept(s, j, vals)
+        j, vals = j[ok], vals[ok]
+    k = len(s["node"])
+    s.update(apply(s, *_merge(combine, [_part(combine, j, vals, k)], k)))
+    return _rows(_STATE, _bkt(s["node"]), s)
+
+
+class _DatasetRounds:
+    """Plan B's round backend: the round interface of
+    :class:`_IndexedEdges` with the node state a Dataset, one row per
+    node (int64 / float64 / bool columns, register matrices as
+    fixed_size_binary) tagged with the node's round bucket. A round is
+    two co-bucketed ``groupby(bucket).map_groups`` stages: state rows
+    meet edge rows at the sender and emit one message per edge, keyed by
+    the receiver (:func:`_speak`); the messages meet the receivers'
+    state rows, which combine and apply them (:func:`_listen`). No join
+    and no schema fetch; the driver sees only :meth:`sum`'s scalars.
+    Memory per task is one bucket's slice of state, edges and
+    messages."""
+
+    def __init__(self, edges: ray.data.Dataset, src: str, dst: str,
+                 weight: str | None, nodes: np.ndarray):
+        self.n = len(nodes)
+        self._edges = (edges, src, dst, weight)
+        self._dirs: dict[bool, ray.data.Dataset] = {}
+        # the state is cut into as many blocks as the edges; every
+        # block of either side is a task of each shuffle
+        self._blocks = max(1, edges.num_blocks())
+        self._nodes = ray.data.from_arrow(
+            [pa.table({"node": c})
+             for c in np.array_split(nodes, self._blocks)])
+
+    def _edge_rows(self, reverse: bool) -> ray.data.Dataset:
+        """The edges as rows in their sender's bucket, once per
+        direction."""
+        if reverse not in self._dirs:
+            edges, src, dst, weight = self._edges
+            a, b = (dst, src) if reverse else (src, dst)
+
+            def rows(t: pa.Table) -> pa.Table:
+                u = _blk_col(t, a).astype(np.int64)
+                v = _blk_col(t, b).astype(np.int64)
+                cols = {"node": u, "__to": v, "__tb": _bkt(v)}
+                if weight:
+                    cols["__w"] = _blk_col(t, weight).astype(np.int64)
+                return _rows(_EDGE, _bkt(u), cols)
+
+            self._dirs[reverse] = edges.map_batches(
+                rows, batch_format="pyarrow").materialize()
+        return self._dirs[reverse]
+
+    def state(self, init) -> ray.data.Dataset:
+        def rows(t: pa.Table) -> pa.Table:
+            node = _blk_col(t, "node")
+            return _rows(_STATE, _bkt(node), {"node": node, **init(node)})
+
+        return self._nodes.map_batches(rows, batch_format="pyarrow")
+
+    def round(self, s: ray.data.Dataset, send, combine: str, apply,
+              reverse: bool = False, accept=None) -> ray.data.Dataset:
+        msgs = self._edge_rows(reverse).union(s).groupby("__b") \
+            .map_groups(lambda t: _speak(t, send), batch_format="pyarrow")
+        new = msgs.union(s).groupby("__b").map_groups(
+            lambda t: _listen(t, send, combine, apply, accept),
+            batch_format="pyarrow")
+        # each shuffle emits one block per input block: without the
+        # repartition the state's block count grows every round
+        return mat(new.repartition(self._blocks))
+
+    def update(self, s: ray.data.Dataset, fn) -> ray.data.Dataset:
+        def rows(t: pa.Table) -> pa.Table:
+            c = _cols(t)
+            c.update(fn(c))
+            return _rows(_STATE, _bkt(c["node"]), c)
+
+        return s.map_batches(rows, batch_format="pyarrow", batch_size=None)
+
+    def sum(self, s: ray.data.Dataset, fn) -> float:
+        def part(t: pa.Table) -> pa.Table:
+            return pa.table({"x": [float(fn(_cols(t)).sum())]})
+
+        return s.map_batches(part, batch_format="pyarrow",
+                             batch_size=None).sum("x") or 0.0
+
+    def table(self, s: ray.data.Dataset, fn) -> ray.data.Dataset:
+        return s.map_batches(lambda t: pa.table(fn(_cols(t))),
+                             batch_format="pyarrow", batch_size=None)
+
+
+def _rounds(edges: ray.data.Dataset, src: str, dst: str,
+            weight: str | None = None, node_bytes: int = 0,
+            edge_bytes: int = 0):
+    """The round backend of one algorithm run, by the plan rule:
+    :class:`_IndexedEdges` when plan A's driver state fits, else
+    :class:`_DatasetRounds`."""
+    ie = _IndexedEdges(edges, src, dst, weight, node_bytes, edge_bytes)
+    return ie if ie.fits else _DatasetRounds(edges, src, dst, weight,
+                                             ie.nodes)
+
+
+def _share(r: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """The rank a node sends along each out-edge (0 when dangling)."""
+    out = deg > 0
+    return np.where(out, r / np.where(out, deg, 1.0), 0.0)
 
 
 def pagerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
@@ -313,96 +600,32 @@ def pagerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     """PageRank over a directed edge Dataset; returns Dataset(node, rank).
 
     Multi-edges count multiply (dedup upstream if unwanted). See the
-    module docstring for semantics, rounding, and the two plans. Plan A
-    holds ~6 n-float64 vectors (48 bytes per node); each round adds the
-    per-block dense partials into one accumulator."""
+    module docstring for semantics, rounding, and the backends. The
+    state is rank, out-degree and per-edge share (with the ids and the
+    round's sum, 48 bytes per node on plan A); a round sends each
+    node's share along its out-edges and sums it per receiver."""
     # materialize once; rebalance only when the incoming block count is
     # unsuitable for the per-block dense reduce (each extra pass over
     # the edges is a whole executor run)
     edges = _bounded_blocks(edges)
-
-    # node ids + out-degrees — no Dataset execution, no shuffle (see
-    # _IndexedEdges); multi-edges count multiply
-    idx = _IndexedEdges(edges, src, dst, node_bytes=48)
-    if not idx.fits:
-        return _pagerank_distributed(edges, src, dst, iters, damping,
-                                     ndigits)
-    nodes, n = idx.nodes, idx.n
-    deg = idx.total(_deg_block, n)
-
+    g = _rounds(edges, src, dst, node_bytes=48)
+    n = g.n
     base = (1.0 - damping) / n
-    ranks = _round9(np.full(n, 1.0 / n), ndigits)
+    s = g.state(lambda node: {
+        "r": _round9(np.full(len(node), 1.0 / n), ndigits)})
+    # out-degrees: one reverse round of unit messages
+    s = g.round(s, lambda s, i, e: (None, np.ones(len(i))), "sum",
+                lambda s, deg, _: {"deg": deg, "c": _share(s["r"], deg)},
+                reverse=True)
     for _ in range(iters):
-        has_out = deg > 0
-        contrib = np.where(has_out, ranks / np.where(has_out, deg, 1.0),
-                           0.0)
-        dangling = float(ranks[~has_out].sum()) / n
-        incoming = idx.sweep(contrib, "fwd")
-        ranks = _round9(base + damping * (incoming + dangling), ndigits)
+        dangling = g.sum(s, lambda s: s["r"][s["deg"] == 0]) / n
 
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array(nodes), "rank": pa.array(ranks)}))
+        def apply(s, inc, _, dangling=dangling):
+            r = _round9(base + damping * (inc + dangling), ndigits)
+            return {"r": r, "c": _share(r, s["deg"])}
 
-
-def _pagerank_distributed(edges: ray.data.Dataset, src: str, dst: str,
-                          iters: int, damping: float,
-                          ndigits: int) -> ray.data.Dataset:
-    """Plan B: the rank vector never materializes on the driver —
-    per-round hash joins move ranks along edges (:func:`_flow_sum`);
-    only the dangling scalar and the node count reach the driver."""
-    from kgeng.ops.join import hash_join
-
-    # project + materialize ONCE: the loop's flow join would otherwise
-    # re-execute the whole upstream edge plan every iteration
-    eproj = edges.map_batches(
-        lambda t: pa.table({"node": pc.cast(t[src], pa.int64()),
-                            "other": pc.cast(t[dst], pa.int64())}),
-        batch_format="pyarrow").materialize()
-
-    nodes = _nodes_dataset(eproj, "node", "other")
-    n = nodes.count()
-    deg = eproj.groupby("node").count().map_batches(
-        lambda t: pa.table({"node": t["node"],
-                            "deg": pc.cast(t["count()"], pa.float64())}),
-        batch_format="pyarrow").materialize()
-
-    base = (1.0 - damping) / n
-    r0 = round(1.0 / n, ndigits)
-    ranks = nodes.map_batches(
-        lambda t: t.append_column("r", pa.array(
-            np.full(len(t), r0))), batch_format="pyarrow").materialize()
-
-    for _ in range(iters):
-        rd = hash_join(ranks, deg, key="node", how="left")
-
-        def contrib_row(df: pd.DataFrame) -> pd.DataFrame:
-            # hash_join emits the full stable column set per bucket;
-            # unmatched left rows carry NaN deg (isfinite handles it)
-            d = df["deg"].to_numpy()
-            has = np.isfinite(d) & (d > 0)
-            r = df["r"].to_numpy()
-            return pd.DataFrame({
-                "node": df["node"],
-                "v": np.where(has, r / np.where(has, d, 1.0), 0.0),
-                "dang": np.where(has, 0.0, r)})
-
-        rc = mat(rd.map_batches(contrib_row, batch_format="pandas"))
-        dangling = rc.sum("dang") / n
-
-        def finish(t: pa.Table) -> pa.Table:
-            inc = t["v"].to_numpy(zero_copy_only=False)
-            return pa.table({"node": t["node"], "r": pa.array(_round9(
-                base + damping * (inc + dangling), ndigits))})
-
-        # cap block growth (iterative loops otherwise double per round)
-        ranks = mat(_flow_sum(eproj, rc.select_columns(["node", "v"]),
-                              nodes)
-                    .map_batches(finish, batch_format="pyarrow")
-                    .repartition(8))
-
-    return ranks.map_batches(
-        lambda t: pa.table({"node": pc.cast(t["node"], pa.int64()),
-                            "rank": t["r"]}), batch_format="pyarrow")
+        s = g.round(s, lambda s, i, e: (None, s["c"][i]), "sum", apply)
+    return g.table(s, lambda s: {"node": s["node"], "rank": s["r"]})
 
 
 def sssp_hops(edges: ray.data.Dataset, source: int, src: str = "src",
@@ -412,73 +635,48 @@ def sssp_hops(edges: ray.data.Dataset, source: int, src: str = "src",
     server-side there. Returns Dataset(node, dist) for REACHED nodes
     only (matches the recursive-CTE oracle's reachability semantics).
 
-    Plan A shape (like :func:`pagerank`): the distance vector is
-    driver-held (nodes, distances and two frontier masks, 24 bytes per
-    node); each BFS layer is one round over indexed edge blocks (see
-    :class:`_IndexedEdges`) — per-block vectorized frontier-membership
-    filter emitting that block's distinct successors — until the
-    frontier empties (exact BFS, no iteration cap). Integer distances:
-    the oracle is exact. Past ``_DRIVER_STATE_BYTES`` it runs plan B:
-    unit-weight Bellman-Ford dataset rounds
-    (:func:`_bellman_ford_distributed`, run to its fixpoint) — BFS IS
-    Bellman-Ford with w=1, and integer mins are order-invariant, so the
-    plans agree bit-for-bit."""
+    One round per BFS layer: the nodes of the last layer send along
+    their out-edges and every unreached receiver joins the next layer,
+    until a layer is empty (exact BFS, no iteration cap; 24 bytes per
+    node on plan A). Integer distances: the oracle is exact."""
     edges = _bounded_blocks(edges)
-    idx = _IndexedEdges(edges, src, dst, node_bytes=24)
-    if not idx.fits:
-        return _sssp_hops_distributed(edges, source, src, dst)
-    nodes, n = idx.nodes, idx.n
-
-    si0 = int(np.searchsorted(nodes, source))
-    if si0 >= n or nodes[si0] != source:
+    g = _rounds(edges, src, dst, node_bytes=24)
+    s = g.state(lambda node: {"dist": np.where(node == source, 0, -1)})
+    if not g.sum(s, lambda s: s["dist"] == 0):
         # isolated source: the seeded-CTE oracle semantics — one row
         # (source, 0) — not an error (matches the pre-round-4 contract)
         return ray.data.from_arrow(pa.table({
             "node": pa.array([source], pa.int64()),
             "dist": pa.array([0], pa.int64())}))
-    dist = np.full(n, -1, np.int64)
-    dist[si0] = 0
-    frontier = np.zeros(n, bool)
-    frontier[si0] = True
     d = 0
-    while frontier.any():
+    while True:
         d += 1
-        nxt = np.zeros(n, bool)
-        for part in idx.map(_succ_block, frontier):
-            nxt[part] = True
-        frontier = nxt & (dist < 0)
-        dist[frontier] = d
 
-    reached = dist >= 0
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array(nodes[reached]),
-        "dist": pa.array(dist[reached])}))
+        def layer(s, hit, _, d=d):
+            return {"dist": np.where((hit > 0) & (s["dist"] < 0), d,
+                                     s["dist"])}
+
+        s = g.round(s, lambda s, i, e, d=d: (s["dist"][i] == d - 1,
+                                             np.ones(len(i))),
+                    "sum", layer)
+        if not g.sum(s, lambda s, d=d: s["dist"] == d):
+            break
+    return g.table(s, _reached(-1))
 
 
-def _sssp_hops_distributed(edges: ray.data.Dataset, source: int,
-                           src: str, dst: str) -> ray.data.Dataset:
-    """Plan B BFS: unit-weight Bellman-Ford Dataset rounds run to the
-    fixpoint (:func:`_bellman_ford_distributed` early-exits when no
-    distance moves) — BFS IS Bellman-Ford with w=1, and integer mins
-    are order-invariant, so this matches plan A bit-for-bit. The
-    distance frontier lives as a Dataset; node-count unbounded."""
-    unit = edges.map_batches(
-        lambda t: pa.table({
-            "s": pc.cast(t[src], pa.int64()),
-            "d": pc.cast(t[dst], pa.int64()),
-            "w": pa.array(np.ones(len(t), np.int64))}),
-        batch_format="pyarrow")
-    try:
-        # rounds bound = fixpoint-only in practice: BFS depth <= n, and
-        # the early-exit fires the round after the last frontier moves
-        return _bellman_ford_distributed(unit, source, 1 << 40,
-                                         "s", "d", "w")
-    except ValueError:
-        # isolated source: plan A's seeded-CTE contract — one (source,
-        # 0) row, not an error
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([source], pa.int64()),
-            "dist": pa.array([0], pa.int64())}))
+def _moved(s):
+    """The flag a round sets on each node it changed; its sum is the
+    convergence test."""
+    return s["moved"]
+
+
+def _reached(unreached):
+    """Output columns (node, dist) of the nodes whose distance is not
+    ``unreached``."""
+    def fn(s):
+        ok = s["dist"] != unreached
+        return {"node": s["node"][ok], "dist": s["dist"][ok]}
+    return fn
 
 
 def hits(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
@@ -488,151 +686,34 @@ def hits(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     auth(v) = sum of hub(u) over in-edges, hub(u) = sum of auth(v) over
     out-edges, each L2-normalized and rounded per round (IEEE sqrt is
     correctly rounded, so per-round rounding again pins the result
-    across summation orders). Same plan-A shape as :func:`pagerank`:
-    driver-held node vectors (~5 n-float64, 40 bytes per node),
-    per-block edge scans with a dense driver reduce
-    (:class:`_IndexedEdges`). Past ``_DRIVER_STATE_BYTES`` it runs plan
-    B (:func:`_hits_distributed`), where the hub/auth vectors live as
-    Datasets and only two scalars (node count, norm) reach the
-    driver."""
-    # sweeps over indexed blocks (_IndexedEdges): per half-round cost
-    # is the per-block kernels + the n-bounded reduce, not a full
-    # streaming-executor startup
+    across summation orders). Each half-round is one summing round and
+    one scalar sum (the norm); 40 bytes per node on plan A."""
     edges = _bounded_blocks(edges)
-    idx = _IndexedEdges(edges, src, dst, node_bytes=40)
-    if not idx.fits:
-        return _hits_distributed(edges, src, dst, iters, ndigits)
-    nodes, n = idx.nodes, idx.n
+    g = _rounds(edges, src, dst, node_bytes=40)
 
-    def norm(x: np.ndarray) -> np.ndarray:
-        s = np.sqrt(float((x * x).sum()))
+    def norm(x: np.ndarray, s: float) -> np.ndarray:
         return _round9(x / s, ndigits) if s > 0 else x
 
-    hub = norm(np.ones(n))
-    auth = np.zeros(n)
+    n = g.n
+    s = g.state(lambda node: {
+        "hub": norm(np.ones(len(node)), np.sqrt(float(n))),
+        "auth": np.zeros(len(node))})
     for _ in range(iters):
-        auth = norm(idx.sweep(hub, "fwd"))
-        hub = norm(idx.sweep(auth, "rev"))
-
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array(nodes), "hub": pa.array(hub),
-        "auth": pa.array(auth)}))
-
-
-def _nodes_dataset(proj: ray.data.Dataset, a: str,
-                   b: str) -> ray.data.Dataset:
-    """Distinct endpoint ids of a projected edge Dataset, as a
-    materialized single-column (node) Dataset."""
-    def pick(t: pa.Table) -> pa.Table:
-        # the groupby can emit zero-column empty partitions
-        if "node" not in t.column_names:
-            return pa.table({"node": pa.array([], pa.int64())})
-        return pa.table({"node": pc.cast(t["node"], pa.int64())})
-
-    return proj.map_batches(
-        lambda t: _node_ids(t, a, b), batch_format="pyarrow") \
-        .groupby("node").count() \
-        .map_batches(pick, batch_format="pyarrow").materialize()
-
-
-def _flow_sum(proj: ray.data.Dataset, vec: ray.data.Dataset,
-              nodes: ray.data.Dataset) -> ray.data.Dataset:
-    """Distributed sparse mat-vec: ``out[other] = sum of vec.v over proj
-    rows keyed by node`` — the shared plan-B sweep of HITS and
-    PageRank. ``proj`` is Dataset(node, other); ``vec`` is
-    Dataset(node, v). Returns Dataset(node, v) covering EVERY node
-    (absent inflow = 0.0)."""
-    from kgeng.ops.join import hash_join
-
-    flow = hash_join(proj, vec, key="node", how="inner")
-    # explicit casts: empty-bucket merges upcast ints to double in some
-    # blocks, and a double key buckets differently from int64 node ids
-    summed = flow.map_batches(
-        lambda t: pa.table({"node": pc.cast(t["other"], pa.int64()),
-                            "val": pc.cast(t["v"], pa.float64())}),
-        batch_format="pyarrow").groupby("node").sum("val")
-
-    def cast_in(t: pa.Table) -> pa.Table:
-        if t.num_columns < 2:  # zero-column empty partition post-groupby
-            return pa.table({"node": pa.array([], pa.int64()),
-                             "val": pa.array([], pa.float64())})
-        return pa.table({
-            "node": pc.cast(t[t.column_names[0]], pa.int64()),
-            "val": pc.cast(t[t.column_names[1]], pa.float64())})
-
-    joined = hash_join(nodes, summed.map_batches(
-        cast_in, batch_format="pyarrow"), key="node", how="left",
-        right_cols=["node", "val"])
-    return joined.map_batches(
-        lambda t: pa.table({
-            "node": pc.cast(t["node"], pa.int64()),
-            "v": pc.fill_null(pc.cast(t["val"], pa.float64()), 0.0)}),
-        batch_format="pyarrow")
-
-
-def _hits_distributed(edges: ray.data.Dataset, src: str, dst: str,
-                      iters: int, ndigits: int) -> ray.data.Dataset:
-    """Plan B HITS: hub/auth vectors never materialize on the driver.
-    Each half-round is one distributed flow join + groupby sum
-    (:func:`_flow_sum`); only the node count and the L2 norm (a
-    driver-side scalar reduce, rounded through the same per-round
-    policy as plan A) leave the cluster. Node-count unbounded."""
-    fwd = edges.map_batches(
-        lambda t: pa.table({"node": pc.cast(t[src], pa.int64()),
-                            "other": pc.cast(t[dst], pa.int64())}),
-        batch_format="pyarrow").materialize()
-    rev = fwd.map_batches(
-        lambda t: pa.table({"node": t["other"], "other": t["node"]}),
-        batch_format="pyarrow").materialize()
-    nodes = _nodes_dataset(fwd, "node", "other")
-    n = nodes.count()
-
-    def normalize(vec: ray.data.Dataset) -> ray.data.Dataset:
-        s2 = vec.map_batches(
-            lambda t: pa.table({"v2": pc.multiply(t["v"], t["v"])}),
-            batch_format="pyarrow").sum("v2")
-        s = float(np.sqrt(s2)) if s2 and s2 > 0 else 1.0
-
-        def fin(t: pa.Table) -> pa.Table:
-            v = _round9(t["v"].to_numpy(zero_copy_only=False) / s,
-                        ndigits)
-            return pa.table({"node": t["node"], "v": pa.array(v)})
-
-        # repartition: iterative flows otherwise double block count
-        return mat(vec.map_batches(fin, batch_format="pyarrow")
-                   .repartition(8))
-
-    h0 = _round9(np.array([1.0 / np.sqrt(n)]), ndigits)[0]
-    hub = nodes.map_batches(
-        lambda t: t.append_column("v", pa.array(
-            np.full(len(t), h0))), batch_format="pyarrow").materialize()
-    # auth starts all-zero (matches plan A's iters=0 output)
-    auth = nodes.map_batches(
-        lambda t: t.append_column("v", pa.array(
-            np.zeros(len(t)))), batch_format="pyarrow").materialize()
-    for _ in range(iters):
-        auth = normalize(_flow_sum(fwd, hub, nodes))
-        hub = normalize(_flow_sum(rev, auth, nodes))
-
-    from kgeng.ops.join import hash_join
-    out = hash_join(
-        hub.map_batches(lambda t: pa.table(
-            {"node": t["node"], "hub": t["v"]}), batch_format="pyarrow"),
-        auth.map_batches(lambda t: pa.table(
-            {"node": t["node"], "auth": t["v"]}), batch_format="pyarrow"),
-        key="node", how="inner")
-    return out.map_batches(
-        lambda t: pa.table({"node": pc.cast(t["node"], pa.int64()),
-                            "hub": pc.cast(t["hub"], pa.float64()),
-                            "auth": pc.cast(t["auth"], pa.float64())}),
-        batch_format="pyarrow")
+        s = g.round(s, lambda s, i, e: (None, s["hub"][i]), "sum",
+                    lambda s, a, _: {"auth": a})
+        a = np.sqrt(g.sum(s, lambda s: s["auth"] * s["auth"]))
+        s = g.update(s, lambda s, a=a: {"auth": norm(s["auth"], a)})
+        s = g.round(s, lambda s, i, e: (None, s["auth"][i]), "sum",
+                    lambda s, h, _: {"hub": h}, reverse=True)
+        h = np.sqrt(g.sum(s, lambda s: s["hub"] * s["hub"]))
+        s = g.update(s, lambda s, h=h: {"hub": norm(s["hub"], h)})
+    return g.table(s, lambda s: {"node": s["node"], "hub": s["hub"],
+                                 "auth": s["auth"]})
 
 
 def _hll_init_regs(nodes: np.ndarray, p: int) -> np.ndarray:
     """Initial HyperBall register matrix: each node's ball contains
-    itself — one splitmix64 hash per node sets a single register.
-    Shared by both effective_closeness plans (identical hashes ->
-    identical sketches -> bit-identical estimates)."""
+    itself — one splitmix64 hash per node sets a single register."""
     from kgeng.ops.agg import _splitmix64
 
     n, m = len(nodes), 1 << p
@@ -651,8 +732,8 @@ def _hll_init_regs(nodes: np.ndarray, p: int) -> np.ndarray:
 def _hll_estimate(r: np.ndarray, m: int) -> np.ndarray:
     """HyperLogLog cardinality estimate per row of a (k, m) uint8
     register matrix, with the standard small-range linear-counting
-    correction — pure float64 numpy, so both plans agree bit-for-bit
-    on identical registers."""
+    correction — pure float64 numpy, so every backend agrees
+    bit-for-bit on identical registers."""
     alpha = (0.673 if m == 16 else 0.697 if m == 32 else
              0.709 if m == 64 else 0.7213 / (1.0 + 1.079 / m))
     est = alpha * m * m / np.power(2.0, -r.astype(np.float64)).sum(axis=1)
@@ -676,237 +757,48 @@ def effective_closeness(edges: ray.data.Dataset, src: str = "src",
     deltas estimate the distance distribution. closeness(v) =
     (reached-1) / sum_d d*(newly reached at d), 0 for isolated nodes.
 
-    Plan A (:class:`_IndexedEdges`): each edge block covers a disjoint
-    source range — one in-process block at or below ``_LOCAL_EDGES``
-    edges, src-sorted raw-task blocks above — and emits exactly its own
-    nodes' candidate registers (N x 2^p bytes total per round, not per
-    block); they merge into the driver's register matrix. The driver
-    holds two n x 2^p byte matrices (current and next round), so the
-    width ``p`` enters the plan rule: past ``_DRIVER_STATE_BYTES`` it
-    runs plan B (:func:`_effective_closeness_distributed`), where
-    registers live as a binary column on a Dataset and each round is
-    one candidate shuffle + one bucketed segment-max merge. Rounds stop
-    when no register moves. Both plans share ``_hll_init_regs`` /
-    ``_hll_estimate`` and elementwise register max is order-invariant,
-    so they agree bit-for-bit.
-    """
+    A round sends each node's registers against its in-edges (a
+    reverse round) and takes the elementwise max per receiver; rounds
+    stop when no register moves. Plan A holds three n x 2^p byte
+    matrices (registers, the round's merged candidates and the next
+    registers), so the width ``p`` enters the plan rule; on raw tasks
+    the edge blocks are sorted by source, so each block's candidates
+    cover a disjoint range of receivers (N x 2^p bytes per round in
+    total, not per block). On plan B the registers are a
+    fixed_size_binary column."""
     m = 1 << p
-    # raw tasks need src-sorted blocks (disjoint source ranges per
-    # block) to keep each round's per-block output N-bounded in total;
-    # the one in-process block has that already
     by_src = edges.materialize()
     if by_src.count() > _LOCAL_EDGES:
         by_src = by_src.sort(src).materialize()
-    idx = _IndexedEdges(by_src, src, dst, node_bytes=2 * m)
-    if not idx.fits:
-        return _effective_closeness_distributed(
-            by_src, src, dst, p, max_rounds, ndigits)
-    nodes, n = idx.nodes, idx.n
+    g = _rounds(by_src, src, dst, node_bytes=3 * m)
 
-    # init: each node's ball contains itself (shared with plan B)
-    regs = _hll_init_regs(nodes, p)
+    def init(node):
+        regs = _hll_init_regs(node, p)
+        return {"regs": regs, "est": _hll_estimate(regs, m),
+                "sd": np.zeros(len(node))}
 
-    prev_est = _hll_estimate(regs, m)
-    sum_dist = np.zeros(n, np.float64)
-    # HyperBall rounds over the indexed blocks: each block emits only
-    # its own disjoint source range's registers — N x 2^p bytes total
-    # per round
+    s = g.state(init)
     for d in range(1, max_rounds + 1):
-        new_regs = regs.copy()
-        for uniq, mx in idx.map(_ball_block, regs):
-            new_regs[uniq] = np.maximum(new_regs[uniq], mx)
-        if np.array_equal(new_regs, regs):
-            break
-        regs = new_regs
-        est = _hll_estimate(regs, m)
-        sum_dist += d * np.maximum(est - prev_est, 0.0)
-        prev_est = est
+        def union(s, cand, has, d=d):
+            regs = np.where(has[:, None], np.maximum(s["regs"], cand),
+                            s["regs"])
+            est = _hll_estimate(regs, m)
+            return {"regs": regs, "est": est,
+                    "sd": s["sd"] + d * np.maximum(est - s["est"], 0.0),
+                    "moved": (regs != s["regs"]).any(axis=1)}
 
-    reached = np.maximum(prev_est - 1.0, 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        clos = np.where(sum_dist > 0, reached / sum_dist, 0.0)
-    clos = _round9(clos, ndigits)
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array(nodes), "closeness": pa.array(clos)}))
-
-
-def _pack_regs(regs: np.ndarray) -> pa.Array:
-    """(k, m) uint8 register matrix -> fixed_size_binary(m) Arrow
-    array, one zero-copy buffer (no per-row bytes objects)."""
-    k, m = regs.shape
-    buf = pa.py_buffer(np.ascontiguousarray(regs).tobytes())
-    return pa.FixedSizeBinaryArray.from_buffers(
-        pa.binary(m), k, [None, buf])
-
-
-def _unpack_regs(col, m: int) -> np.ndarray:
-    """fixed_size_binary(m) column -> (k, m) uint8 matrix. Only called
-    on all-valid slices; honors the array offset after filters."""
-    a = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    data = np.frombuffer(a.buffers()[1], np.uint8)
-    off = a.offset * m
-    return data[off:off + len(a) * m].reshape(len(a), m)
-
-
-def _effective_closeness_distributed(
-        edges: ray.data.Dataset, src: str, dst: str, p: int,
-        max_rounds: int, ndigits: int) -> ray.data.Dataset:
-    """Plan B HyperBall closeness: the register matrix never touches
-    the driver. State is Dataset(node, regs fixed_size_binary(2^p),
-    est, sum_dist); each round is two bucketed shuffles — (1) state
-    registers co-locate with the edges keyed by destination and emit
-    one candidate register per edge source, (2) candidates co-locate
-    with the standing state and merge by segmented elementwise max
-    (order-invariant, so results are bit-identical to plan A's
-    driver merge; both plans share ``_hll_init_regs`` /
-    ``_hll_estimate``). Only the per-round changed-node COUNT (a
-    scalar sum over the materialized state) reaches the driver.
-    Node-count unbounded; memory per task is one bucket's slice."""
-    from kgeng.ops.agg import _splitmix64
-
-    m = 1 << p
-    B = _ROUND_BUCKETS
-    empty = pa.table({
-        "bucket": pa.array([], pa.int64()),
-        "is_state": pa.array([], pa.int8()),
-        "node": pa.array([], pa.int64()),
-        "peer": pa.array([], pa.int64()),
-        "regs": pa.array([], pa.binary(m)),
-        "est": pa.array([], pa.float64()),
-        "sum_dist": pa.array([], pa.float64()),
-        "changed": pa.array([], pa.int64())})
-
-    def bkt(ids: np.ndarray) -> pa.Array:
-        return pa.array((_splitmix64(ids.astype(np.uint64))
-                         % np.uint64(B)).astype(np.int64))
-
-    def rows(bucket, is_state, node, peer, regs, est, sum_dist,
-             changed) -> pa.Table:
-        n = len(node)
-        return pa.table({
-            "bucket": bucket,
-            "is_state": pa.array(np.full(n, is_state, np.int8)),
-            "node": pa.array(node),
-            "peer": (pa.array(peer) if peer is not None
-                     else pa.array(np.zeros(n, np.int64))),
-            "regs": regs if regs is not None else pa.nulls(
-                n, pa.binary(m)),
-            "est": (pa.array(est) if est is not None
-                    else pa.array(np.zeros(n))),
-            "sum_dist": (pa.array(sum_dist) if sum_dist is not None
-                         else pa.array(np.zeros(n))),
-            "changed": (pa.array(changed) if changed is not None
-                        else pa.array(np.zeros(n, np.int64)))})
-
-    # edges as stage-1 rows, bucketed by DESTINATION (the register
-    # provider): materialized once, re-shuffled per round (same shape
-    # as the sibling plan Bs' per-round edge joins)
-    def eproj(t: pa.Table) -> pa.Table:
-        u = pc.cast(t[src], pa.int64()).to_numpy(zero_copy_only=False)
-        v = pc.cast(t[dst], pa.int64()).to_numpy(zero_copy_only=False)
-        return rows(bkt(v), 0, v, u, None, None, None, None)
-
-    erows = edges.map_batches(eproj, batch_format="pyarrow") \
-        .materialize()
-
-    nodes = _nodes_dataset(
-        erows.map_batches(lambda t: pa.table(
-            {"a": t["node"], "b": t["peer"]}), batch_format="pyarrow"),
-        "a", "b")
-    if nodes.count() == 0:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.int64()),
-            "closeness": pa.array([], pa.float64())}))
-
-    def init(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t["node"], pa.int64()) \
-            .to_numpy(zero_copy_only=False)
-        regs = _hll_init_regs(ids, p)
-        return rows(bkt(ids), 1, ids, None, _pack_regs(regs),
-                    _hll_estimate(regs, m), None, None)
-
-    state = nodes.map_batches(init, batch_format="pyarrow") \
-        .materialize()
-
-    def provide(t: pa.Table) -> pa.Table:
-        """Stage 1 group (one v-bucket): emit each edge's destination
-        registers re-addressed to its source node."""
-        sm = pc.equal(t["is_state"], 1)
-        st = t.filter(sm)
-        ed = t.filter(pc.invert(sm))
-        if len(ed) == 0 or len(st) == 0:
-            return empty
-        v_nodes = st["node"].to_numpy(zero_copy_only=False)
-        order = np.argsort(v_nodes, kind="stable")
-        v_sorted = v_nodes[order]
-        regs = _unpack_regs(st["regs"], m)[order]
-        ev = ed["node"].to_numpy(zero_copy_only=False)
-        eu = ed["peer"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(v_sorted, ev)
-        # every destination is an endpoint, hence present in state
-        cand = regs[pos]
-        return rows(bkt(eu), 0, eu, None, _pack_regs(cand),
-                    None, None, None)
-
-    def merge(d: int):
-        def _merge(t: pa.Table, _d=d) -> pa.Table:
-            """Stage 2 group (one node-bucket): segmented elementwise
-            max of self + candidate registers, then the HyperBall
-            distance-sum update for round _d."""
-            sm = pc.equal(t["is_state"], 1)
-            st = t.filter(sm)
-            if len(st) == 0:
-                return empty
-            ca = t.filter(pc.invert(sm))
-            s_nodes = st["node"].to_numpy(zero_copy_only=False)
-            order = np.argsort(s_nodes, kind="stable")
-            s_sorted = s_nodes[order]
-            s_regs = _unpack_regs(st["regs"], m)[order]
-            est = st["est"].to_numpy(zero_copy_only=False)[order]
-            sd = st["sum_dist"].to_numpy(zero_copy_only=False)[order]
-            k = len(s_sorted)
-            if len(ca):
-                c_regs = _unpack_regs(ca["regs"], m)
-                pos = np.searchsorted(
-                    s_sorted,
-                    ca["node"].to_numpy(zero_copy_only=False))
-                all_pos = np.concatenate([np.arange(k), pos])
-                all_regs = np.vstack([s_regs, c_regs])
-                o2 = np.argsort(all_pos, kind="stable")
-                ap = all_pos[o2]
-                starts = np.flatnonzero(
-                    np.r_[True, ap[1:] != ap[:-1]])
-                new = np.maximum.reduceat(all_regs[o2], starts, axis=0)
-            else:
-                new = s_regs
-            chg = (new != s_regs).any(axis=1)
-            est_new = _hll_estimate(new, m)
-            sd = sd + _d * np.maximum(est_new - est, 0.0)
-            return rows(bkt(s_sorted), 1, s_sorted, None,
-                        _pack_regs(new), est_new, sd,
-                        chg.astype(np.int64))
-        return _merge
-
-    for d in range(1, max_rounds + 1):
-        cand = erows.union(state).groupby("bucket").map_groups(
-            provide, batch_format="pyarrow")
-        state = mat(cand.union(state).groupby("bucket").map_groups(
-            merge(d), batch_format="pyarrow")
-            .repartition(B))
-        if not state.sum("changed"):
+        s = g.round(s, lambda s, i, e: (None, s["regs"][i]), "max", union,
+                    reverse=True)
+        if not g.sum(s, _moved):
             break
 
-    def fin(t: pa.Table) -> pa.Table:
-        est = t["est"].to_numpy(zero_copy_only=False)
-        sd = t["sum_dist"].to_numpy(zero_copy_only=False)
-        reached = np.maximum(est - 1.0, 0.0)
+    def closeness(s):
+        reached = np.maximum(s["est"] - 1.0, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            clos = np.where(sd > 0, reached / sd, 0.0)
-        return pa.table({
-            "node": pc.cast(t["node"], pa.int64()),
-            "closeness": pa.array(_round9(clos, ndigits))})
+            clos = np.where(s["sd"] > 0, reached / s["sd"], 0.0)
+        return {"node": s["node"], "closeness": _round9(clos, ndigits)}
 
-    return state.map_batches(fin, batch_format="pyarrow")
+    return g.table(s, closeness)
 
 
 def bellman_ford_rounds(edges: ray.data.Dataset, source: int,
@@ -920,100 +812,55 @@ def bellman_ford_rounds(edges: ray.data.Dataset, source: int,
     tuning knob. Returns (node, dist) for nodes reached within
     ``rounds`` hops-by-relaxation.
 
-    Plan A shape: driver distance vector (nodes, distances, next round
-    and one partial: 32 bytes per node), edge blocks relax
-    (:class:`_IndexedEdges`) and emit dense per-block min-vectors
-    (int64, sentinel INF), driver takes the elementwise min of them.
-    Past ``_DRIVER_STATE_BYTES`` it runs plan B
-    (:func:`_bellman_ford_distributed`): the distance frontier lives as
-    a Dataset and each round is one flow join + a union/min groupby —
-    identical results (integer min is order-invariant, so the two plans
-    agree bit-for-bit)."""
+    A round sends dist + w along the out-edges of reached nodes and
+    takes the min per receiver (int64, integer min is order-invariant);
+    it stops early when no distance moves. 32 bytes per node on
+    plan A."""
     INF = np.int64(2**62)
 
     edges = _bounded_blocks(edges)
-    idx = _IndexedEdges(edges, src, dst, weight=weight, node_bytes=32)
-    if not idx.fits:
-        return _bellman_ford_distributed(edges, source, rounds, src,
-                                         dst, weight)
-    nodes, n = idx.nodes, idx.n
-    si0 = int(np.searchsorted(nodes, source))
-    if si0 >= n or nodes[si0] != source:
+    g = _rounds(edges, src, dst, weight=weight, node_bytes=32)
+    s = g.state(lambda node: {"dist": np.where(node == source, 0, INF)})
+    if not g.sum(s, lambda s: s["dist"] == 0):
         raise ValueError(f"source {source} has no edges in the graph")
-    dist = np.full(n, INF, np.int64)
-    dist[si0] = 0
+
+    def relax(s, i, e):
+        d = s["dist"][i]
+        return d < INF, d + e["w"]
+
+    def apply(s, cand, has):
+        new = np.where(has, np.minimum(s["dist"], cand), s["dist"])
+        return {"dist": new, "moved": new != s["dist"]}
+
     for _ in range(rounds):
-        new = dist.copy()
-        for part in idx.map(_relax_block, dist, int(INF)):
-            np.minimum(new, part, out=new)
-        if np.array_equal(new, dist):
+        s = g.round(s, relax, "min", apply)
+        if not g.sum(s, _moved):
             break
-        dist = new
-
-    reached = dist < INF
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array(nodes[reached]),
-        "dist": pa.array(dist[reached])}))
+    return g.table(s, _reached(INF))
 
 
-def _bellman_ford_distributed(edges: ray.data.Dataset, source: int,
-                              rounds: int, src: str, dst: str,
-                              weight: str) -> ray.data.Dataset:
-    """Plan B weighted SSSP: distances are a Dataset(node, dist), never
-    a driver vector. Per round: flow-join the current distances onto
-    the edges at their source (one hash-partitioned join), emit
-    candidate dist+w per destination, then union with the standing
-    distances and take the per-node min (one groupby). Integer mins are
-    associative and order-invariant, so this matches plan A exactly.
-    Early exit when a round's count and sum both stand still (sum can
-    only decrease; together with the monotone non-decreasing count a
-    joint fixpoint means no distance moved)."""
+def _ren(ds: ray.data.Dataset, mapping: dict[str, str],
+         keep: list[str]) -> ray.data.Dataset:
+    """Project+rename helper for the int64 joins of this module: emits
+    ``keep`` output columns, each sourced from
+    ``mapping.get(name, name)``."""
+    def f(t: pa.Table) -> pa.Table:
+        return pa.table({k: pc.cast(t[mapping.get(k, k)], pa.int64())
+                         for k in keep})
+    return ds.map_batches(f, batch_format="pyarrow")
+
+
+def _ijoin(left, right, key, how, left_cols, right_cols, **kw):
+    """hash_join of all-int64 inputs with explicit column NAMES and
+    DTYPES, so hash_join never schema-fetches a lazy input (on a plan
+    with a sort/aggregate barrier that fetch EXECUTES the whole join
+    chain once per call, and cancels the rest of that execution)."""
     from kgeng.ops.join import hash_join
-
-    eproj = edges.map_batches(
-        lambda t: pa.table({"node": pc.cast(t[src], pa.int64()),
-                            "other": pc.cast(t[dst], pa.int64()),
-                            "w": pc.cast(t[weight], pa.int64())}),
-        batch_format="pyarrow").materialize()
-
-    # same contract as plan A: an absent source is an error, not a
-    # phantom (source, 0) row — one streaming membership pass
-    hits_src = eproj.map_batches(
-        lambda t: pa.table({"h": pa.array([int(
-            pc.sum(pc.cast(pc.or_(pc.equal(t["node"], source),
-                                  pc.equal(t["other"], source)),
-                           pa.int64())).as_py() or 0)])}),
-        batch_format="pyarrow").sum("h")
-    if not hits_src:
-        raise ValueError(f"source {source} has no edges in the graph")
-
-    dist = ray.data.from_arrow(pa.table({
-        "node": pa.array([source], pa.int64()),
-        "dist": pa.array([0], pa.int64())}))
-    prev = (1, 0)
-    for _ in range(rounds):
-        flow = hash_join(eproj, dist, key="node", how="inner")
-        cand = flow.map_batches(
-            lambda t: pa.table({
-                "node": pc.cast(t["other"], pa.int64()),
-                "dist": pc.add(pc.cast(t["dist"], pa.int64()),
-                               pc.cast(t["w"], pa.int64()))}),
-            batch_format="pyarrow")
-        dist = mat(dist.union(cand).groupby("node").min("dist")
-            .map_batches(
-                lambda t: pa.table({
-                    "node": pc.cast(t[t.column_names[0]], pa.int64()),
-                    "dist": pc.cast(t[t.column_names[1]], pa.int64())})
-                if t.num_columns >= 2 else
-                pa.table({"node": pa.array([], pa.int64()),
-                          "dist": pa.array([], pa.int64())}),
-                batch_format="pyarrow")
-            .repartition(8))
-        cur = (dist.count(), int(dist.sum("dist") or 0))
-        if cur == prev:
-            break
-        prev = cur
-    return dist
+    return hash_join(left, right, key=key, how=how,
+                     left_cols=list(left_cols),
+                     right_cols=list(right_cols),
+                     left_types={c: "int64" for c in left_cols},
+                     right_types={c: "int64" for c in right_cols}, **kw)
 
 
 def line_graph(edges: ray.data.Dataset, src: str = "src",
@@ -1032,8 +879,6 @@ def line_graph(edges: ray.data.Dataset, src: str = "src",
     Size note (100 TB): |line edges| = sum over nodes of in*out degree —
     hot-hub graphs explode quadratically; pre-filter or cap hub degrees
     upstream when materializing line graphs of power-law inputs."""
-    from kgeng.ops.join import hash_join
-
     def proj(which: str):
         def f(t: pa.Table) -> pa.Table:
             s = t[src].to_numpy(zero_copy_only=False)
@@ -1051,8 +896,10 @@ def line_graph(edges: ray.data.Dataset, src: str = "src",
 
     left = edges.map_batches(proj("l"), batch_format="pyarrow")
     right = edges.map_batches(proj("r"), batch_format="pyarrow")
-    joined = hash_join(left, right, key="k", num_buckets=_ROUND_BUCKETS,
-                       how="inner")
+    joined = _ijoin(left, right, key="k", how="inner",
+                    left_cols=["k", "a_hi", "a_lo"],
+                    right_cols=["k", "b_hi", "b_lo"],
+                    num_buckets=_ROUND_BUCKETS)
 
     def pack(t: pa.Table) -> pa.Table:
         def p(hi, lo):
@@ -1079,36 +926,9 @@ def linerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
                     damping=damping, ndigits=ndigits)
 
 
-@_kernel
-def _minlab_block(idx, lab: np.ndarray, active: np.ndarray):
-    """Forward min-label candidates over one block, restricted to
-    edges whose BOTH endpoints are active (unassigned)."""
-    si, di, _ = idx
-    ok = active[si] & active[di]
-    cand = np.full(len(lab), np.int64(1 << 62), np.int64)
-    np.minimum.at(cand, di[ok], lab[si[ok]])
-    return cand
-
-
-@_kernel
-def _backreach_block(idx, lab: np.ndarray, reach: np.ndarray,
-                     active: np.ndarray):
-    """Backward-reachability candidates: v reaches the root if some
-    edge v->u has lab(v) == lab(u), u already reaching, both active."""
-    si, di, _ = idx
-    ok = active[si] & active[di] & (lab[si] == lab[di]) & reach[di]
-    return np.unique(si[ok])
-
-
-@_kernel
-def _active_deg_block(idx, active: np.ndarray):
-    """(in-degree, out-degree) partials over edges with BOTH endpoints
-    active — feeds the trivial-SCC trim."""
-    si, di, _ = idx
-    ok = active[si] & active[di]
-    n = len(active)
-    return (np.bincount(di[ok], minlength=n),
-            np.bincount(si[ok], minlength=n))
+def _from_active(s, i, e):
+    """Send 1.0 along every edge of an active sender."""
+    return s["active"][i], np.ones(len(i))
 
 
 def scc(edges: ray.data.Dataset, src: str = "src",
@@ -1122,395 +942,92 @@ def scc(edges: ray.data.Dataset, src: str = "src",
     subgraph (coloring), (2) from each color's root (the node owning
     the min id), walk BACKWARD within its color; nodes that both carry
     the color and reach its root form one SCC — assign and remove.
-    Every phase is a round over the indexed edge blocks
-    (:class:`_IndexedEdges`; plan-A shape: driver label/frontier
-    vectors, ~8 n-vectors, 64 bytes per node). Returns
-    Dataset(node, scc_id) where scc_id = min node id in the component
-    (so the result is partition- and order-invariant by construction).
-
-    Past ``_DRIVER_STATE_BYTES`` it runs plan B
-    (:func:`_scc_distributed`) — the same trim / min-label /
-    backward-reach phases as Dataset join rounds. Every phase is a set
-    operation or an integer min (order-invariant), so the two plans
-    agree bit-for-bit."""
+    Every phase is a run of rounds (64 bytes per node on plan A), each
+    a count or an integer min, so the result is the same on every
+    backend. Returns Dataset(node, scc_id) where scc_id = min node id in
+    the component (so the result is partition- and order-invariant by
+    construction)."""
     edges = _bounded_blocks(edges)
-    idx = _IndexedEdges(edges, src, dst, node_bytes=64)
-    if not idx.fits:
-        return _scc_distributed(edges, src, dst)
-    nodes, n = idx.nodes, idx.n
-    scc_id = np.full(n, -1, np.int64)
-    active = np.ones(n, bool)
+    g = _rounds(edges, src, dst, node_bytes=64)
+    s = g.state(lambda node: {"scc_id": np.full(len(node), -1, np.int64),
+                              "active": np.ones(len(node), bool)})
 
-    while active.any():
+    def trim(s, outdeg, _):
+        t = s["active"] & ((s["indeg"] == 0) | (outdeg == 0))
+        return {"scc_id": np.where(t, s["node"], s["scc_id"]),
+                "active": s["active"] & ~t, "moved": t}
+
+    def color(s, lab, has):
+        new = np.where(has & s["active"], np.minimum(s["lab"], lab),
+                       s["lab"])
+        return {"lab": new, "moved": new != s["lab"]}
+
+    def reach(s, _, has):
+        return {"reach": s["reach"] | has, "moved": has & ~s["reach"]}
+
+    while g.sum(s, lambda s: s["active"]):
         # ---- trim: peel trivial SCCs (no active in- or out-edges)
         while True:
-            indeg = np.zeros(n, np.int64)
-            outdeg = np.zeros(n, np.int64)
-            for ip, op in idx.map(_active_deg_block, active):
-                indeg += ip
-                outdeg += op
-            trivial = active & ((indeg == 0) | (outdeg == 0))
-            if not trivial.any():
+            s = g.round(s, _from_active, "sum",
+                        lambda s, indeg, _: {"indeg": indeg})
+            s = g.round(s, _from_active, "sum", trim, reverse=True)
+            if not g.sum(s, _moved):
                 break
-            scc_id[trivial] = nodes[trivial]
-            active &= ~trivial
-        if not active.any():
+        if not g.sum(s, lambda s: s["active"]):
             break
         # ---- forward min-label coloring to fixpoint
-        lab = np.where(active, nodes, np.int64(1 << 62))
+        s = g.update(s, lambda s: {"lab": np.where(
+            s["active"], s["node"], np.int64(1 << 62))})
         while True:
-            new = lab.copy()
-            for part in idx.map(_minlab_block, lab, active):
-                np.minimum(new, part, out=new)
-            if np.array_equal(new, lab):
+            s = g.round(s, lambda s, i, e: (s["active"][i], s["lab"][i]),
+                        "min", color)
+            if not g.sum(s, _moved):
                 break
-            lab = new
-        # ---- multi-pivot backward reachability within colors
-        reach = active & (lab == nodes)      # each color's root
+        # ---- multi-pivot backward reachability within colors: an
+        # active v joins when an edge v->u leads to a reached u of v's
+        # color
+        s = g.update(s, lambda s: {
+            "reach": s["active"] & (s["lab"] == s["node"])})
         while True:
-            grew = False
-            new = reach.copy()
-            for part in idx.map(_backreach_block, lab, reach, active):
-                before = new[part]
-                new[part] = True
-                if not before.all():
-                    grew = True
-            if not grew:
+            s = g.round(
+                s, lambda s, i, e: (s["reach"][i], s["lab"][i]),
+                "min", reach, reverse=True,
+                accept=lambda s, j, lab: s["active"][j]
+                & (s["lab"][j] == lab))
+            if not g.sum(s, _moved):
                 break
-            reach = new
-        done = active & reach
-        scc_id[done] = lab[done]
-        active &= ~done
-
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array(nodes), "scc_id": pa.array(scc_id)}))
+        s = g.update(s, lambda s: {
+            "scc_id": np.where(s["reach"], s["lab"], s["scc_id"]),
+            "active": s["active"] & ~s["reach"]})
+    return g.table(s, lambda s: {"node": s["node"],
+                                 "scc_id": s["scc_id"]})
 
 
-def _distinct_col(ds: ray.data.Dataset, col: str) -> ray.data.Dataset:
-    """Distinct int64 values of one column, as Dataset(node)."""
-    from kgeng.ops.agg import distinct
-
-    return distinct(ds.map_batches(
-        lambda t: pa.table({"node": pc.cast(t[col], pa.int64())}),
-        batch_format="pyarrow"), ["node"])
-
-
-def _ren(ds: ray.data.Dataset, mapping: dict[str, str],
-         keep: list[str]) -> ray.data.Dataset:
-    """Project+rename helper for the join rounds below: emits ``keep``
-    output columns, each sourced from ``mapping.get(name, name)``."""
-    def f(t: pa.Table) -> pa.Table:
-        return pa.table({k: pc.cast(t[mapping.get(k, k)], pa.int64())
-                         for k in keep})
-    return ds.map_batches(f, batch_format="pyarrow")
-
-
-def _ijoin(left, right, key, how, left_cols, right_cols, **kw):
-    """hash_join specialized for the all-int64 iterative plan-B rounds:
-    explicit column NAMES and DTYPES so hash_join never schema-fetches
-    a lazy input (on a plan with a sort/aggregate barrier that fetch
-    EXECUTES the whole join chain once per call — measured 5-10x wall
-    blowup on the scc/slpa round loops before this)."""
-    from kgeng.ops.join import hash_join
-    return hash_join(left, right, key=key, how=how,
-                     left_cols=list(left_cols),
-                     right_cols=list(right_cols),
-                     left_types={c: "int64" for c in left_cols},
-                     right_types={c: "int64" for c in right_cols}, **kw)
-
-
-def _scc_distributed(edges: ray.data.Dataset, src: str,
-                     dst: str) -> ray.data.Dataset:
-    """Plan B SCC: the same trim / forward-min-label / backward-reach
-    phases as plan A, with every n-vector living as a Dataset — only
-    per-round row COUNTS (scalars) reach the driver. Each phase is a
-    set operation (semi/anti joins) or an integer min over a
-    ``union + groupby`` (order-invariant), so the result is
-    bit-identical to plan A's. Node-count unbounded; per-task memory
-    is one hash bucket's slice. Reference bar: server-side Pregel runs
-    'scc' at any N (start_Pregel.py:28-57, arguments.py:187).
-
-    Every per-round rebuild goes through ``repartition(8)`` before
-    ``materialize()`` — each hash_join/groupby emits one block per
-    bucket, so without it the block count COMPOUNDS round over round
-    and the driver's per-bundle polling (~10 ms each) comes to dominate
-    wall time (measured: ~0.5 s/round flat with it, 10 s+/round by
-    round 50 without)."""
-    live = mat(edges.map_batches(
-        lambda t: pa.table({"s": pc.cast(t[src], pa.int64()),
-                            "d": pc.cast(t[dst], pa.int64())}),
-        batch_format="pyarrow"))
-    active = _nodes_dataset(live, "s", "d")       # materialized
-    assigned: ray.data.Dataset | None = None
-
-    def assign(part: ray.data.Dataset) -> None:
-        nonlocal assigned
-        assigned = part if assigned is None else \
-            mat(assigned.union(part).repartition(8))
-
-    while active.count() > 0:
-        # ---- trim loop: peel nodes with zero active in- OR out-degree
-        # (each is its own SCC). 'both' = nodes appearing as BOTH a
-        # source and a destination of a live edge; everything else in
-        # the active set is trivial. Pure semi/anti joins — no nulls.
-        while True:
-            both = _ijoin(_distinct_col(live, "d"),
-                             _distinct_col(live, "s"),
-                             key="node", how="semi",
-                             left_cols=["node"], right_cols=["node"])
-            trivial = mat(_ijoin(active, both, key="node",
-                                 how="anti", left_cols=["node"],
-                                 right_cols=["node"])
-                          .repartition(8))
-            if trivial.count() == 0:
-                break
-            assign(mat(trivial.map_batches(
-                lambda t: pa.table({"node": t["node"],
-                                    "scc_id": t["node"]}),
-                batch_format="pyarrow")))
-            active = mat(_ijoin(active, trivial, key="node",
-                                how="anti", left_cols=["node"],
-                                right_cols=["node"])
-                         .repartition(8))
-            if active.count() == 0:
-                break
-            live = _ijoin(
-                _ren(live, {"node": "s"}, ["node", "d"]), active,
-                key="node", how="semi", left_cols=["node", "d"],
-                right_cols=["node"])
-            live = mat(_ren(
-                _ijoin(_ren(live, {"node": "d", "d": "node"},
-                               ["node", "d"]),
-                          active, key="node", how="semi",
-                          left_cols=["node", "d"],
-                          right_cols=["node"]),
-                {"s": "d", "d": "node"}, ["s", "d"])
-                .repartition(8))
-        if active.count() == 0:
-            break
-
-        # ---- forward min-label coloring to fixpoint (lab init = self)
-        lab = mat(active.map_batches(
-            lambda t: pa.table({"node": t["node"], "lab": t["node"]}),
-            batch_format="pyarrow").repartition(8))
-        while True:
-            # cand[d] = min over live edges s->d of lab[s]
-            cand = _ren(
-                _ijoin(_ren(live, {"node": "s"}, ["node", "d"]),
-                          lab, key="node", how="inner",
-                          left_cols=["node", "d"],
-                          right_cols=["node", "lab"]),
-                {"node": "d"}, ["node", "lab"]) \
-                .groupby("node").min("lab")
-            cand = mat(cand.map_batches(
-                lambda t: pa.table(
-                    {"node": pc.cast(t["node"], pa.int64()),
-                     "m": pc.cast(t["min(lab)"], pa.int64())})
-                if "node" in t.column_names
-                else pa.table({"node": pa.array([], pa.int64()),
-                               "m": pa.array([], pa.int64())}),
-                batch_format="pyarrow").repartition(8))
-            changed = _ijoin(
-                cand, lab, key="node", how="inner",
-                left_cols=["node", "m"],
-                right_cols=["node", "lab"]).map_batches(
-                lambda t: pa.table({"chg": pc.cast(
-                    pc.less(t["m"], t["lab"]), pa.int64())}),
-                batch_format="pyarrow").sum("chg")
-            if not changed:
-                break
-            # new lab = elementwise min(lab, cand): lab covers every
-            # active node, so a union + groupby-min IS the min — and
-            # avoids int-null columns from a left join entirely
-            lab = mat(lab.union(_ren(cand, {"lab": "m"},
-                                     ["node", "lab"]))
-                .groupby("node").min("lab").map_batches(
-                lambda t: pa.table(
-                    {"node": pc.cast(t["node"], pa.int64()),
-                     "lab": pc.cast(t["min(lab)"], pa.int64())})
-                if "node" in t.column_names
-                else pa.table({"node": pa.array([], pa.int64()),
-                               "lab": pa.array([], pa.int64())}),
-                batch_format="pyarrow").repartition(8))
-
-        # ---- backward reachability within colors, from each root
-        reach = mat(lab.map_batches(
-            lambda t: pa.table({"node": t.filter(
-                pc.equal(t["node"], t["lab"]))["node"]}),
-            batch_format="pyarrow"))
-        while True:
-            # new reachers: live v->u with u reached and lab[v]==lab[u]
-            hit = _ijoin(
-                _ren(live, {"node": "d"}, ["s", "node"]), reach,
-                key="node", how="semi", left_cols=["s", "node"],
-                right_cols=["node"])
-            hit = _ijoin(hit, lab, key="node", how="inner",
-                            left_cols=["s", "node"],
-                            right_cols=["node", "lab"])
-            hit = _ijoin(_ren(hit, {"node": "s", "s": "node",
-                                       "labd": "lab"},
-                                 ["node", "labd"]),
-                            lab, key="node", how="inner",
-                            left_cols=["node", "labd"],
-                            right_cols=["node", "lab"])
-            # _ren normalizes the anti-join's pandas blocks back to
-            # arrow (a union of mixed block types breaks the shuffle)
-            newly = mat(_ren(_ijoin(
-                _distinct_col(hit.map_batches(
-                    lambda t: t.filter(pc.equal(t["lab"], t["labd"])),
-                    batch_format="pyarrow"), "node"),
-                reach, key="node", how="anti", left_cols=["node"],
-                right_cols=["node"]), {}, ["node"]))
-            if newly.count() == 0:
-                break
-            reach = mat(reach.union(newly).repartition(8))
-
-        # assign every reached node its color; shrink active + live
-        assign(mat(_ren(_ijoin(reach, lab, key="node", how="inner",
-                               left_cols=["node"],
-                               right_cols=["node", "lab"]),
-                        {"scc_id": "lab"}, ["node", "scc_id"])))
-        active = mat(_ijoin(active, reach, key="node",
-                            how="anti", left_cols=["node"],
-                            right_cols=["node"])
-                     .repartition(8))
-        if active.count() == 0:
-            break
-        live = _ijoin(
-            _ren(live, {"node": "s"}, ["node", "d"]), active,
-            key="node", how="semi", left_cols=["node", "d"],
-            right_cols=["node"])
-        live = mat(_ren(
-            _ijoin(_ren(live, {"node": "d", "d": "node"},
-                           ["node", "d"]),
-                      active, key="node", how="semi",
-                      left_cols=["node", "d"], right_cols=["node"]),
-            {"s": "d", "d": "node"}, ["s", "d"])
-            .repartition(8))
-
-    if assigned is None:
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array([], pa.int64()),
-            "scc_id": pa.array([], pa.int64())}))
-    return assigned
-
-
-@_kernel
-def _slpa_block(idx, nodes: np.ndarray, mem: np.ndarray, r: int):
-    """One SLPA speak step over a block: edge u->v delivers one label
-    from speaker u's memory (slot chosen by a partition-invariant hash
-    of (round, u_id, v_id) over the r filled slots). Returns packed
-    (listener_pos << 32 | label_pos, count) distinct pairs."""
+def _slpa_speak(s: dict, i: np.ndarray, e, r: int):
+    """One SLPA speak step: edge u->v delivers one label of speaker u's
+    memory, the slot chosen by a partition-invariant hash of
+    (round, u id, v id) over the r filled slots."""
     from kgeng.ops.agg import _splitmix64
 
-    si, di, _ = idx
-    if not len(si):
-        return (np.zeros(0, np.int64), np.zeros(0, np.int64))
-    h = _splitmix64(nodes[si].astype(np.uint64)
-                    ^ (nodes[di].astype(np.uint64)
+    h = _splitmix64(s["node"][i].astype(np.uint64)
+                    ^ (e["dst"].astype(np.uint64)
                        * np.uint64(0x9E3779B97F4A7C15))
                     ^ np.uint64(r))
     slot = (h % np.uint64(r)).astype(np.int64)
-    lab = mem[si, slot]
-    pack = (di.astype(np.int64) << 32) | lab.astype(np.int64)
-    uniq, cnt = np.unique(pack, return_counts=True)
-    return (uniq, cnt.astype(np.int64))
+    lab = np.empty(len(i), np.int64)
+    for k in range(r):
+        at = slot == k
+        lab[at] = s[f"m{k}"][i[at]]
+    return None, lab
 
 
-def slpa(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
-         rounds: int = 10, threshold: float = 0.2) -> ray.data.Dataset:
-    """SLPA overlapping community detection ('slpa' in the reference's
-    Pregel list, arguments.py:187-188), deterministic variant: the
-    speaker's memory slot is chosen by a hash of (round, speaker id,
-    listener id) — partition/order invariant, so results are stable
-    across cluster shapes (pinned rather than SQL-checked: the
-    algorithm is inherently non-relational). Plan-A shape: the n x
-    (rounds+1) int64 label-memory matrix is driver-held; each speak
-    step is one round over the indexed edge blocks
-    (:class:`_IndexedEdges`); per-round driver ingest is the distinct
-    (listener, label) pair set (<= E, vocabulary-bounded in practice).
-
-    Returns Dataset(node, primary_label, n_communities, communities)
-    where communities are the labels (node ids) held in >= threshold
-    of memory, sorted, '|'-joined.
-
-    When the memory matrix exceeds ``_DRIVER_STATE_BYTES`` it runs
-    plan B (:func:`_slpa_distributed`): the memory matrix lives as wide
-    int64 columns on a Dataset, each speak round is one edge-memory
-    join + one (listener, label) count shuffle + one bucketed argmax
-    pass. The slot hash, counts and (count desc, label asc) tiebreaks
-    are identical, so the plans agree bit-for-bit."""
-    edges = _bounded_blocks(edges)
-    idx = _IndexedEdges(edges, src, dst, node_bytes=8 * (rounds + 1))
-    if not idx.fits:
-        return _slpa_distributed(edges, src, dst, rounds, threshold)
-    nodes, n = idx.nodes, idx.n
-    mem = np.zeros((n, rounds + 1), np.int64)
-    mem[:, 0] = np.arange(n)
-
-    for r in range(1, rounds + 1):
-        packs, cnts = _concat_pairs(idx.map(_slpa_block, nodes,
-                                            mem[:, :r], r))
-        new_col = np.arange(n)            # silent listeners keep self
-        if len(packs):
-            uniq, inv = np.unique(packs, return_inverse=True)
-            tot = np.zeros(len(uniq), np.int64)
-            np.add.at(tot, inv, cnts)
-            li = (uniq >> 32).astype(np.int64)
-            lab = (uniq & np.int64((1 << 32) - 1)).astype(np.int64)
-            # per-listener argmax, tiebreak smallest label: sort by
-            # (listener, -count, label), take first per listener
-            order = np.lexsort((lab, -tot, li))
-            li_s, lab_s = li[order], lab[order]
-            first = np.ones(len(li_s), bool)
-            first[1:] = li_s[1:] != li_s[:-1]
-            new_col[li_s[first]] = lab_s[first]
-        mem[:, r] = new_col
-
-    # post-process, vectorized: one flat (node, label) count pass over
-    # the whole memory matrix, then per-node argmax / threshold filter
-    need = int(np.ceil(threshold * (rounds + 1)))
-    rows = np.repeat(np.arange(n, dtype=np.int64), rounds + 1)
-    pack = (rows << 32) | mem.reshape(-1)
-    uniq, cnt = np.unique(pack, return_counts=True)
-    ri = (uniq >> 32).astype(np.int64)
-    lab = (uniq & np.int64((1 << 32) - 1)).astype(np.int64)
-    order = np.lexsort((lab, -cnt, ri))      # per row: count desc, label asc
-    ri_s, lab_s = ri[order], lab[order]
-    first = np.ones(len(ri_s), bool)
-    first[1:] = ri_s[1:] != ri_s[:-1]
-    # ri_s is lexsort-primary so ri_s[first] is already 0..n-1 in order
-    prim = (nodes[lab_s[first]] if len(ri_s)
-            else np.zeros(0, np.int64))
-    keepm = cnt >= need
-    ncom = np.bincount(ri[keepm], minlength=n).astype(np.int64)
-    # communities string: join only the kept labels (few per node)
-    kr, kl = ri[keepm], nodes[lab[keepm]]
-    o2 = np.lexsort((kl, kr))
-    kr, kl = kr[o2], kl[o2]
-    bounds = np.searchsorted(kr, np.arange(n + 1))
-    coms = ["|".join(map(str, kl[bounds[i]:bounds[i + 1]]))
-            for i in range(n)]
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array(nodes),
-        "primary_label": pa.array(prim),
-        "n_communities": pa.array(ncom),
-        "communities": pa.array(coms, pa.string()),
-    }))
-
-
-def _slpa_post_block(t: pa.Table, rounds: int,
-                     threshold: float) -> pa.Table:
-    """Row-local SLPA post-processing over one memory block: per node,
-    count each label's occurrences across the rounds+1 memory slots,
-    pick the (count desc, label asc) winner, threshold-filter the
-    community set. Shared count/tiebreak logic with plan A's driver
-    pass (labels are node ids here, positions there — nodes[] is
-    sorted, so the orders coincide)."""
-    n, R = len(t), rounds + 1
-    node = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
-    M = np.stack([t[f"m{i}"].to_numpy(zero_copy_only=False)
-                  .astype(np.int64) for i in range(R)], axis=1)
+def _slpa_communities(s: dict, rounds: int, threshold: float) -> dict:
+    """SLPA's result per node: count each label's occurrences across
+    the rounds+1 memory slots, pick the (count desc, label asc) winner,
+    threshold-filter the community set."""
+    node = s["node"]
+    n, R = len(node), rounds + 1
+    M = np.stack([s[f"m{i}"] for i in range(R)], axis=1)
     rows = np.repeat(np.arange(n, dtype=np.int64), R)
     labs = M.reshape(-1)
     order = np.lexsort((labs, rows))
@@ -1535,124 +1052,37 @@ def _slpa_post_block(t: pa.Table, rounds: int,
     bounds = np.searchsorted(kr, np.arange(n + 1))
     coms = ["|".join(map(str, kl[bounds[i]:bounds[i + 1]]))
             for i in range(n)]
-    return pa.table({
-        "node": pa.array(node),
-        "primary_label": pa.array(prim),
-        "n_communities": pa.array(ncom),
-        "communities": pa.array(coms, pa.string())})
+    return {"node": node, "primary_label": prim, "n_communities": ncom,
+            "communities": pa.array(coms, pa.string())}
 
 
-def _slpa_distributed(edges: ray.data.Dataset, src: str, dst: str,
-                      rounds: int, threshold: float) -> ray.data.Dataset:
-    """Plan B SLPA: the n x (rounds+1) label memory lives as wide int64
-    columns on a Dataset (labels are node IDS, not positions — the
-    node array is sorted, so count/tiebreak orders match plan A's
-    position space exactly). Each round: (1) one hash join ships each
-    speaker's current memory row (<= rounds+1 int64s) to its out-edges
-    and picks the slot by the SAME (round, speaker id, listener id)
-    splitmix64 hash as plan A's ``_slpa_block``; (2) one
-    (listener, label) groupby-count; (3) one coarse-bucketed pandas
-    argmax pass ((count desc, label asc) — identical tiebreak);
-    (4) one left join writes the new memory column (silent listeners
-    keep self). Only scalars reach the driver. Node-count unbounded.
-    Reference bar: server-side Pregel runs 'slpa' at any N
-    (start_Pregel.py:28-57, arguments.py:187-188)."""
-    from kgeng.ops.agg import _splitmix64
-    e = mat(edges.map_batches(
-        lambda t: pa.table({"s": pc.cast(t[src], pa.int64()),
-                            "d": pc.cast(t[dst], pa.int64())}),
-        batch_format="pyarrow"))
-    mem = mat(_nodes_dataset(e, "s", "d").map_batches(
-        lambda t: pa.table({"node": t["node"], "m0": t["node"]}),
-        batch_format="pyarrow").repartition(8))
+def slpa(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
+         rounds: int = 10, threshold: float = 0.2) -> ray.data.Dataset:
+    """SLPA overlapping community detection ('slpa' in the reference's
+    Pregel list, arguments.py:187-188), deterministic variant: the
+    speaker's memory slot is chosen by a hash of (round, speaker id,
+    listener id) — partition/order invariant, so results are stable
+    across cluster shapes (pinned rather than SQL-checked: the
+    algorithm is inherently non-relational). The label memory is
+    rounds+1 int64 columns of node ids; each speak step is one round
+    whose listeners keep the most frequent label heard (ties to the
+    smallest; silent listeners keep themselves).
 
+    Returns Dataset(node, primary_label, n_communities, communities)
+    where communities are the labels (node ids) held in >= threshold
+    of memory, sorted, '|'-joined."""
+    edges = _bounded_blocks(edges)
+    g = _rounds(edges, src, dst, node_bytes=8 * (rounds + 1))
+    s = g.state(lambda node: {"m0": node})
     for r in range(1, rounds + 1):
-        mcols = [f"m{i}" for i in range(r)]
-
-        def speak(t: pa.Table, _r=r, _mc=tuple(mcols)) -> pa.Table:
-            sid = t["node"].to_numpy(zero_copy_only=False) \
-                .astype(np.int64)
-            did = pc.cast(t["d"], pa.int64()) \
-                .to_numpy(zero_copy_only=False).astype(np.int64)
-            h = _splitmix64(sid.astype(np.uint64)
-                            ^ (did.astype(np.uint64)
-                               * np.uint64(0x9E3779B97F4A7C15))
-                            ^ np.uint64(_r))
-            slot = (h % np.uint64(_r)).astype(np.int64)
-            M = np.stack([t[c].to_numpy(zero_copy_only=False)
-                          .astype(np.int64) for c in _mc], axis=1)
-            lab = np.take_along_axis(M, slot[:, None], 1)[:, 0]
-            return pa.table({"node": pa.array(did),
-                             "lab": pa.array(lab)})
-
-        spoken = _ijoin(
-            _ren(e, {"node": "s"}, ["node", "d"]), mem, key="node",
-            how="inner", left_cols=["node", "d"],
-            right_cols=["node"] + mcols) \
-            .map_batches(speak, batch_format="pyarrow")
-        counts = spoken.groupby(["node", "lab"]).count()
-
-        def bkt(t: pa.Table) -> pa.Table:
-            if "node" not in t.column_names:
-                return pa.table({"node": pa.array([], pa.int64()),
-                                 "lab": pa.array([], pa.int64()),
-                                 "c": pa.array([], pa.int64()),
-                                 "__b": pa.array([], pa.int64())})
-            node = pc.cast(t["node"], pa.int64())
-            b = _splitmix64(node.to_numpy(zero_copy_only=False)
-                            .astype(np.uint64)) \
-                % np.uint64(_ROUND_BUCKETS)
-            return pa.table({"node": node,
-                             "lab": pc.cast(t["lab"], pa.int64()),
-                             "c": pc.cast(t["count()"], pa.int64()),
-                             "__b": pa.array(b.astype(np.int64))})
-
-        def best(df: "pd.DataFrame") -> pa.Table:
-            df = df.sort_values(["node", "c", "lab"],
-                                ascending=[True, False, True])
-            df = df.drop_duplicates("node", keep="first")
-            return pa.table({
-                "node": pa.array(df["node"].to_numpy(np.int64)),
-                "w": pa.array(df["lab"].to_numpy(np.int64))})
-
-        winners = counts.map_batches(bkt, batch_format="pyarrow") \
-            .groupby("__b").map_groups(best, batch_format="pandas")
-
-        def upd(t: pa.Table, _col=f"m{r}") -> pa.Table:
-            w = t["w"] if "w" in t.column_names \
-                else pa.nulls(len(t), pa.int64())
-            if pa.types.is_floating(w.type):
-                # unmatched rows of a pandas left merge surface as NaN
-                w = pc.if_else(pc.is_nan(w),
-                               pa.nulls(len(t), pa.float64()), w)
-            w = pc.cast(w, pa.int64())
-            out = {c: t[c] for c in t.column_names if c != "w"}
-            out[_col] = pc.coalesce(w, pc.cast(t["node"], pa.int64()))
-            return pa.table(out)
-
-        mem = mat(_ijoin(mem, winners, key="node", how="left",
-                         left_cols=["node"] + mcols,
-                         right_cols=["node", "w"])
-                  .map_batches(upd, batch_format="pyarrow")
-                  .repartition(8))
-
-    return mem.map_batches(
-        lambda t: _slpa_post_block(t, rounds, threshold),
-        batch_format="pyarrow")
+        s = g.round(s, lambda s, i, e, r=r: _slpa_speak(s, i, e, r),
+                    "mode",
+                    lambda s, lab, heard, r=r: {
+                        f"m{r}": np.where(heard, lab, s["node"])})
+    return g.table(s, lambda s: _slpa_communities(s, rounds, threshold))
 
 
 # --------------------------------------- label propagation (communities)
-
-@_kernel
-def _lpa_block(idx, labpos: np.ndarray, n: int):
-    """Per-block (dst_pos, src_label_pos) pair counts, packed as
-    dst*n + labpos (n-bounded by the plan-A budget, so the product
-    stays well inside int64). Returns (packed keys, counts)."""
-    si, di, _ = idx
-    packed = di.astype(np.int64) * n + labpos[si]
-    un, cn = np.unique(packed, return_counts=True)
-    return un, cn.astype(np.int64)
-
 
 def label_propagation_communities(edges: ray.data.Dataset,
                                   src: str = "src", dst: str = "dst",
@@ -1668,105 +1098,21 @@ def label_propagation_communities(edges: ray.data.Dataset,
     result deterministic and SQL-replayable
     (queries.labelprop_oracle_sql unrolls the same rounds).
 
-    Plan A (the pagerank-plan-A shape): edge blocks stage once as
-    :class:`_IndexedEdges`; each round runs one kernel per block
-    computing packed (dst, src_label) pair counts (in-process at or
-    below ``_LOCAL_EDGES`` edges, raw tasks above), and the driver
-    merges the <= E pair partials with one sort+reduceat and an argmax
-    lexsort. A full Dataset execution per round (joins + 2-key groupby
-    + bucketed top-1) measured ~60 s of pure fixed scheduling per round
-    at bench scale for milliseconds of numpy. The driver holds three
-    n-vectors and the round's pair stream with its sorted copy (24
-    bytes per node, 32 per edge).
-
-    Plan B (past ``_DRIVER_STATE_BYTES``): fully distributed dataset
-    rounds — per round one hash join of labels onto edge sources,
-    combiner-style per-block (node,label) counts, a 2-key groupby sum,
-    the bucketed top-1 argmax, and a left join carrying no-in-edge
-    nodes. Only (node,label,count) int64 rows ever shuffle."""
+    Each round is one "mode" round: on plan A one packed
+    (receiver, label) ``unique`` per edge block, merged on the driver by
+    an argmax lexsort. A full Dataset execution per round (joins +
+    2-key groupby + bucketed top-1) measured ~60 s of pure fixed
+    scheduling per round at bench scale for milliseconds of numpy. The
+    driver holds three n-vectors and the round's pair stream with its
+    sorted copy (24 bytes per node, 32 per edge)."""
     edges = _bounded_blocks(edges)
-    ie = _IndexedEdges(edges, src, dst, node_bytes=24, edge_bytes=32)
-    if not ie.fits:
-        return _label_propagation_distributed(
-            _ren(edges, {"src": src, "dst": dst}, ["src", "dst"])
-            .materialize(), rounds)
-    n = ie.n
-    if n == 0:
-        return ray.data.from_arrow(pa.table(
-            {"node": pa.array([], pa.int64()),
-             "label": pa.array([], pa.int64())}))
-    labpos = np.arange(n, dtype=np.int64)
+    g = _rounds(edges, src, dst, node_bytes=24, edge_bytes=32)
+    s = g.state(lambda node: {"label": node})
     for _ in range(rounds):
-        keys, cnts = _concat_pairs(ie.map(_lpa_block, labpos, n))
-        if keys.size == 0:
-            break
-        order = np.argsort(keys, kind="stable")
-        keys, cnts = keys[order], cnts[order]
-        starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
-        ks = keys[starts]
-        cs = np.add.reduceat(cnts, starts)
-        dsts = ks // n
-        lp = ks % n
-        # argmax per dst, ties to the smallest label (nodes are sorted
-        # ascending, so position order == value order)
-        o2 = np.lexsort((lp, -cs, dsts))
-        d_sorted = dsts[o2]
-        first = np.flatnonzero(np.r_[True, d_sorted[1:] != d_sorted[:-1]])
-        new = labpos.copy()
-        new[d_sorted[first]] = lp[o2][first]
-        labpos = new
-    return ray.data.from_arrow(pa.table(
-        {"node": pa.array(ie.nodes),
-         "label": pa.array(ie.nodes[labpos])}))
-
-
-def _label_propagation_distributed(eproj: ray.data.Dataset,
-                                   rounds: int) -> ray.data.Dataset:
-    """Plan B: see :func:`label_propagation_communities`."""
-    import pandas as pd  # noqa: F401
-
-    from kgeng.ops.rank import top_k_per_group
-    nodes = _nodes_dataset(eproj, "src", "dst")
-    lab = nodes.map_batches(
-        lambda t: pa.table({"node": t["node"], "label": t["node"]}),
-        batch_format="pyarrow").materialize()
-
-    for _ in range(rounds):
-        # labels onto edge sources: (dst, label) one row per edge
-        contrib = _ijoin(_ren(eproj, {"node": "src"}, ["node", "dst"]),
-                         lab, key="node", how="inner",
-                         left_cols=["node", "dst"],
-                         right_cols=["node", "label"])
-
-        def cnt_partial(t: pa.Table) -> pa.Table:
-            g = pa.table({"node": t["dst"], "label": t["label"]}) \
-                .group_by(["node", "label"]).aggregate([([],
-                                                         "count_all")])
-            return g.rename_columns(["node", "label", "c"])
-
-        from ray.data.aggregate import Sum
-        counts = contrib.map_batches(cnt_partial,
-                                     batch_format="pyarrow") \
-            .groupby(["node", "label"]) \
-            .aggregate(Sum("c", alias_name="c"))
-        top1 = top_k_per_group(counts, key="node", value="c", k=1,
-                               tie_breakers=["label"], descending=True)
-        new = _ijoin(lab, _ren(top1, {"new": "label"}, ["node", "new"]),
-                     key="node", how="left",
-                     left_cols=["node", "label"],
-                     right_cols=["node", "new"])
-
-        def carry(t: pa.Table) -> pa.Table:
-            # left-join nulls float the int column; coalesce + recast
-            new_c = pc.coalesce(pc.cast(t["new"], pa.float64()),
-                                pc.cast(t["label"], pa.float64()))
-            return pa.table({"node": pc.cast(t["node"], pa.int64()),
-                             "label": pc.cast(new_c, pa.int64())})
-
-        lab = new.map_batches(carry, batch_format="pyarrow") \
-            .materialize()
-
-    return lab
+        s = g.round(s, lambda s, i, e: (None, s["label"][i]), "mode",
+                    lambda s, top, heard: {
+                        "label": np.where(heard, top, s["label"])})
+    return g.table(s, lambda s: {"node": s["node"], "label": s["label"]})
 
 
 # ----------------------------------------------- bounded harmonic (exact)
@@ -1931,8 +1277,6 @@ def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
     shortest-path facts within ``max_hops``. Plan A holds the pulled
     edges (16 bytes each), three V x V boolean matrices and one V x E
     boolean gather per round: 3V^2 + V*E bytes."""
-    from kgeng.ops.join import hash_join
-
     proj = edges.select_columns([src, dst])
 
     n_edges = proj.count()
@@ -1981,10 +1325,9 @@ def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
     # lazy frontier filter, which re-ran the whole plan every round)
     prev_rows = visited.count()
     for t_round in range(1, max_hops + 1):
-        j = hash_join(frontier.select_columns(["root", "node"]), hop,
-                      key="node", num_buckets=_BFS_BUCKETS,
-                      left_cols=["root", "node"],
-                      right_cols=["node", "nxt"])
+        j = _ijoin(frontier.select_columns(["root", "node"]), hop,
+                   key="node", how="inner", left_cols=["root", "node"],
+                   right_cols=["node", "nxt"], num_buckets=_BFS_BUCKETS)
 
         def step(t: pa.Table, _d=t_round) -> pa.Table:
             return pa.table({
@@ -2425,8 +1768,6 @@ def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
     analytics to server-side Pregel, start_Pregel.py:194-198); k-core
     completes the native family (pagerank/sssp/hits/closeness/
     harmonic/scc/slpa/triangles/components)."""
-    from kgeng.ops.join import hash_join
-
     if k < 1:
         raise ValueError("k must be >= 1")
     e = _canonical_undirected(edges, src, dst).materialize()
@@ -2444,10 +1785,11 @@ def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
                 t["node"].to_numpy(zero_copy_only=False)
                 for t in bad.select_columns(["node"]).iter_batches(
                     batch_size=None, batch_format="pyarrow")]))
-            ref = ray.put(doomed)
 
-            def drop(t: pa.Table) -> pa.Table:
-                d = ray.get(ref)
+            # ``d`` arrives through fn_args, inside the map operator's
+            # transformer, which Ray puts once and hands every task as a
+            # resolved argument: no task blocks in ray.get
+            def drop(t: pa.Table, d: np.ndarray) -> pa.Table:
                 u = t["u"].to_numpy(zero_copy_only=False)
                 v = t["v"].to_numpy(zero_copy_only=False)
                 iu = np.searchsorted(d, u)
@@ -2458,20 +1800,16 @@ def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
                                          == v)
                 return t.filter(pa.array(~(hit_u | hit_v)))
 
-            e = mat(e.map_batches(drop, batch_format="pyarrow"))
+            e = mat(e.map_batches(drop, fn_args=(doomed,),
+                                  batch_format="pyarrow"))
         else:
-            keep = degs.filter(expr=f"deg >= {k}") \
-                .select_columns(["node"])
-            e1 = hash_join(
-                e, keep.map_batches(
-                    lambda t: t.rename_columns(["u"]),
-                    batch_format="pyarrow"),
-                key="u", how="semi", num_buckets=_BUCKETS)
-            e = mat(hash_join(
-                e1, keep.map_batches(
-                    lambda t: t.rename_columns(["v"]),
-                    batch_format="pyarrow"),
-                key="v", how="semi", num_buckets=_BUCKETS))
+            keep = degs.filter(expr=f"deg >= {k}")
+            e1 = _ijoin(e, _ren(keep, {"u": "node"}, ["u"]), key="u",
+                        how="semi", left_cols=["u", "v"], right_cols=["u"],
+                        num_buckets=_BUCKETS)
+            e = mat(_ijoin(e1, _ren(keep, {"v": "node"}, ["v"]), key="v",
+                           how="semi", left_cols=["u", "v"],
+                           right_cols=["v"], num_buckets=_BUCKETS))
     else:
         raise RuntimeError(
             f"k_core did not converge within {max_rounds} rounds "

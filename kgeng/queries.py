@@ -1111,13 +1111,12 @@ def lineitem_labelprop(sf_dir: str):
     reference's Pregel algorithm list, arguments.py:187-188) over the
     shared symmetrized order<->part graph: 4 fixed rounds, most
     frequent in-neighbor label, ties to the smallest label, through
-    ops/graph.label_propagation_communities: plan A (per-block kernels
-    with a driver-side merge — in-process at or below
-    ops/graph._LOCAL_EDGES edges, raw tasks above, as for sf0.1's ~1.2M
-    edges) while its label vectors and pair stream fit
-    ops/graph._DRIVER_STATE_BYTES, plan B (distributed dataset rounds)
-    past it. The unrolled-CTE oracle replays the same rounds exactly
-    (all-integer, hash-match)."""
+    ops/graph.label_propagation_communities, one vertex program on the
+    module's round interface: in-process at or below
+    ops/graph._LOCAL_EDGES edges, raw tasks above (as for sf0.1's ~1.2M
+    edges), and Dataset rounds once its label vectors and pair stream
+    would exceed ops/graph._DRIVER_STATE_BYTES. The unrolled-CTE oracle
+    replays the same rounds exactly (all-integer, hash-match)."""
     from kgeng.ops.graph import label_propagation_communities
 
     return label_propagation_communities(_order_part_edges(sf_dir),

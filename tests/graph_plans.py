@@ -1,12 +1,14 @@
 """One switch for the plans of kgeng.ops.graph in tests.
 
 Every graph in the tests is small, so by default each algorithm runs
-plan A in-process. ``graph_plan`` forces the other two plans the
-module can take:
+plan A in-process. ``graph_plan`` forces the other backends of the
+module's one round interface (and the plan B of the bespoke
+algorithms):
 
 - ``"local"``: the defaults (plan A, in-process);
 - ``"raw"``: plan A on raw Ray tasks (``_LOCAL_EDGES = 0``);
-- ``"distributed"``: plan B (``_DRIVER_STATE_BYTES = 0``).
+- ``"distributed"``: plan B, the Dataset rounds
+  (``_DRIVER_STATE_BYTES = 0``).
 
 Parity tests take a ``plans`` argument (``PARITY`` by default: plan A
 against plan B); tests/test_graph_backends.py calls the same tests

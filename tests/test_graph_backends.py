@@ -58,23 +58,79 @@ ZERO_BUDGET_CASES = {
     "pagerank": lambda ds: G.pagerank(ds, iters=1),
     "hits": lambda ds: G.hits(ds, iters=1),
     "bellman_ford": lambda ds: G.bellman_ford_rounds(ds, 0, 1),
+    "sssp_hops": lambda ds: G.sssp_hops(ds, 0),
+    "effective_closeness": lambda ds: G.effective_closeness(ds,
+                                                            max_rounds=1),
+    "scc": lambda ds: G.scc(ds),
+    "slpa": lambda ds: G.slpa(ds, rounds=1),
+    "label_propagation": lambda ds: G.label_propagation_communities(
+        ds, rounds=1),
 }
 
 
 @pytest.mark.parametrize("name", ZERO_BUDGET_CASES)
 def test_zero_budget_reaches_distributed_plan(name, monkeypatch):
-    """The three algorithms that had no plan-B fallback before the
-    budget: a zero budget sends each to its ``_*_distributed`` plan."""
+    """Each of the eight vertex programs runs its rounds on the Dataset
+    backend (plan B) under a zero budget, and on no other backend."""
     calls = []
-    plan_b = getattr(G, f"_{name}_distributed")
-    monkeypatch.setattr(G, f"_{name}_distributed",
-                        lambda *a: calls.append(name) or plan_b(*a))
+    for backend in (G._IndexedEdges, G._DatasetRounds):
+        def spy(self, *a, _round=backend.round, **k):
+            calls.append(type(self))
+            return _round(self, *a, **k)
+        monkeypatch.setattr(backend, "round", spy)
     ds = ray.data.from_arrow(pa.table({"src": [0, 1, 2, 2],
                                        "dst": [1, 2, 0, 3],
                                        "w": [1, 1, 1, 1]}))
     with graph_plan("distributed"):
         ZERO_BUDGET_CASES[name](ds).to_pandas()
-    assert calls == [name]
+    assert calls and set(calls) == {G._DatasetRounds}
+
+
+@pytest.mark.parametrize("plan", ["local", "raw", "distributed"])
+def test_mode_rounds_take_ids_spanning_int64(plan):
+    """The "mode" combine packs (receiver, label) pairs into one int64
+    when they fit and sorts two keys when they do not: label
+    propagation over ids spread across the int64 range gives the rows
+    of the same graph with dense ids, mapped back (the map keeps the id
+    order, so ties break alike)."""
+    rng = np.random.default_rng(23)
+    src, dst = rng.integers(0, 30, 120), rng.integers(0, 30, 120)
+    wide = np.sort(rng.choice(np.arange(-2**62, 2**62, 2**56),
+                              30, replace=False))
+
+    def run(ids):
+        ds = ray.data.from_arrow(pa.table({"src": ids[src],
+                                           "dst": ids[dst]}))
+        out = G.label_propagation_communities(ds, rounds=3).to_pandas()
+        return dict(zip(out["node"], out["label"]))
+
+    with graph_plan(plan):
+        got = run(wide)
+    assert got == {wide[k]: wide[v] for k, v in run(np.arange(30)).items()}
+
+
+def test_remaining_joins_pass_names_and_types(monkeypatch):
+    """line_graph, the bounded-BFS pair plan and k_core's plan B hand
+    hash_join every column name and dtype, so no join fetches the schema
+    of a lazy input."""
+    from kgeng.ops import join
+
+    calls = []
+    real = join.hash_join
+    monkeypatch.setattr(join, "hash_join",
+                        lambda *a, **k: calls.append(k) or real(*a, **k))
+    # a 4-clique plus a pendant node, which k_core(k=2) peels
+    ds = ray.data.from_arrow(pa.table({"src": [0, 1, 2, 2, 3, 0, 3],
+                                       "dst": [1, 2, 0, 3, 1, 3, 4]}))
+    with graph_plan("distributed"):
+        G.line_graph(ds).to_pandas()
+        G.bounded_harmonic(ds, max_hops=2).to_pandas()
+        G.k_core(ds, k=2).to_pandas()
+    assert len(calls) >= 4  # line graph 1, BFS pairs >= 1, k-core 2
+    for kw in calls:
+        for arg in ("left_cols", "right_cols", "left_types",
+                    "right_types"):
+            assert kw.get(arg) is not None, (arg, kw)
 
 
 def _graph(m: int) -> pa.Table:
@@ -98,7 +154,7 @@ def test_small_graph_submits_no_raw_task(monkeypatch):
 
     kernels = [f for f in vars(G).values()
                if inspect.isfunction(f) and hasattr(f, "remote")]
-    assert len(kernels) >= 10
+    assert {G._round_block, G._tri_wedge_chunk} <= set(kernels)
     for k in kernels:
         monkeypatch.setattr(k, "remote", refuse)
     pr, lp, tri = _analytics(

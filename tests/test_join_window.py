@@ -461,7 +461,7 @@ def test_bloom_prefilter_no_false_negatives_and_bounded_fp():
 
 
 def test_pagerank_plans_agree_and_match_numpy(plans=PARITY):
-    """Plan A (driver rank vector) and plan B (rank Dataset, join-based
+    """Plan A (driver rank vector) and plan B (rank Dataset, shuffle
     rounds) must both match a dense numpy reference exactly —
     including dangling-node mass redistribution."""
     import numpy as np
@@ -503,8 +503,8 @@ def test_pagerank_plans_agree_and_match_numpy(plans=PARITY):
 
 
 def test_sssp_hops_matches_bfs_reference(plans=PARITY):
-    """Plan A (driver BFS layers) and plan B (unit-weight Bellman-Ford
-    Dataset rounds to the fixpoint) both match a python BFS."""
+    """Plan A (driver BFS layers) and plan B (the same layers as Dataset
+    rounds) both match a python BFS."""
     import collections
 
     import numpy as np
@@ -535,7 +535,7 @@ def test_sssp_hops_matches_bfs_reference(plans=PARITY):
 
 def test_hits_matches_numpy_reference(plans=PARITY):
     """Plan A (driver vectors) and plan B (distributed hub/auth
-    Datasets, join-based sweeps) both equal a dense numpy reference,
+    Datasets, shuffle rounds) both equal a dense numpy reference,
     under the shared per-half-round round-to-9 policy."""
     import numpy as np
 
@@ -668,10 +668,10 @@ def test_effective_closeness_node_cutover_falls_back(monkeypatch):
     full = {p: G.effective_closeness(ray.data.from_arrow(et), p=p)
             .to_pandas() for p in (6, 12)}
     calls = []
-    plan_b = G._effective_closeness_distributed
+    plan_b = G._DatasetRounds.__init__
     monkeypatch.setattr(
-        G, "_effective_closeness_distributed",
-        lambda *a, **k: calls.append(a[3]) or plan_b(*a, **k))
+        G._DatasetRounds, "__init__",
+        lambda *a, **k: calls.append(p) or plan_b(*a, **k))
     monkeypatch.setattr(G, "_DRIVER_STATE_BYTES",
                         (n * 2 * (1 << 6) + n * 2 * (1 << 12)) // 2)
     for p in (6, 12):
@@ -954,7 +954,7 @@ def test_slpa_partition_invariant_and_overlapping():
 
 
 def test_scc_distributed_matches_plan_a_and_cutover(plans=PARITY):
-    """Plan B SCC (Dataset join rounds) agrees bit-for-bit with plan A
+    """Plan B SCC (Dataset rounds) agrees bit-for-bit with plan A
     (every phase is a set op or an integer min): both equal Tarjan."""
     from kgeng.ops.graph import scc
 
