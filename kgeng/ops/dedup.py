@@ -19,12 +19,10 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-from kgeng.ops.block import _perm_tables
+from kgeng.ops.block import _perm_tables, band_pairs
 from kgeng.ops.canonicalize import UnionFind
 from kgeng.ops.hashing import (as_int64, as_uint64, mask63,
-                               minhash_signatures, xor64)
-
-_MERSENNE = (1 << 61) - 1
+                               minhash_signatures)
 
 
 # ------------------------------------------------------------- exact dedup
@@ -239,33 +237,8 @@ def minhash_lsh_candidates(ds: ray.data.Dataset, text_col: str = "text",
     # at real scale block boundaries dominate batching anyway
     banded = minhash_band_table(ds, text_col, id_col, num_perm,
                                 num_bands, ngram, batch_size=1024)
-
-    def emit_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized prefilter: only bands holding >= 2 rows can emit a
-        # pair, and they are the rare case — skip the per-group Python
-        # for the singleton bulk (same fold as the incremental variant)
-        g = g[g.groupby(["band_idx", "band_hash"], sort=False)
-              ["doc_id"].transform("size") >= 2]
-        out_a, out_b, out_skip = [], [], []
-        grouped = g.groupby(["band_idx", "band_hash"])["doc_id"]
-        for _key, ids in grouped:
-            uids = sorted(set(ids))
-            if len(uids) < 2:
-                continue
-            if len(uids) > max_band_group:
-                out_a.append("")
-                out_b.append("")
-                out_skip.append(len(uids))
-                continue
-            for i in range(len(uids)):
-                for j in range(i + 1, len(uids)):
-                    out_a.append(uids[i])
-                    out_b.append(uids[j])
-                    out_skip.append(0)
-        return pd.DataFrame({"a": out_a, "b": out_b, "skipped": out_skip})
-
-    pairs = banded.groupby("bucket").map_groups(emit_bucket,
-                                                batch_format="pandas")
+    pairs = banded.groupby("bucket").map_groups(
+        _bucket_pairs, batch_format="pandas", fn_args=(max_band_group,))
     if not dedup_pairs:
         return pairs
     dedup = pairs.groupby(["a", "b"]).max("skipped")
@@ -296,7 +269,6 @@ def minhash_dedup(ds: ray.data.Dataset, text_col: str = "text",
       never texts.
     """
     import pyarrow.compute as _pc
-    import ray
 
     cand = minhash_lsh_candidates(ds, text_col, id_col, ngram=ngram,
                                   dedup_pairs=False, **kw)
@@ -336,22 +308,56 @@ def minhash_dedup(ds: ray.data.Dataset, text_col: str = "text",
     else:
         comp = _verify_distributed(ds, cand, text_col, id_col,
                                    threshold, ngram)
-    # broadcast the (tiny) component map as two aligned Arrow arrays so
-    # the corpus-wide labeling pass stays fully vectorized: index_in +
-    # take + null-coalesce, no per-row dict probe
-    comp_ref = ray.put((pa.array(list(comp.keys()), pa.string()),
-                        pa.array(list(comp.values()), pa.string())))
+    return _label_reps(ds, id_col, comp)
 
-    def label(t: pa.Table) -> pa.Table:
-        keys, vals = ray.get(comp_ref)
-        ids = _pc.cast(t[id_col], pa.string()).combine_chunks()
-        rep = _pc.take(vals, _pc.index_in(ids, value_set=keys))
+
+def _bucket_pairs(g: pd.DataFrame, cap: int) -> pd.DataFrame:
+    """One 64-way bucket of band-table rows -> candidate (a, b, skipped)
+    rows with a < b. A band holding more than ``cap`` distinct docs emits
+    one sentinel row (a = b = "", skipped = its doc count) instead of
+    pairs; real pairs carry skipped = 0. With an ``is_new`` column
+    (incremental dedup) bands without a new doc are skipped and old x
+    old pairs are never emitted."""
+    # vectorized prefilter: dedup (band, doc) rows so the cap counts
+    # distinct docs, then keep only bands that can emit a pair
+    g = g.drop_duplicates(["band_idx", "band_hash", "doc_id"])
+    gb = g.groupby(["band_idx", "band_hash"], sort=False)
+    keep = gb["doc_id"].transform("size") >= 2
+    if "is_new" in g:
+        keep &= gb["is_new"].transform("max") > 0
+    g = g[keep]
+    ids, codes = np.unique(g["doc_id"].to_numpy(), return_inverse=True)
+    lo, hi, hot = band_pairs(g["band_idx"].to_numpy(),
+                             g["band_hash"].to_numpy(), codes, cap)
+    if "is_new" in g:
+        new = np.zeros(len(ids), bool)
+        new[codes] = g["is_new"].to_numpy() > 0
+        touches_new = new[lo] | new[hi]
+        lo, hi = lo[touches_new], hi[touches_new]
+    sent = np.full(len(hot), "", object)
+    return pd.DataFrame({
+        "a": np.r_[sent, ids[lo]], "b": np.r_[sent, ids[hi]],
+        "skipped": np.r_[hot[:, 2], np.zeros(len(lo), np.int64)]})
+
+
+def _label_reps(ds: ray.data.Dataset, id_col: str,
+                comp: dict[str, str]) -> ray.data.Dataset:
+    """(doc_id, cluster_rep) per row of ``ds``; ids outside ``comp`` are
+    their own rep. The (tiny) component map ships as two aligned Arrow
+    arrays in ``fn_args`` (put once with the map's transformer), so the
+    labeling pass stays vectorized: index_in + take + null-coalesce."""
+
+    def label(t: pa.Table, keys: pa.Array, vals: pa.Array) -> pa.Table:
+        ids = pc.cast(t[id_col], pa.string()).combine_chunks()
+        rep = pc.take(vals, pc.index_in(ids, value_set=keys))
         return pa.table({
             "doc_id": ids,
-            "cluster_rep": _pc.if_else(_pc.is_null(rep), ids, rep),
+            "cluster_rep": pc.if_else(pc.is_null(rep), ids, rep),
         })
 
-    return ds.map_batches(label, batch_format="pyarrow")
+    return ds.map_batches(label, batch_format="pyarrow", fn_args=(
+        pa.array(list(comp.keys()), pa.string()),
+        pa.array(list(comp.values()), pa.string())))
 
 
 def minhash_dedup_incremental(new_ds: ray.data.Dataset,
@@ -388,9 +394,6 @@ def minhash_dedup_incremental(new_ds: ray.data.Dataset,
     content whenever corpus content is in the cluster (a plain
     min-string rep could pick the new doc itself and hide the
     corpus hit)."""
-    import pandas as pd
-    import ray
-
     if old_ds is None:
         raise ValueError("old_ds is required (candidate verification "
                          "reads old texts even when old_bands skips "
@@ -411,41 +414,10 @@ def minhash_dedup_incremental(new_ds: ray.data.Dataset,
     banded = nb.union(old_bands.map_batches(tag(0),
                                             batch_format="pyarrow"))
 
-    def emit_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized prefilter BEFORE any per-group Python: dedup
-        # (band, doc) rows, then keep only bands with >= 2 docs AND at
-        # least one new doc (all-old bands are the already-deduped
-        # corpus colliding with itself — the common case at scale).
-        # Only real collision groups reach the pair loop.
-        g = g.drop_duplicates(["band_idx", "band_hash", "doc_id"])
-        gb = g.groupby(["band_idx", "band_hash"], sort=False)
-        keep = (gb["doc_id"].transform("size") >= 2) \
-            & (gb["is_new"].transform("max") > 0)
-        g = g[keep]
-        out_a, out_b, out_skip = [], [], []
-        for _key, sub in g.groupby(["band_idx", "band_hash"],
-                                   sort=False):
-            ids = sub["doc_id"].to_numpy()
-            news = sub["is_new"].to_numpy()
-            order = np.argsort(ids)
-            ids, news = ids[order], news[order]
-            if len(ids) > max_band_group:
-                out_a.append("")
-                out_b.append("")
-                out_skip.append(len(ids))
-                continue
-            for i in range(len(ids)):
-                for j in range(i + 1, len(ids)):
-                    if not (news[i] or news[j]):
-                        continue       # old x old: never verified
-                    out_a.append(ids[i])
-                    out_b.append(ids[j])
-                    out_skip.append(0)
-        return pd.DataFrame({"a": out_a, "b": out_b,
-                             "skipped": out_skip})
-
-    pairs = banded.groupby("bucket").map_groups(emit_bucket,
-                                                batch_format="pandas")
+    # all-old bands are the already-deduped corpus colliding with
+    # itself (the common case at scale): _bucket_pairs skips them
+    pairs = banded.groupby("bucket").map_groups(
+        _bucket_pairs, batch_format="pandas", fn_args=(max_band_group,))
     cand = pairs.map_batches(
         lambda t: t.filter(pc.not_equal(t["a"], ""))
         .select(["a", "b"]).group_by(["a", "b"]).aggregate([]),
@@ -488,7 +460,6 @@ def minhash_dedup_incremental(new_ds: ray.data.Dataset,
             texts[r["id"]] = r["txt"]
             if r["new"]:
                 new_in.add(r["id"])
-        from kgeng.ops.canonicalize import UnionFind
         uf = UnionFind()
         for a, b in cand_rows:
             if ngram_jaccard(texts[a], texts[b], ngram) >= threshold:
@@ -522,19 +493,7 @@ def minhash_dedup_incremental(new_ds: ray.data.Dataset,
             for m in ms:
                 comp[m] = best
 
-    comp_ref = ray.put((pa.array(list(comp.keys()), pa.string()),
-                        pa.array(list(comp.values()), pa.string())))
-
-    def label(t: pa.Table) -> pa.Table:
-        keys, vals = ray.get(comp_ref)
-        ids = pc.cast(t[id_col], pa.string()).combine_chunks()
-        rep = pc.take(vals, pc.index_in(ids, value_set=keys))
-        return pa.table({
-            "doc_id": ids,
-            "cluster_rep": pc.if_else(pc.is_null(rep), ids, rep),
-        })
-
-    return new_ds.map_batches(label, batch_format="pyarrow")
+    return _label_reps(new_ds, id_col, comp)
 
 
 def _verify_distributed(ds: ray.data.Dataset, cand: ray.data.Dataset,
@@ -701,18 +660,18 @@ def simhash_near_dup_pairs(ds: ray.data.Dataset, text_col: str = "text",
     banded = with_sig.map_batches(chunks, batch_format="pyarrow")
 
     def emit(g: pd.DataFrame) -> pd.DataFrame:
-        out_a, out_b, out_d = [], [], []
-        for _key, sub in g.groupby(["chunk_idx", "chunk_val"]):
-            rows = sorted(set(zip(sub["doc_id"], sub["sig"])))
-            for i in range(len(rows)):
-                for j in range(i + 1, len(rows)):
-                    # sig is int64 two's complement; XOR as uint64 bits
-                    d = bin(xor64(rows[i][1], rows[j][1])).count("1")
-                    if d <= max_hamming:
-                        out_a.append(rows[i][0])
-                        out_b.append(rows[j][0])
-                        out_d.append(d)
-        return pd.DataFrame({"a": out_a, "b": out_b, "hamming": out_d})
+        # members are the distinct (doc_id, sig) rows in sorted order
+        ids, id_code = np.unique(g["doc_id"].to_numpy(), return_inverse=True)
+        docs, codes = np.unique(np.c_[id_code, g["sig"].to_numpy()],
+                                axis=0, return_inverse=True)
+        lo, hi, _hot = band_pairs(g["chunk_idx"].to_numpy(),
+                                  g["chunk_val"].to_numpy(),
+                                  codes.reshape(-1), len(g))
+        d = np.unpackbits((docs[lo, 1] ^ docs[hi, 1]).view(np.uint8)
+                          .reshape(-1, 8), axis=1).sum(axis=1, dtype=np.int64)
+        ok = d <= max_hamming
+        return pd.DataFrame({"a": ids[docs[lo[ok], 0]],
+                             "b": ids[docs[hi[ok], 0]], "hamming": d[ok]})
 
     pairs = banded.groupby("bucket").map_groups(emit,
                                                 batch_format="pandas")

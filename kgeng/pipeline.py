@@ -125,8 +125,7 @@ class KGPipeline:
 
     def __init__(self, cfg: PipelineConfig | None = None,
                  checkpoint_root: str | None = None,
-                 num_shards: int | None = None,
-                 driver_max_surfaces: int = 2_000_000):
+                 num_shards: int | None = None):
         self.cfg = cfg or PipelineConfig()
         self.checkpoint_root = checkpoint_root
         # None = auto: shard count scales with input bytes, so resume
@@ -134,8 +133,6 @@ class KGPipeline:
         # overhead stays amortized (a 100 TB corpus gets ~10^5 shards, a
         # bench-sized one runs as a single execution)
         self.num_shards = num_shards
-        # cutover between driver-side and distributed canonicalization
-        self.driver_max_surfaces = driver_max_surfaces
 
     def _resolve_num_shards(self, files: list[str]) -> int:
         if self.num_shards is not None:
@@ -416,7 +413,7 @@ class KGPipeline:
                     surf_set.update(b["surface"].to_pylist())
         uniq_surfaces = list(surf_set)
         if (not force_distributed
-                and len(uniq_surfaces) <= self.driver_max_surfaces):
+                and len(uniq_surfaces) <= _DRIVER_MAX_SURFACES):
             from kgeng.ops.block import candidate_pairs_driver
             from kgeng.ops.canonicalize import build_resolution_from_pairs
 
@@ -602,8 +599,11 @@ class KGPipeline:
         return sink.entities_to_vertices(media, smart)
 
 
+# cutover between driver-side and distributed canonicalization, in
+# unique NER + gazetteer surfaces
+_DRIVER_MAX_SURFACES = 2_000_000
 # a 'surface' partition beyond this size cannot correspond to a plan-A
-# viable surface set (driver_max_surfaces strings are ~100 MB); go
+# viable surface set (_DRIVER_MAX_SURFACES strings are ~100 MB); go
 # straight to the distributed canonicalization without collecting
 _FORCE_DISTRIBUTED_SURFACE_BYTES = 512 << 20
 

@@ -268,12 +268,15 @@ def test_decoys_are_dropped(tiny_run):
 
 
 def test_distributed_canonicalization_fallback_matches_driver_path(
-        tiny_corpus, tmp_path_factory):
-    """Forcing the extreme-cardinality fallback (driver_max_surfaces=0 ->
+        tiny_corpus, tmp_path_factory, monkeypatch):
+    """Forcing the extreme-cardinality fallback (_DRIVER_MAX_SURFACES=0 ->
     distributed candidate_pairs + Dataset union-find) must produce the
     same triple set as the default driver-side plan A."""
+    from kgeng import pipeline
+
+    monkeypatch.setattr(pipeline, "_DRIVER_MAX_SURFACES", 0)
     root = str(tmp_path_factory.mktemp("ckpt_fallback"))
-    p = KGPipeline(checkpoint_root=root, driver_max_surfaces=0)
+    p = KGPipeline(checkpoint_root=root)
     res = p.run(os.path.join(tiny_corpus, "corpus"),
                 os.path.join(tiny_corpus, "gazetteer.parquet"))
     ps, gs = _triple_sets(res, tiny_corpus)
