@@ -261,21 +261,17 @@ def edge_list_vertices(edges: ray.data.Dataset,
     Ray plan; the driver plan is one ``_endpoint_ids`` over the parse).
 
     Replaces J1's per-bulk AQL anti-join (vertices_generator.py:123-146)
-    with per-block partial dedup + one groupby shuffle on uniform int-like
-    string keys (no skew)."""
-    from kgeng.ops.join import _bucket_ids
+    with per-block partial dedup + one ``by_key`` shuffle on uniform
+    int-like string keys (no skew) with a C-level ``unique`` per bucket,
+    an order of magnitude faster than a sort-shuffle over millions of
+    distinct string keys."""
+    from kgeng.ops.join import by_key
 
-    def endpoints(batch: pa.Table) -> pa.Table:
-        ids = pa.table({"id": _endpoint_ids(batch)})
-        # coarse hash bucket: a groupby over 256 buckets with C-level
-        # in-bucket dedup beats a sort-shuffle over millions of distinct
-        # string keys by an order of magnitude
-        return ids.append_column("bucket",
-                                 pa.array(_bucket_ids(ids, "id", 256)))
-
-    uniq = edges.map_batches(endpoints, batch_format="pyarrow")
     attr = cfg.smart_attribute
-    return uniq.groupby("bucket").map_groups(
+    return by_key(
+        edges.map_batches(lambda b: pa.table({"id": _endpoint_ids(b)}),
+                          batch_format="pyarrow"),
+        "id",
         lambda g: pa.table({attr: pc.unique(g["id"].combine_chunks())}),
         batch_format="pyarrow")
 

@@ -86,29 +86,21 @@ def salted_count(ds: ray.data.Dataset, key: str, salt: int = 16,
 
 def grouped_string_agg(ds: ray.data.Dataset, key: str, value: str,
                        order_by: list[str], sep: str = ",",
-                       out: str = "agg",
-                       num_buckets: int = 64) -> ray.data.Dataset:
+                       out: str = "agg") -> ray.data.Dataset:
     """Ordered string aggregation per key (SQL: ``string_agg(value, sep
-    ORDER BY order_by...)``) — the collect-to-list shape. Same coarse-
-    bucket plan as the windowed ops: one shuffle into a bounded number
-    of hash buckets, then ONE vectorized pandas pass per bucket (sort +
-    C-level groupby join), never a Python call per key. A key's rows all
-    land in one bucket, so the per-bucket concatenation is exact."""
+    ORDER BY order_by...)``) — the collect-to-list shape: one sort +
+    C-level groupby join per :func:`kgeng.ops.join.by_key` bucket,
+    never a Python call per key. Null keys form one group."""
     import pandas as pd
 
-    def bucket(t: pa.Table) -> pa.Table:
-        from kgeng.ops.join import _bucket_ids
-
-        b = _bucket_ids(t, key, num_buckets)
-        return t.append_column("__bucket", pa.array(b.astype(np.int32)))
+    from kgeng.ops.join import by_key
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key] + order_by, kind="mergesort")
-        s = g.groupby(key, sort=False)[value].agg(sep.join)
+        s = g.groupby(key, sort=False, dropna=False)[value].agg(sep.join)
         return pd.DataFrame({key: s.index.to_numpy(), out: s.to_numpy()})
 
-    return ds.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return by_key(ds, key, per_bucket)
 
 
 def pivot_count(ds: ray.data.Dataset, key: str, pivot: str,
@@ -328,19 +320,19 @@ def partial_sum(ds: ray.data.Dataset, key: str, value: str,
 
 def grouped_mode(ds: ray.data.Dataset, key: str, value: str,
                  out: str = "top_value", count_out: str = "n",
-                 num_buckets: int = 64,
                  key_type=pa.int64(),
                  value_type=pa.string()) -> ray.data.Dataset:
     """Most frequent ``value`` per ``key`` (the grouped MODE / argmax),
     deterministic tiebreak: the smallest value wins. Plan: per-batch
     vectorized (key, value) partial counts (the shuffle moves partials,
-    not rows), ONE global (key, value) sum, then a per-key argmax via
-    coarse key buckets + a C-level pandas reduction inside each bucket
-    (millions of tiny map_groups are pathological; 64 buckets are not).
-    Returns Dataset(key, out, count_out). ``key_type``/``value_type``
-    state the column types for the zero-column empty partitions the
-    groupby can emit (schema can't be inferred from an empty block)."""
+    not rows), ONE global (key, value) sum, then a C-level pandas
+    argmax per :func:`kgeng.ops.join.by_key` bucket. Returns
+    Dataset(key, out, count_out). ``key_type``/``value_type`` state the
+    column types for the zero-column empty partitions the groupby can
+    emit (schema can't be inferred from an empty block)."""
     import pandas as pd
+
+    from kgeng.ops.join import by_key
 
     def partial(t: pa.Table) -> pa.Table:
         g = t.select([key, value]).group_by([key, value]) \
@@ -350,17 +342,12 @@ def grouped_mode(ds: ray.data.Dataset, key: str, value: str,
     summed = ds.map_batches(partial, batch_format="pyarrow") \
         .groupby([key, value]).sum("c")
 
-    def tag(t: pa.Table) -> pa.Table:
-        from kgeng.ops.join import _bucket_ids
-
+    def named(t: pa.Table) -> pa.Table:
         if t.num_columns < 3:
             return pa.table({key: pa.array([], key_type),
                              value: pa.array([], value_type),
-                             "c": pa.array([], pa.int64()),
-                             "__b": pa.array([], pa.int32())})
-        t = t.rename_columns([key, value, "c"])
-        b = _bucket_ids(t, key, num_buckets)
-        return t.append_column("__b", pa.array(b.astype(np.int32)))
+                             "c": pa.array([], pa.int64())})
+        return t.rename_columns([key, value, "c"])
 
     def argmax(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values([key, "c", value],
@@ -370,8 +357,8 @@ def grouped_mode(ds: ray.data.Dataset, key: str, value: str,
         return top.rename(columns={value: out, "c": count_out})[
             [key, out, count_out]]
 
-    return summed.map_batches(tag, batch_format="pyarrow") \
-        .groupby("__b").map_groups(argmax, batch_format="pandas")
+    return by_key(summed.map_batches(named, batch_format="pyarrow"), key,
+                  argmax)
 
 
 def melt(ds: ray.data.Dataset, id_cols: list[str],

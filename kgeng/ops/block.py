@@ -4,8 +4,8 @@ shingle (char k-grams into a CSR, each surface once) -> minhash -> band
 keys -> ``band_pairs`` (the pairs of every band group, one lexsort) ->
 ``pair_jaccard`` verify (one sort of (pair, shingle) keys over the CSR).
 The driver plan runs both kernels over the whole surface set; the
-distributed plan shuffles band rows into 64 ``band_hash`` buckets, runs
-``band_pairs`` per bucket, dedups pairs globally and verifies per batch.
+distributed plan runs ``band_pairs`` per ``band_hash`` bucket of
+``join.by_key``, dedups pairs globally and verifies per batch.
 Both plans drop a band group of more than ``max_band_group`` rows and
 count it as one row ``("", "band:{band_idx}:{band_hash}", -rows)``.
 
@@ -24,9 +24,9 @@ import ray
 
 from kgeng.config import BlockConfig
 from kgeng.ops.hashing import MERSENNE61, mask63, minhash_signatures
+from kgeng.ops.join import by_key
 
 _MERSENNE = int(MERSENNE61)  # single home: kgeng/ops/hashing.py
-_BUCKETS = 64  # coarse shuffle buckets of the distributed plan
 _JACCARD_CHUNK = 1 << 17  # pairs per pair_jaccard sort
 
 
@@ -176,8 +176,7 @@ def candidate_pairs(surfaces: ray.data.Dataset,
         return pa.table({
             "surface": pa.array(np.repeat(surfs, B), pa.string()),
             "band_idx": pa.array(band_idx, pa.int32()),
-            "band_hash": pa.array(band_hash, pa.int64()),
-            "bucket": pa.array((band_hash % _BUCKETS).astype(np.int32))})
+            "band_hash": pa.array(band_hash, pa.int64())})
 
     def emit_pairs(t: pa.Table) -> pa.Table:
         # UNVERIFIED candidates: a pair recurs in up to num_bands groups
@@ -190,10 +189,9 @@ def candidate_pairs(surfaces: ray.data.Dataset,
         return _pairs_table(_hot_rows(hot), surfs[lo], surfs[hi],
                             np.zeros(len(lo)))
 
-    pairs = (surfaces.map_batches(bands, batch_format="pyarrow",
-                                  batch_size=4096)
-             .groupby("bucket").map_groups(emit_pairs,
-                                           batch_format="pyarrow"))
+    pairs = by_key(surfaces.map_batches(bands, batch_format="pyarrow",
+                                        batch_size=4096),
+                   "band_hash", emit_pairs, batch_format="pyarrow")
     # min keeps the sentinels' -size; real pairs are all 0.0
     deduped = pairs.groupby(["a", "b"]).min("jac")
 

@@ -23,6 +23,7 @@ from kgeng.ops.block import _perm_tables, band_pairs
 from kgeng.ops.canonicalize import UnionFind
 from kgeng.ops.hashing import (as_int64, as_uint64, mask63,
                                minhash_signatures)
+from kgeng.ops.join import by_key
 
 
 # ------------------------------------------------------------- exact dedup
@@ -174,7 +175,7 @@ def minhash_band_table(ds: ray.data.Dataset, text_col: str = "text",
                        num_bands: int = 32, ngram: int = 3,
                        batch_size: int = 1024) -> ray.data.Dataset:
     """The persistable LSH band index of a corpus: one row per
-    (band_idx, band_hash, doc_id, bucket) — exactly the rows
+    (band_idx, band_hash, doc_id) — exactly the rows
     :func:`minhash_lsh_candidates` shuffles. Write it to parquet once
     per corpus epoch; :func:`minhash_dedup_incremental` then dedups a
     new shard against the corpus WITHOUT re-banding it (the 100 TB
@@ -187,8 +188,7 @@ def minhash_band_table(ds: ray.data.Dataset, text_col: str = "text",
         if not texts:
             return pa.table({"band_idx": pa.array([], pa.int32()),
                              "band_hash": pa.array([], pa.int64()),
-                             "doc_id": pa.array([], pa.string()),
-                             "bucket": pa.array([], pa.int32())})
+                             "doc_id": pa.array([], pa.string())})
         bh2, _x, _bounds = _band_hashes(texts, num_perm, num_bands,
                                         ngram, a_t, b_t)
         n = len(texts)
@@ -201,7 +201,6 @@ def minhash_band_table(ds: ray.data.Dataset, text_col: str = "text",
                 pc.cast(t[id_col], pa.string()).combine_chunks(),
                 pa.array(np.repeat(np.arange(n, dtype=np.int64),
                                    num_bands))),
-            "bucket": pa.array((bh % 64).astype(np.int32)),
         })
 
     return ds.map_batches(bands, batch_format="pyarrow",
@@ -229,7 +228,7 @@ def minhash_lsh_candidates(ds: ray.data.Dataset, text_col: str = "text",
     """
     # banding delegated to the shared band-table kernel (vectorized
     # shingling, exact mod-mersenne permutations, Arrow-only id
-    # stringification, coarse 64-way shuffle bucket emitted inline).
+    # stringification).
     # 1024-doc banding batches: small enough that a small corpus still
     # fans out across the pool (map task count AND the downstream
     # bucket-shuffle's block count both follow the batching here), big
@@ -237,8 +236,8 @@ def minhash_lsh_candidates(ds: ray.data.Dataset, text_col: str = "text",
     # at real scale block boundaries dominate batching anyway
     banded = minhash_band_table(ds, text_col, id_col, num_perm,
                                 num_bands, ngram, batch_size=1024)
-    pairs = banded.groupby("bucket").map_groups(
-        _bucket_pairs, batch_format="pandas", fn_args=(max_band_group,))
+    pairs = by_key(banded, "band_hash",
+                   lambda g: _bucket_pairs(g, max_band_group))
     if not dedup_pairs:
         return pairs
     dedup = pairs.groupby(["a", "b"]).max("skipped")
@@ -312,7 +311,7 @@ def minhash_dedup(ds: ray.data.Dataset, text_col: str = "text",
 
 
 def _bucket_pairs(g: pd.DataFrame, cap: int) -> pd.DataFrame:
-    """One 64-way bucket of band-table rows -> candidate (a, b, skipped)
+    """One key bucket of band-table rows -> candidate (a, b, skipped)
     rows with a < b. A band holding more than ``cap`` distinct docs emits
     one sentinel row (a = b = "", skipped = its doc count) instead of
     pairs; real pairs carry skipped = 0. With an ``is_new`` column
@@ -416,8 +415,8 @@ def minhash_dedup_incremental(new_ds: ray.data.Dataset,
 
     # all-old bands are the already-deduped corpus colliding with
     # itself (the common case at scale): _bucket_pairs skips them
-    pairs = banded.groupby("bucket").map_groups(
-        _bucket_pairs, batch_format="pandas", fn_args=(max_band_group,))
+    pairs = by_key(banded, "band_hash",
+                   lambda g: _bucket_pairs(g, max_band_group))
     cand = pairs.map_batches(
         lambda t: t.filter(pc.not_equal(t["a"], ""))
         .select(["a", "b"]).group_by(["a", "b"]).aggregate([]),
@@ -650,10 +649,6 @@ def simhash_near_dup_pairs(ds: ray.data.Dataset, text_col: str = "text",
                 "chunk_val": pa.array(chunk),
                 "doc_id": ids,
                 "sig": pa.array(sig_i64, pa.int64()),
-                # coarse shuffle bucket emitted in the same pass (same
-                # trick as minhash_lsh_candidates: few shuffle groups,
-                # C-level grouping inside)
-                "bucket": pa.array((chunk % 64).astype(np.int32)),
             }))
         return pa.concat_tables(parts)
 
@@ -673,8 +668,7 @@ def simhash_near_dup_pairs(ds: ray.data.Dataset, text_col: str = "text",
         return pd.DataFrame({"a": ids[docs[lo[ok], 0]],
                              "b": ids[docs[hi[ok], 0]], "hamming": d[ok]})
 
-    pairs = banded.groupby("bucket").map_groups(emit,
-                                                batch_format="pandas")
+    pairs = by_key(banded, "chunk_val", emit)
     dedup = pairs.groupby(["a", "b"]).min("hamming")
     return dedup.map_batches(
         lambda t: t.rename_columns(["a", "b", "hamming"]),

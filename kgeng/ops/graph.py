@@ -54,6 +54,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from kgeng.ops.join import _int_bucket_ids, by_key
 from kgeng.ops.mat import mat
 
 
@@ -103,11 +104,9 @@ _LOCAL_EDGES = 128_000
 #: 2 GiB is the figure the bounded-BFS plan already applied to V x E.
 _DRIVER_STATE_BYTES = 2 << 30
 
-#: Shuffle bucket counts of the plan-B rounds (and of the triangle
-#: kernels' wedge chunking, at four chunks per bucket).
-_BUCKETS = 64
-_ROUND_BUCKETS = 32
-_BFS_BUCKETS = 16
+#: Most wedge-work chunks of the plan-A triangle kernels
+#: (:func:`_wedge_partials`): one in-process call or raw task each.
+_WEDGE_CHUNKS = 256
 
 
 def _kernel(fn):
@@ -410,14 +409,6 @@ class _IndexedEdges:
 _STATE, _EDGE, _MSG = 0, 1, 2
 
 
-def _bkt(ids: np.ndarray) -> np.ndarray:
-    """Round bucket of each node id."""
-    from kgeng.ops.agg import _splitmix64
-
-    return (_splitmix64(ids.astype(np.uint64))
-            % np.uint64(_ROUND_BUCKETS)).astype(np.int64)
-
-
 def _pack_regs(regs: np.ndarray) -> pa.Array:
     """(k, m) uint8 register matrix -> fixed_size_binary(m) Arrow
     array, one zero-copy buffer (no per-row bytes objects)."""
@@ -474,9 +465,11 @@ def _speak(t: pa.Table, send) -> pa.Table:
     return _rows(_MSG, tb, {"node": to, "__v": vals})
 
 
-def _listen(t: pa.Table, send, combine: str, apply, accept) -> pa.Table:
+def _listen(t: pa.Table, send, combine: str, apply, accept,
+            B: int) -> pa.Table:
     """Stage 2, one bucket: the receivers' state rows combine their
-    messages and apply them."""
+    messages and apply them; the new state rows go to their node's
+    bucket of ``B``."""
     s = _cols(_of(t, _STATE))
     ms = _of(t, _MSG)
     if len(ms):
@@ -492,14 +485,16 @@ def _listen(t: pa.Table, send, combine: str, apply, accept) -> pa.Table:
         j, vals = j[ok], vals[ok]
     k = len(s["node"])
     s.update(apply(s, *_merge(combine, [_part(combine, j, vals, k)], k)))
-    return _rows(_STATE, _bkt(s["node"]), s)
+    return _rows(_STATE, _int_bucket_ids(s["node"], B), s)
 
 
 class _DatasetRounds:
     """Plan B's round backend: the round interface of
     :class:`_IndexedEdges` with the node state a Dataset, one row per
     node (int64 / float64 / bool columns, register matrices as
-    fixed_size_binary) tagged with the node's round bucket. A round is
+    fixed_size_binary) tagged with the node's round bucket (the hash
+    and the ``join._BUCKETS`` count of :func:`kgeng.ops.join.by_key`,
+    read when the backend is built). A round is
     two co-bucketed ``groupby(bucket).map_groups`` stages: state rows
     meet edge rows at the sender and emit one message per edge, keyed by
     the receiver (:func:`_speak`); the messages meet the receivers'
@@ -510,7 +505,10 @@ class _DatasetRounds:
 
     def __init__(self, edges: ray.data.Dataset, src: str, dst: str,
                  weight: str | None, nodes: np.ndarray):
+        from kgeng.ops import join
+
         self.n = len(nodes)
+        self._B = join._BUCKETS
         self._edges = (edges, src, dst, weight)
         self._dirs: dict[bool, ray.data.Dataset] = {}
         # the state is cut into as many blocks as the edges; every
@@ -526,42 +524,50 @@ class _DatasetRounds:
         if reverse not in self._dirs:
             edges, src, dst, weight = self._edges
             a, b = (dst, src) if reverse else (src, dst)
+            B = self._B
 
             def rows(t: pa.Table) -> pa.Table:
                 u = _blk_col(t, a).astype(np.int64)
                 v = _blk_col(t, b).astype(np.int64)
-                cols = {"node": u, "__to": v, "__tb": _bkt(v)}
+                cols = {"node": u, "__to": v,
+                        "__tb": _int_bucket_ids(v, B)}
                 if weight:
                     cols["__w"] = _blk_col(t, weight).astype(np.int64)
-                return _rows(_EDGE, _bkt(u), cols)
+                return _rows(_EDGE, _int_bucket_ids(u, B), cols)
 
             self._dirs[reverse] = edges.map_batches(
                 rows, batch_format="pyarrow").materialize()
         return self._dirs[reverse]
 
     def state(self, init) -> ray.data.Dataset:
+        B = self._B
+
         def rows(t: pa.Table) -> pa.Table:
             node = _blk_col(t, "node")
-            return _rows(_STATE, _bkt(node), {"node": node, **init(node)})
+            return _rows(_STATE, _int_bucket_ids(node, B),
+                         {"node": node, **init(node)})
 
         return self._nodes.map_batches(rows, batch_format="pyarrow")
 
     def round(self, s: ray.data.Dataset, send, combine: str, apply,
               reverse: bool = False, accept=None) -> ray.data.Dataset:
+        B = self._B
         msgs = self._edge_rows(reverse).union(s).groupby("__b") \
             .map_groups(lambda t: _speak(t, send), batch_format="pyarrow")
         new = msgs.union(s).groupby("__b").map_groups(
-            lambda t: _listen(t, send, combine, apply, accept),
+            lambda t: _listen(t, send, combine, apply, accept, B),
             batch_format="pyarrow")
         # each shuffle emits one block per input block: without the
         # repartition the state's block count grows every round
         return mat(new.repartition(self._blocks))
 
     def update(self, s: ray.data.Dataset, fn) -> ray.data.Dataset:
+        B = self._B
+
         def rows(t: pa.Table) -> pa.Table:
             c = _cols(t)
             c.update(fn(c))
-            return _rows(_STATE, _bkt(c["node"]), c)
+            return _rows(_STATE, _int_bucket_ids(c["node"], B), c)
 
         return s.map_batches(rows, batch_format="pyarrow", batch_size=None)
 
@@ -850,7 +856,7 @@ def _ren(ds: ray.data.Dataset, mapping: dict[str, str],
     return ds.map_batches(f, batch_format="pyarrow")
 
 
-def _ijoin(left, right, key, how, left_cols, right_cols, **kw):
+def _ijoin(left, right, key, how, left_cols, right_cols):
     """hash_join of all-int64 inputs with explicit column NAMES and
     DTYPES, so hash_join never schema-fetches a lazy input (on a plan
     with a sort/aggregate barrier that fetch EXECUTES the whole join
@@ -860,7 +866,7 @@ def _ijoin(left, right, key, how, left_cols, right_cols, **kw):
                      left_cols=list(left_cols),
                      right_cols=list(right_cols),
                      left_types={c: "int64" for c in left_cols},
-                     right_types={c: "int64" for c in right_cols}, **kw)
+                     right_types={c: "int64" for c in right_cols})
 
 
 def line_graph(edges: ray.data.Dataset, src: str = "src",
@@ -898,8 +904,7 @@ def line_graph(edges: ray.data.Dataset, src: str = "src",
     right = edges.map_batches(proj("r"), batch_format="pyarrow")
     joined = _ijoin(left, right, key="k", how="inner",
                     left_cols=["k", "a_hi", "a_lo"],
-                    right_cols=["k", "b_hi", "b_lo"],
-                    num_buckets=_ROUND_BUCKETS)
+                    right_cols=["k", "b_hi", "b_lo"])
 
     def pack(t: pa.Table) -> pa.Table:
         def p(hi, lo):
@@ -1327,7 +1332,7 @@ def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
     for t_round in range(1, max_hops + 1):
         j = _ijoin(frontier.select_columns(["root", "node"]), hop,
                    key="node", how="inner", left_cols=["root", "node"],
-                   right_cols=["node", "nxt"], num_buckets=_BFS_BUCKETS)
+                   right_cols=["node", "nxt"])
 
         def step(t: pa.Table, _d=t_round) -> pa.Table:
             return pa.table({
@@ -1340,10 +1345,13 @@ def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
             .min("dist")
         # map_batches rename (Dataset.rename_columns breaks on the
         # pandas blocks a groupby emits) + repartition: iterative
-        # union/groupby loops otherwise double the block count per round
+        # union/groupby loops otherwise double the block count per
+        # round. 16 blocks is a block count, not a key bucket count:
+        # each block of the visited set is a task of every round's join
+        # and groupby, and the count stays fixed across rounds
         visited = mat(merged.map_batches(
             lambda t: t.rename_columns(["root", "node", "dist"]),
-            batch_format="pyarrow").repartition(_BFS_BUCKETS))
+            batch_format="pyarrow").repartition(16))
         rows = visited.count()
         if rows == prev_rows:
             break
@@ -1355,15 +1363,6 @@ def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
 
 
 # ------------------------------------------------------------ triangles
-
-def _mix2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Deterministic 64-bit mix of two int64 columns (bucketing only —
-    collisions just co-locate more rows, never corrupt results)."""
-    a = u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    b = v.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-    x = a ^ (b >> np.uint64(29)) ^ (b << np.uint64(17))
-    return (x * np.uint64(0xD6E8FEB86659FD93))
-
 
 def _segment_pairs(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """All (i < j) index pairs WITHIN each segment of a concatenated
@@ -1389,8 +1388,8 @@ def _segment_pairs(lens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _canonical_undirected(edges: ray.data.Dataset, src: str,
                           dst: str) -> ray.data.Dataset:
     """Canonical undirected edge set as (u < v) int64 pairs: loops
-    dropped, duplicates/reversals collapsed — one coarse-bucket shuffle
-    of id pairs with a per-bucket ``lexsort`` dedup."""
+    dropped, duplicates/reversals collapsed — one :func:`by_key`
+    shuffle of id pairs with a per-bucket ``lexsort`` dedup."""
 
     def canon(t: pa.Table) -> pa.Table:
         a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1398,10 +1397,7 @@ def _canonical_undirected(edges: ray.data.Dataset, src: str,
         u = np.minimum(a, b)
         v = np.maximum(a, b)
         keep = u != v
-        u, v = u[keep], v[keep]
-        bkt = (_mix2(u, v) % np.uint64(_BUCKETS)).astype(np.int32)
-        return pa.table({"u": pa.array(u), "v": pa.array(v),
-                         "bkt": pa.array(bkt)})
+        return pa.table({"u": pa.array(u[keep]), "v": pa.array(v[keep])})
 
     def dedup_group(df: pd.DataFrame) -> pa.Table:
         u = df["u"].to_numpy(np.int64)
@@ -1412,8 +1408,8 @@ def _canonical_undirected(edges: ray.data.Dataset, src: str,
         keep[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
         return pa.table({"u": pa.array(u[keep]), "v": pa.array(v[keep])})
 
-    return edges.map_batches(canon, batch_format="pyarrow") \
-        .groupby("bkt").map_groups(dedup_group, batch_format="pandas")
+    return by_key(edges.map_batches(canon, batch_format="pyarrow"),
+                  ["u", "v"], dedup_group)
 
 
 def _undirected_degrees(e: ray.data.Dataset) -> ray.data.Dataset:
@@ -1561,7 +1557,7 @@ def _wedge_partials(kernel, pe: np.ndarray, nodes: np.ndarray,
     at or below ``_LOCAL_EDGES`` edges, else from raw tasks (``pe``
     shipped once, partials fetched one at a time, so peak driver memory
     stays accumulator + one partial). This replaces two sort shuffles
-    (``groupby(wb).map_groups`` wedge co-location and the final
+    (the wedge co-location by pivot and the final
     ``groupby(node).sum``) whose fixed task overhead dominated wall
     time at bench scale."""
     u, v = pe >> 32, pe & np.int64(0xFFFFFFFF)
@@ -1582,7 +1578,7 @@ def _wedge_partials(kernel, pe: np.ndarray, nodes: np.ndarray,
     # chunks of ~equal wedge work (wedge cost is quadratic in pivot
     # out-degree, so equal-SEGMENT chunks would straggle); floor of
     # ~20k wedges per chunk keeps tiny graphs at a handful of chunks
-    n_chunks = int(max(1, min(_BUCKETS * 4, total_w // 20_000 + 1,
+    n_chunks = int(max(1, min(_WEDGE_CHUNKS, total_w // 20_000 + 1,
                               lens.size)))
     cuts = np.searchsorted(np.cumsum(wseg), np.arange(1, n_chunks)
                            * (total_w / n_chunks))
@@ -1600,13 +1596,10 @@ def _oriented_by_degree(proj: ray.data.Dataset) -> ray.data.Dataset:
     """Plan B front half of the triangle kernels: the canonical
     undirected edge set of ``proj``'s (u, v) pairs, each edge pointing
     from its lower (deg, id) end, degrees fetched by two joins (nothing
-    node-sized on the driver). Returns Dataset(a, b, db, wb): edge
-    a -> b, b's degree, and a's wedge bucket (4 x ``_BUCKETS``: wedge
-    work is quadratic in pivot out-degree, so finer groups
-    load-balance the heaviest stage). Out-degree after orientation is
-    O(sqrt(m)), which bounds both the group sizes and the total wedge
-    count to O(m^1.5). Materialized: the wedges and the closure both
-    read it."""
+    node-sized on the driver). Returns Dataset(a, b, db): edge a -> b
+    and b's degree. Out-degree after orientation is O(sqrt(m)), which
+    bounds both the pivot groups and the total wedge count to O(m^1.5).
+    Materialized: the wedges and the closure both read it."""
     e = _canonical_undirected(proj, "u", "v").materialize()
     degs = _undirected_degrees(e).materialize()
     dj = _ijoin(e, _ren(degs, {"u": "node", "du": "deg"}, ["u", "du"]),
@@ -1622,22 +1615,18 @@ def _oriented_by_degree(proj: ray.data.Dataset) -> ray.data.Dataset:
         du = t["du"].to_numpy(zero_copy_only=False).astype(np.int64)
         dv = t["dv"].to_numpy(zero_copy_only=False).astype(np.int64)
         ufirst = (du < dv) | ((du == dv) & (u < v))
-        a = np.where(ufirst, u, v)
-        bkt = ((a.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-               >> np.uint64(33)) % np.uint64(_BUCKETS * 4)
-        return pa.table({"a": pa.array(a),
+        return pa.table({"a": pa.array(np.where(ufirst, u, v)),
                          "b": pa.array(np.where(ufirst, v, u)),
-                         "db": pa.array(np.where(ufirst, dv, du)),
-                         "wb": pa.array(bkt.astype(np.int32))})
+                         "db": pa.array(np.where(ufirst, dv, du))})
 
     return dj2.map_batches(orient, batch_format="pyarrow").materialize()
 
 
 def _pivot_wedges(df: pd.DataFrame):
-    """All wedges of one wedge-bucket group of oriented edges: per
-    pivot ``a``, its out-neighbors sorted by (deg, id), so an emitted
-    wedge (v, w) is already in oriented-edge order. Returns the (pivot,
-    v, w) arrays."""
+    """All wedges of one :func:`by_key` bucket of oriented edges, keyed
+    by pivot: per pivot ``a``, its out-neighbors sorted by (deg, id), so
+    an emitted wedge (v, w) is already in oriented-edge order. Returns
+    the (pivot, v, w) arrays."""
     a = df["a"].to_numpy(np.int64)
     b = df["b"].to_numpy(np.int64)
     db = df["db"].to_numpy(np.int64)
@@ -1672,9 +1661,10 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
       shuffles, and graphs of at most ``_LOCAL_EDGES`` edges run every
       step in-process;
     - plan B: join orientation (:func:`_oriented_by_degree`), wedges
-      generated per wedge bucket, then semi-merged against the
-      oriented edge set in one hash-bucket shuffle (exact two-column
-      pandas merge per bucket) and reduced by ``groupby(node).sum``.
+      generated per pivot bucket, then semi-merged against the
+      oriented edge set in one :func:`by_key` shuffle on (v, w) (exact
+      two-column pandas merge per bucket) and reduced by
+      ``groupby(node).sum``.
       Plan B takes any int64 ids, negatives included.
 
     All arithmetic is integer — results are exact, so the SQL oracle
@@ -1708,8 +1698,7 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
                          "pivot": pa.array(piv),
                          "tag": pa.array(np.ones(v.size, np.int8))})
 
-    wedges = oriented.groupby("wb").map_groups(wedges_group,
-                                               batch_format="pandas")
+    wedges = by_key(oriented, "a", wedges_group)
 
     def edge_tagged(t: pa.Table) -> pa.Table:
         a = t["a"].to_numpy(zero_copy_only=False)
@@ -1718,15 +1707,8 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
                          "pivot": pa.array(np.full(a.size, -1, np.int64)),
                          "tag": pa.array(np.zeros(a.size, np.int8))})
 
-    def close_bucket(t: pa.Table) -> pa.Table:
-        v = t["v"].to_numpy(zero_copy_only=False)
-        w = t["w"].to_numpy(zero_copy_only=False)
-        bkt = (_mix2(v, w) % np.uint64(_BUCKETS)).astype(np.int32)
-        return t.append_column("cb", pa.array(bkt))
-
     both = wedges.union(oriented.map_batches(edge_tagged,
-                                             batch_format="pyarrow")) \
-        .map_batches(close_bucket, batch_format="pyarrow")
+                                             batch_format="pyarrow"))
 
     def close_group(df: pd.DataFrame) -> pa.Table:
         ed = df[df["tag"] == 0]
@@ -1743,8 +1725,7 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
         return pa.table({"node": pa.array(un),
                          "cnt": pa.array(cn.astype(np.int64))})
 
-    return both.groupby("cb").map_groups(close_group,
-                                         batch_format="pandas") \
+    return by_key(both, ["v", "w"], close_group) \
         .groupby("node").sum("cnt") \
         .map_batches(lambda t: t.rename_columns(["node", "n_triangles"]),
                      batch_format="pyarrow")
@@ -1805,11 +1786,10 @@ def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
         else:
             keep = degs.filter(expr=f"deg >= {k}")
             e1 = _ijoin(e, _ren(keep, {"u": "node"}, ["u"]), key="u",
-                        how="semi", left_cols=["u", "v"], right_cols=["u"],
-                        num_buckets=_BUCKETS)
+                        how="semi", left_cols=["u", "v"], right_cols=["u"])
             e = mat(_ijoin(e1, _ren(keep, {"v": "node"}, ["v"]), key="v",
                            how="semi", left_cols=["u", "v"],
-                           right_cols=["v"], num_buckets=_BUCKETS))
+                           right_cols=["v"]))
     else:
         raise RuntimeError(
             f"k_core did not converge within {max_rounds} rounds "
@@ -1956,11 +1936,7 @@ def _walks_distributed(adj: ray.data.Dataset, walk_len: int,
     import pandas as pd
 
     from kgeng.ops.agg import _splitmix64
-    from kgeng.ops.join import _bucket_ids, hash_join
-
-    def bucket(t: pa.Table) -> pa.Table:
-        b = _bucket_ids(t, "src", 64)
-        return t.append_column("__bucket", pa.array(b.astype(np.int32)))
+    from kgeng.ops.join import hash_join
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["src", "dst"], kind="mergesort")
@@ -1969,10 +1945,7 @@ def _walks_distributed(adj: ray.data.Dataset, walk_len: int,
             "k": g["src"].astype(str) + ":" + rk.astype(str),
             "dst": g["dst"]})
 
-    adjr = adj.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket,
-                                        batch_format="pandas") \
-        .materialize()
+    adjr = by_key(adj, "src", per_bucket).materialize()
     degt = adj.groupby("src").count().map_batches(
         lambda t: t.rename_columns(["cur", "deg"]),
         batch_format="pyarrow").materialize()
@@ -2104,8 +2077,6 @@ def edge_triangle_support(edges: ray.data.Dataset, src: str = "src",
     triangles/k-core pair toward trusses."""
     from ray.data.aggregate import Sum
 
-    from kgeng.ops.join import hash_join
-
     m, pe, nodes, deg, proj = _packed_edges(edges, src, dst, 16, 16)
     if m == 0:
         return ray.data.from_arrow(pa.table({
@@ -2138,19 +2109,14 @@ def edge_triangle_support(edges: ray.data.Dataset, src: str = "src",
         return pa.table({"vw": pack(v_, w_), "pv": pack(pv_, v_),
                          "pw": pack(pv_, w_)})
 
-    wedges = oriented.groupby("wb").map_groups(wedges_group,
-                                               batch_format="pandas")
+    wedges = by_key(oriented, "a", wedges_group)
     epk = oriented.map_batches(
         lambda t: pa.table({"vw": pack(
             t["a"].to_numpy(zero_copy_only=False),
             t["b"].to_numpy(zero_copy_only=False))}),
         batch_format="pyarrow")
-    closed = hash_join(wedges, epk, key="vw", how="semi",
-                       num_buckets=_BUCKETS,
-                       left_cols=["vw", "pv", "pw"], right_cols=["vw"],
-                       left_types={c: "int64" for c in
-                                   ("vw", "pv", "pw")},
-                       right_types={"vw": "int64"})
+    closed = _ijoin(wedges, epk, key="vw", how="semi",
+                    left_cols=["vw", "pv", "pw"], right_cols=["vw"])
 
     def fan3(t: pa.Table) -> pa.Table:
         ks = np.concatenate([

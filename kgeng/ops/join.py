@@ -1,21 +1,17 @@
-"""Joins beyond broadcast: the explicit hash-partitioned join for
-large x large inputs.
+"""Keyed exchange and joins.
 
-Pattern (Ray Data has no always-available Dataset.join across versions):
-add ``bucket = hash(key) % B`` to both sides, tag each side, union,
-``groupby(bucket)`` (ONE shuffle moves both sides), and merge the two
-sides pairwise inside each bucket with a C-level pandas merge.
-
-Skew handling: with ``salt > 1`` each LEFT row is assigned a sub-bucket
-(row-position mod salt — any deterministic spread works, the join result
-is assignment-invariant) and the RIGHT side is replicated into every
-sub-bucket, so a hot key's probe rows split across ``salt`` groups
-instead of landing in one. ``max_bucket_rows`` derives the salt from the
-left row count (one extra counting pass over the left lineage).
+:func:`by_key` is the one keyed exchange of the engine: every operator
+that needs all rows of a key in one place (window functions, per-group
+ranks, ordered string aggregation, pair generation, distinct edges)
+runs its per-key pandas or numpy pass through it. The joins beyond
+broadcast use its two-sided form, :func:`_co_group`: ``hash_join``,
+``asof_join`` and ``range_join`` differ only in the merge they run per
+bucket.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -23,25 +19,27 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+#: Key buckets of every keyed exchange (:func:`by_key`, the joins and
+#: the graph module's Dataset rounds). Read on the driver when a plan
+#: is built, so a test can set it.
+_BUCKETS = 64
+
 
 def broadcast_join(left: ray.data.Dataset, right_table: pa.Table,
                    key: str, how: str = "left",
                    fill: dict | None = None) -> ray.data.Dataset:
     """Small-side join without any shuffle: ``right_table`` (a driver-side
-    Arrow table; must fit in worker memory) ships ONCE via ``ray.put``
-    and every batch resolves its keys with vectorized ``pc.index_in`` +
-    ``take``. ``how``: 'left' keeps unmatched left rows (their right
-    columns null, or ``fill[col]`` when provided); 'inner' drops them.
-    The right side's key values must be unique (lookup semantics)."""
+    Arrow table; must fit in worker memory) ships ONCE with the map
+    operator (``fn_args``) and every batch resolves its keys with
+    vectorized ``pc.index_in`` + ``take``. ``how``: 'left' keeps
+    unmatched left rows (their right columns null, or ``fill[col]`` when
+    provided); 'inner' drops them. The right side's key values must be
+    unique (lookup semantics)."""
     import pyarrow.compute as pc
-    import ray as _ray
 
     rcols = [c for c in right_table.column_names if c != key]
-    ref = _ray.put((right_table[key].combine_chunks(),
-                    {c: right_table[c].combine_chunks() for c in rcols}))
 
-    def join(t: pa.Table) -> pa.Table:
-        keys_arr, cols = _ray.get(ref)
+    def join(t: pa.Table, keys_arr: pa.Array, cols: dict) -> pa.Table:
         idx = pc.index_in(t[key], value_set=keys_arr)
         if how == "inner":
             mask = pc.is_valid(idx)
@@ -54,47 +52,197 @@ def broadcast_join(left: ray.data.Dataset, right_table: pa.Table,
             t = t.append_column(c, v)
         return t
 
-    return left.map_batches(join, batch_format="pyarrow")
+    return left.map_batches(
+        join, batch_format="pyarrow",
+        fn_args=(right_table[key].combine_chunks(),
+                 {c: right_table[c].combine_chunks() for c in rcols}))
 
 
-def _bucket_ids(t: pa.Table, key: str, B: int) -> np.ndarray:
+def _mix2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Deterministic 64-bit mix of two int64 columns (bucketing only —
+    collisions just co-locate more rows, never corrupt results)."""
+    a = u.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    b = v.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
+    x = a ^ (b >> np.uint64(29)) ^ (b << np.uint64(17))
+    return (x * np.uint64(0xD6E8FEB86659FD93))
+
+
+def _int_bucket_ids(vals: np.ndarray, B: int) -> np.ndarray:
+    """Bucket of each integer id: one multiply + shift."""
+    h = vals.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    return ((h >> np.uint64(33)) % np.uint64(B)).astype(np.int64)
+
+
+def _bucket_ids(t: pa.Table, key: str | list[str], B: int) -> np.ndarray:
     """Deterministic bucket id per row (exposed for tests).
 
-    Integer keys: one splitmix-style multiply+shift over the numpy view.
-    Everything else: cast to Arrow string (vectorized), then ONE
-    ``pd.util.hash_array`` pass (C-level siphash, process-deterministic —
-    the same kernel dedup.exact_dedup trusts). No per-row Python on
-    either path. Equal key values always land in the same bucket; the
-    in-bucket pandas merge compares real values, so correctness needs
+    One integer key: :func:`_int_bucket_ids`. A list of integer keys:
+    the columns folded by :func:`_mix2`. Anything else: cast to Arrow
+    string (vectorized), then ONE ``pd.util.hash_array`` pass (C-level
+    siphash, process-deterministic — the same kernel
+    dedup.exact_dedup trusts). No per-row Python on any path. Null keys
+    share one bucket. Equal key values always land in the same bucket;
+    the per-bucket pass compares real values, so correctness needs
     only that co-location."""
+    import pyarrow.compute as pc
+
+    if not isinstance(key, str):
+        if len(key) == 1:
+            return _bucket_ids(t, key[0], B)
+        h = functools.reduce(_mix2, [
+            pc.fill_null(t[c], 0).to_numpy(zero_copy_only=False)
+            for c in key])
+        return (h % np.uint64(B)).astype(np.int64)
     col = t[key]
     if pa.types.is_integer(col.type):
-        vals = col.to_numpy(zero_copy_only=False)
-        h = (vals.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-        b = (h >> np.uint64(33)) % np.uint64(B)
-    else:
-        import pyarrow.compute as pc
+        return _int_bucket_ids(
+            pc.fill_null(col, 0).to_numpy(zero_copy_only=False), B)
+    if pa.types.is_dictionary(col.type):
+        col = col.cast(col.type.value_type)
+    if not (pa.types.is_string(col.type)
+            or pa.types.is_large_string(col.type)):
+        col = pc.cast(col, pa.string())
+    col = pc.fill_null(col, "\x00__kgeng_null__")
+    s = col.to_numpy(zero_copy_only=False)     # object ndarray of str
+    return (pd.util.hash_array(s) % np.uint64(B)).astype(np.int64)
 
-        if pa.types.is_dictionary(col.type):
-            col = col.cast(col.type.value_type)
-        if not (pa.types.is_string(col.type)
-                or pa.types.is_large_string(col.type)):
-            col = pc.cast(col, pa.string())
-        col = pc.fill_null(col, "\x00__kgeng_null__")
-        s = col.to_numpy(zero_copy_only=False)     # object ndarray of str
-        b = pd.util.hash_array(s) % np.uint64(B)
-    return b.astype(np.int64)
+
+def by_key(ds: ray.data.Dataset, key: str | list[str], fn,
+           batch_format: str = "pandas") -> ray.data.Dataset:
+    """Run ``fn`` over ``ds`` with every row of one ``key`` value in the
+    same call: each row goes to bucket ``hash(key) % _BUCKETS``
+    (:func:`_bucket_ids`), one ``groupby(bucket).map_groups`` shuffle
+    moves the rows, and ``fn`` gets each bucket's rows (``batch_format``
+    "pandas" or "pyarrow") without the bucket column. ``key`` is one
+    column or a list of integer columns.
+
+    A bucket holds many keys, so ``fn`` makes one vectorized pass over
+    all of them (sort + grouped scan, ``np.unique``, a pandas merge)
+    instead of one Python call per key; grouping by the real key would
+    make every key its own group, millions of tiny groups at scale.
+    ``fn``'s output must not depend on which keys share its bucket: it
+    groups by the key itself, and null keys form one group (SQL
+    ``GROUP BY`` / ``PARTITION BY``).
+
+    Partitioning assumption: one key's rows must fit a worker (a
+    bucket holds ~1/_BUCKETS of the rows plus its keys' skew). For a
+    hot join key, salt the join (:func:`hash_join`'s ``salt``)."""
+    B = _BUCKETS
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column(
+            "__bucket", pa.array(_bucket_ids(t, key, B).astype(np.int32)))
+
+    def run(g):
+        if batch_format == "pandas":
+            return fn(g.drop(columns=["__bucket"]))
+        return fn(g.drop_columns(["__bucket"]))
+
+    return ds.map_batches(tag, batch_format="pyarrow") \
+        .groupby("__bucket").map_groups(run, batch_format=batch_format)
+
+
+def _numeric_dtypes(schema) -> dict:
+    """col -> 'int64' | 'float64' for a Dataset schema's numeric
+    columns (Arrow or pandas block schema; {} when unknown)."""
+    if schema is None:
+        return {}
+    base = getattr(schema, "base_schema", None)
+    out = {}
+    if isinstance(base, pa.Schema):
+        for f in base:
+            if pa.types.is_integer(f.type):
+                out[f.name] = "int64"
+            elif pa.types.is_floating(f.type):
+                out[f.name] = "float64"
+    else:  # PandasBlockSchema: names + numpy dtypes
+        for name, typ in zip(schema.names, getattr(base, "types", [])):
+            kind = getattr(typ, "kind", "")
+            if kind in "iu":
+                out[name] = "int64"
+            elif kind == "f":
+                out[name] = "float64"
+    return out
+
+
+def _side(ds: ray.data.Dataset, cols: list[str] | None = None,
+          types: dict | None = None) -> tuple[list[str], dict]:
+    """A join side's column names and numeric dtypes. Either one given
+    skips its part of the schema fetch — on a LAZY input,
+    ``.schema()`` EXECUTES the plan up to a limit (a full run for any
+    plan containing a sort/aggregate barrier), so iterative callers
+    that join every round pass both. The schema can also be None when
+    a post-groupby dataset carries zero-column empty partitions."""
+    schema = None
+    if cols is None or types is None:
+        schema = ds.schema(fetch_if_missing=True)
+    cols = list(cols or schema.names)
+    if types is None:
+        # intersect with the column list: a lazy plan's base_schema can
+        # report PRE-projection columns, and reindex would then
+        # manufacture an all-NaN column that astype(int64) rejects
+        types = {c: t for c, t in _numeric_dtypes(schema).items()
+                 if c in cols}
+    return cols, dict(types)
+
+
+def _co_group(left: ray.data.Dataset, right: ray.data.Dataset,
+              left_key: str, right_key: str, lside: tuple, rside: tuple,
+              fn, salt: int = 1) -> ray.data.Dataset:
+    """The two-sided :func:`by_key`: both sides tagged with their key's
+    bucket and their side, unioned, ONE shuffle, and ``fn(lg, rg)`` per
+    bucket on two pandas frames holding each side's ``_side`` columns.
+
+    The union pads each side's missing columns with nulls, which floats
+    integer columns NON-UNIFORMLY across reduce batches (a batch holding
+    only one side keeps its ints), and a bucket holding one side lacks
+    the other's columns entirely: each side is reindexed to its columns
+    and restored to its numeric dtypes before ``fn`` sees it.
+
+    With ``salt > 1`` each LEFT row goes to a sub-bucket (row position
+    mod salt — any deterministic spread works, the join result is
+    assignment-invariant) and the RIGHT side is replicated into every
+    sub-bucket, so a hot key's probe rows split across ``salt`` groups
+    instead of landing in one."""
+    (lcols, ltypes), (rcols, rtypes) = lside, rside
+    B = _BUCKETS
+
+    def tagged(t: pa.Table, b: np.ndarray, side: int) -> pa.Table:
+        return t.append_column("__bucket", pa.array(b.astype(np.int32))) \
+            .append_column("__side", pa.array(np.full(len(t), side,
+                                                      np.int8)))
+
+    def tag_left(t: pa.Table) -> pa.Table:
+        b = _bucket_ids(t, left_key, B) * salt
+        return tagged(t, b + np.arange(len(t)) % salt, 0)
+
+    def tag_right(t: pa.Table) -> pa.Table:
+        b = _bucket_ids(t, right_key, B) * salt
+        return pa.concat_tables([tagged(t, b + s, 1)
+                                 for s in range(salt)])
+
+    def merge(g: pd.DataFrame) -> pd.DataFrame:
+        side = g["__side"].to_numpy()
+        return fn(g[side == 0].reindex(columns=lcols).astype(ltypes),
+                  g[side == 1].reindex(columns=rcols).astype(rtypes))
+
+    return left.map_batches(tag_left, batch_format="pyarrow") \
+        .union(right.map_batches(tag_right, batch_format="pyarrow")) \
+        .groupby("__bucket").map_groups(merge, batch_format="pandas")
 
 
 def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
-              num_buckets: int = 32, how: str = "inner",
+              how: str = "inner",
               suffix: str = "_r", salt: int = 1,
               max_bucket_rows: int | None = None,
               left_cols: list[str] | None = None,
               right_cols: list[str] | None = None,
               left_types: dict | None = None,
               right_types: dict | None = None) -> ray.data.Dataset:
-    """Hash-partitioned equi-join of two Datasets on ``key``.
+    """Hash-partitioned equi-join of two Datasets on ``key`` (Ray Data
+    has no always-available Dataset.join across versions): one
+    :func:`_co_group` shuffle moves both sides, then one C-level pandas
+    merge per bucket.
 
     Column collisions on the right side get ``suffix``. ``how`` is any
     pandas merge mode whose semantics survive per-bucket decomposition
@@ -113,12 +261,9 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
     first), guaranteeing no merge group holds more than ~max_bucket_rows
     left rows even if every row shares one key.
 
-    ``left_types``/``right_types`` (col -> 'int64'|'float64') skip the
-    dtype-stabilizing schema fetch — on a LAZY input, ``.schema()``
-    EXECUTES the plan up to a limit (a full run for any plan containing
-    a sort/aggregate barrier), so iterative callers that join every
-    round must pass them (with ``left_cols``/``right_cols``, which skip
-    the name fetch the same way) or pay each join's cost twice.
+    ``left_cols``/``right_cols`` and ``left_types``/``right_types``
+    (col -> 'int64'|'float64') skip the schema fetch (see
+    :func:`_side`).
     """
     if max_bucket_rows is not None:
         n_left = left.count()
@@ -128,76 +273,18 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
         raise ValueError("how='outer' requires salt=1: sub-bucket "
                          "replication would emit right-only rows once "
                          "per sub-bucket")
-    # schema(fetch_if_missing=True) executes one block for lazy plans;
-    # it can still be None when a post-groupby dataset carries
-    # zero-column empty partitions — pass left_cols/right_cols then
-    lcols = left_cols or [c for c in
-                          left.schema(fetch_if_missing=True).names]
-    rcols = right_cols or [c for c in
-                           right.schema(fetch_if_missing=True).names]
-
-    def tag_left(t: pa.Table) -> pa.Table:
-        b = _bucket_ids(t, key, num_buckets)
-        if salt > 1:
-            b = b * salt + (np.arange(len(t), dtype=np.int64) % salt)
-        t = t.append_column("__bucket", pa.array(b.astype(np.int32)))
-        return t.append_column("__side", pa.array(["l"] * len(t)))
-
-    def tag_right(t: pa.Table) -> pa.Table:
-        b = _bucket_ids(t, key, num_buckets)
-        t = t.append_column("__side", pa.array(["r"] * len(t)))
-        if salt == 1:
-            return t.append_column("__bucket",
-                                   pa.array(b.astype(np.int32)))
-        reps = []
-        for s in range(salt):
-            reps.append(t.append_column(
-                "__bucket", pa.array((b * salt + s).astype(np.int32))))
-        return pa.concat_tables(reps)
-
-    both = left.map_batches(tag_left, batch_format="pyarrow").union(
-        right.map_batches(tag_right, batch_format="pyarrow"))
+    lside = _side(left, left_cols, left_types)
+    rside = _side(right, right_cols, right_types)
+    (lcols, ltypes), (rcols, rtypes) = lside, rside
 
     # stable output column set: a bucket whose group holds only one
     # side must still emit the FULL schema (reindex fills the absent
     # side's columns), or downstream consumers see diverging blocks
     out_cols = lcols + [(c + suffix if c in lcols else c)
                         for c in rcols if c != key]
-
-    # stable dtypes too (same fix as asof_join/range_join): the union
-    # pads each side's missing columns with nulls, floating integer
-    # columns NON-UNIFORMLY across reduce batches. Restore each side's
-    # true numeric dtypes before merging; right int columns surface as
-    # float64 in the OUTPUT (NaN = unmatched under how='left'), the
-    # nullable-int convention, so every block agrees.
-    def _numeric_dtypes(ds: ray.data.Dataset) -> dict:
-        s = ds.schema(fetch_if_missing=True)
-        if s is None:
-            return {}
-        base = getattr(s, "base_schema", None)
-        out = {}
-        if isinstance(base, pa.Schema):
-            for f in base:
-                if pa.types.is_integer(f.type):
-                    out[f.name] = "int64"
-                elif pa.types.is_floating(f.type):
-                    out[f.name] = "float64"
-        else:  # PandasBlockSchema: names + numpy dtypes
-            for name, typ in zip(s.names, getattr(base, "types", [])):
-                kind = getattr(typ, "kind", "")
-                if kind in "iu":
-                    out[name] = "int64"
-                elif kind == "f":
-                    out[name] = "float64"
-        return out
-
-    # intersect with the projected column lists: a lazy plan's
-    # base_schema can report PRE-projection columns, and reindex would
-    # then manufacture an all-NaN column that astype(int64) rejects
-    ltypes = dict(left_types) if left_types is not None else \
-        {c: t for c, t in _numeric_dtypes(left).items() if c in lcols}
-    rtypes = dict(right_types) if right_types is not None else \
-        {c: t for c, t in _numeric_dtypes(right).items() if c in rcols}
+    # right int columns surface as float64 in the OUTPUT (NaN =
+    # unmatched under how='left'), the nullable-int convention, so
+    # every block agrees
     int_right = [c for c, t in rtypes.items()
                  if t == "int64" and c != key]
     # full outer: unmatched right rows null the LEFT side too, so left
@@ -205,9 +292,7 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
     int_left = ([c for c, t in ltypes.items()
                  if t == "int64" and c != key] if how == "outer" else [])
 
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "l"].reindex(columns=lcols).astype(ltypes)
-        rg = g[g["__side"] == "r"].reindex(columns=rcols).astype(rtypes)
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
         if how == "semi":
             return lg[lg[key].isin(rg[key].unique())]
         if how == "anti":
@@ -221,72 +306,40 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
             out[c] = out[c].astype("float64")
         return out
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return _co_group(left, right, key, key, lside, rside, merge, salt)
+
+
+def _disjoint_sides(left: ray.data.Dataset,
+                    right: ray.data.Dataset) -> tuple[tuple, tuple]:
+    lside, rside = _side(left), _side(right)
+    overlap = set(lside[0]) & set(rside[0])
+    if overlap:
+        raise ValueError(f"column collision across sides: {overlap}")
+    return lside, rside
 
 
 def asof_join(left: ray.data.Dataset, right: ray.data.Dataset,
               left_key: str, right_key: str,
               left_ts: str, right_ts: str,
               tiebreak: str | None = None,
-              num_buckets: int = 32,
               direction: str = "backward") -> ray.data.Dataset:
     """Distributed as-of join — for each left row, the single right row
     of the same key with the greatest ``right_ts`` at or before
     ``left_ts`` (``direction='backward'``; 'forward' mirrors it). Ray
-    Data has no native as-of join; this composes one from the same
-    primitives as :func:`hash_join`: hash-bucket BOTH sides by join key
-    (one shuffle co-locates every key's full history with its probes),
-    then one C-level ``pandas.merge_asof`` per bucket. Rows never leave
-    their key's bucket, so the per-bucket decomposition is exact.
+    Data has no native as-of join: one :func:`_co_group` shuffle
+    co-locates every key's full history with its probes, then one
+    C-level ``pandas.merge_asof`` per bucket. Rows never leave their
+    key's bucket, so the per-bucket decomposition is exact.
 
     Right-side timestamp ties are broken deterministically: the right
     side is sorted by ``(right_ts, tiebreak)`` and ``merge_asof`` takes
     the last sorted occurrence, i.e. the highest ``tiebreak`` value.
+    Unmatched left rows keep null right columns (left-join
+    semantics)."""
+    lside, rside = _disjoint_sides(left, right)
+    int_right = [c for c, t in rside[1].items() if t == "int64"]
 
-    Partitioning assumption (100 TB note): a bucket holds
-    ~n_rows/num_buckets of both sides and is merged in one pandas pass —
-    size ``num_buckets`` so a bucket fits a worker's heap. Unmatched
-    left rows keep null right columns (left-join semantics)."""
-    lcols = list(left.schema().names)
-    rcols = list(right.schema().names)
-    overlap = set(lcols) & set(rcols)
-    if overlap:
-        raise ValueError(f"column collision across sides: {overlap}")
-
-    def tag(which: str, key: str):
-        def fn(t: pa.Table) -> pa.Table:
-            b = _bucket_ids(t, key, num_buckets)
-            t = t.append_column("__bucket", pa.array(b.astype(np.int32)))
-            return t.append_column("__side",
-                                   pa.array([which] * len(t)))
-        return fn
-
-    both = (left.map_batches(tag("l", left_key), batch_format="pyarrow")
-            .union(right.map_batches(tag("r", right_key),
-                                     batch_format="pyarrow")))
-    # original integer dtypes: the union pads each side's missing columns
-    # with nulls, which floats integer columns NON-UNIFORMLY across reduce
-    # batches (a batch holding only one side keeps its ints). Restore each
-    # side's true dtypes from its Arrow schema before merging so the
-    # by/on keys always agree, and so output dtypes are deterministic.
-    def _dtypes(schema: "pa.Schema") -> dict:
-        out = {}
-        for f in schema:
-            if pa.types.is_integer(f.type):
-                out[f.name] = "int64"
-            elif pa.types.is_floating(f.type):
-                out[f.name] = "float64"
-        return out
-
-    ltypes = _dtypes(left.schema().base_schema)
-    rtypes = _dtypes(right.schema().base_schema)
-    int_right = [c for c, t in rtypes.items() if t == "int64"]
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        # reindex: a reduce batch holding only one side's rows lacks the
-        # other side's columns entirely; reindex adds them (empty frame)
-        lg = g[g["__side"] == "l"].reindex(columns=lcols).astype(ltypes)
-        rg = g[g["__side"] == "r"].reindex(columns=rcols).astype(rtypes)
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
         # normalize both ON keys to one temporal dtype: the sides may
         # differ at the source (date32 vs timestamp[us]) and a one-sided
         # reindex leaves float64 NaN
@@ -306,74 +359,32 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset,
             out[c] = out[c].astype("float64")
         return out
 
-    return both.groupby("__bucket").map_groups(merge,
-                                               batch_format="pandas")
+    return _co_group(left, right, left_key, right_key, lside, rside,
+                     merge)
 
 
 def range_join(left: ray.data.Dataset, right: ray.data.Dataset,
                left_key: str, right_key: str,
                left_ts: str, right_lo: str, right_hi: str,
-               num_buckets: int = 32,
                hi_inclusive: bool = False) -> ray.data.Dataset:
     """Distributed range (interval) join — every (left, right) pair of
     the same key where ``right_lo <= left_ts < right_hi`` (``<=`` when
-    ``hi_inclusive``). Ray Data has no native interval join; like
-    :func:`hash_join` / :func:`asof_join`, both sides hash-bucket by
-    join key (one shuffle), then each bucket runs one vectorized pass:
-    right intervals sort by ``right_lo`` and two ``np.searchsorted``
-    calls bound each left row's candidate window, so the scan is
-    O((n+m) log m + matches) per bucket, not an n x m product.
+    ``hi_inclusive``). Ray Data has no native interval join: one
+    :func:`_co_group` shuffle, then per bucket one C-level equi-merge on
+    the key (each key's probe x interval candidates) followed by one
+    vectorized range filter — no per-row or per-key Python.
 
     Inner-join semantics: left rows matching no interval are dropped;
     a row matching k intervals emits k output rows.
 
-    Per bucket the plan is one C-level equi-merge on the key (producing
-    each key's probe x interval candidates) followed by one vectorized
-    range filter — no per-row or per-key Python.
-
-    Partitioning assumption (100 TB note): one key's probes + intervals
-    must fit a worker (same contract as hash_join's unsalted path), and
-    the candidate set is the PER-KEY PRODUCT before filtering — fine
+    The candidate set is the PER-KEY PRODUCT before filtering — fine
     when intervals per key are bounded (the common case: a customer's
     orders, a device's sessions); a key with millions of both sides
     needs a coarser pre-filter (e.g. bucket time into the key) first."""
-    lcols = list(left.schema().names)
-    rcols = list(right.schema().names)
-    overlap = set(lcols) & set(rcols)
-    if overlap:
-        raise ValueError(f"column collision across sides: {overlap}")
+    lside, rside = _disjoint_sides(left, right)
+    out_cols = lside[0] + rside[0]
 
-    import pyarrow.compute as pc
-
-    def tag(which: str, key: str):
-        def fn(t: pa.Table) -> pa.Table:
-            b = _bucket_ids(t, key, num_buckets)
-            t = t.append_column("__bucket", pa.array(b.astype(np.int32)))
-            return t.append_column(
-                "__side", pc.take(pa.array([which], pa.string()),
-                                  pa.array(np.zeros(len(t), np.int32))))
-        return fn
-
-    both = (left.map_batches(tag("l", left_key), batch_format="pyarrow")
-            .union(right.map_batches(tag("r", right_key),
-                                     batch_format="pyarrow")))
-
-    def _dtypes(schema) -> dict:
-        out = {}
-        for f in schema:
-            if pa.types.is_integer(f.type):
-                out[f.name] = "int64"
-            elif pa.types.is_floating(f.type):
-                out[f.name] = "float64"
-        return out
-
-    ltypes = _dtypes(left.schema().base_schema)
-    rtypes = _dtypes(right.schema().base_schema)
-
-    def merge(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "l"].reindex(columns=lcols).astype(ltypes)
-        rg = g[g["__side"] == "r"].reindex(columns=rcols).astype(rtypes)
-        out_cols = lcols + rcols
+    def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
         for frame, c in ((lg, left_ts), (rg, right_lo), (rg, right_hi)):
             frame[c] = pd.to_datetime(frame[c]).astype("datetime64[us]")
         out = lg.merge(rg, left_on=left_key, right_on=right_key,
@@ -383,8 +394,8 @@ def range_join(left: ray.data.Dataset, right: ray.data.Dataset,
             else (out[left_ts] < out[right_hi]))
         return out[keep][out_cols]
 
-    return both.groupby("__bucket").map_groups(merge,
-                                               batch_format="pandas")
+    return _co_group(left, right, left_key, right_key, lside, rside,
+                     merge)
 
 
 # ---------------------------------------------------------------- bloom
@@ -430,19 +441,14 @@ def bloom_prefilter(ds: ray.data.Dataset, key: str, bloom: bytes,
                     k: int = 4) -> ray.data.Dataset:
     """Drop rows whose ``key`` is definitely absent from the filter
     (no false negatives; false positives pass through, so compose with
-    an exact join AFTER). The bitmap ships once via ``ray.put`` and
-    each task reads it zero-copy from the local object store — at
-    cluster scale this replaces shuffling every non-matching probe row
-    with broadcasting ~128 KB."""
-    import ray
-
+    an exact join AFTER). The bitmap ships once with the map operator
+    (``fn_args``) — at cluster scale this replaces shuffling every
+    non-matching probe row with broadcasting ~128 KB."""
     from kgeng.ops.agg import _splitmix64
 
     mask = np.uint64(num_bits - 1)
-    ref = ray.put(np.frombuffer(bloom, np.uint8))
 
-    def keep(t: pa.Table) -> pa.Table:
-        bm = ray.get(ref)
+    def keep(t: pa.Table, bm: np.ndarray) -> pa.Table:
         v = t[key].to_numpy(zero_copy_only=False)
         h = _splitmix64(v.astype(np.uint64))
         h1 = h & mask
@@ -454,7 +460,8 @@ def bloom_prefilter(ds: ray.data.Dataset, key: str, bloom: bytes,
             ok &= (bits >> (pos & np.uint64(7)).astype(np.uint8)) & 1 > 0
         return t.filter(pa.array(ok))
 
-    return ds.map_batches(keep, batch_format="pyarrow")
+    return ds.map_batches(keep, batch_format="pyarrow",
+                          fn_args=(np.frombuffer(bloom, np.uint8),))
 
 
 def fuzzy_lookup(probes: ray.data.Dataset, catalog: ray.data.Dataset,
@@ -489,10 +496,9 @@ def fuzzy_lookup(probes: ray.data.Dataset, catalog: ray.data.Dataset,
     order = np.lexsort((np.array(names, object), clens))
     cmat, clens = cmat[order], clens[order]
     cnames = np.array(names, object)[order]
-    ref = ray.put((cmat, clens, cnames))
 
-    def lookup(t: pa.Table) -> pa.Table:
-        cm, cl, cn = ray.get(ref)
+    def lookup(t: pa.Table, cm: np.ndarray, cl: np.ndarray,
+               cn: np.ndarray) -> pa.Table:
         # null probes produce no output row (SQL: levenshtein(NULL, x)
         # IS NULL -> filtered), mirroring the catalog-side null guard —
         # without this, a null probe would byte-encode as '' and
@@ -540,4 +546,5 @@ def fuzzy_lookup(probes: ray.data.Dataset, catalog: ray.data.Dataset,
             out_match: pa.array(best["m"].to_numpy(), pa.string()),
             out_dist: pa.array(best["d"].to_numpy(np.int64))})
 
-    return probes.map_batches(lookup, batch_format="pyarrow")
+    return probes.map_batches(lookup, batch_format="pyarrow",
+                              fn_args=(cmat, clens, cnames))

@@ -1,13 +1,12 @@
 """Per-group ranking / order-statistics operators.
 
-- ``top_k_per_group``: the windowed ``row_number() <= k`` pattern.
-  Scale shape: ONE shuffle into coarse hash buckets (bounded group
-  count), then a single vectorized pandas sort + groupby-head per
-  bucket — never one Python call per key.
+- ``top_k_per_group``: the windowed ``row_number() <= k`` pattern,
+  one vectorized pandas sort + groupby-head per
+  :func:`kgeng.ops.join.by_key` bucket.
 - ``grouped_quantiles``: exact per-group quantiles (linear
-  interpolation, matching SQL ``quantile_cont``). Groups are collected
-  per group key, so this is for LOW-CARDINALITY group keys whose
-  values fit one task.
+  interpolation, matching SQL ``quantile_cont``). A group's values are
+  gathered in one ``by_key`` call, so this is for LOW-CARDINALITY group
+  keys whose values fit one task.
 - ``approx_grouped_quantiles``: the scale path — a mergeable two-pass
   equi-width histogram sketch. Pass 1 is a groupby min/max/count
   (partial+final); pass 2 bins every value into ``num_bins`` buckets
@@ -24,17 +23,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
-
-def _bucket(ds: ray.data.Dataset, key: str, num_buckets: int):
-    def f(t: pa.Table) -> pa.Table:
-        # the one tested bucket-hash kernel (join._bucket_ids) — never a
-        # local copy that can drift
-        from kgeng.ops.join import _bucket_ids
-
-        b = _bucket_ids(t, key, num_buckets)
-        return t.append_column("__bucket", pa.array(b.astype(np.int32)))
-
-    return ds.map_batches(f, batch_format="pyarrow")
+from kgeng.ops.join import by_key
 
 
 def top_k_global(ds: ray.data.Dataset, keys: list[str], k: int,
@@ -65,8 +54,7 @@ def top_k_global(ds: ray.data.Dataset, keys: list[str], k: int,
 
 def top_k_per_group(ds: ray.data.Dataset, key: str, value: str, k: int,
                     tie_breakers: list[str] | None = None,
-                    descending: bool = True,
-                    num_buckets: int = 64) -> ray.data.Dataset:
+                    descending: bool = True) -> ray.data.Dataset:
     """Top-``k`` rows per ``key`` by ``value`` with deterministic
     tie-breaking (ascending ``tie_breakers`` after the value), plus a
     1-based ``rank`` column — the distributed
@@ -79,31 +67,25 @@ def top_k_per_group(ds: ray.data.Dataset, key: str, value: str, k: int,
                           ascending=[True, not descending]
                           + [True] * len(ties),
                           kind="mergesort")
-        out = g.groupby(key, sort=False).head(k).copy()
-        out["rank"] = out.groupby(key, sort=False).cumcount() + 1
-        return out.drop(columns=["__bucket"])
+        out = g.groupby(key, sort=False, dropna=False).head(k).copy()
+        out["rank"] = out.groupby(key, sort=False,
+                                  dropna=False).cumcount() + 1
+        return out
 
-    return _bucket(ds, key, num_buckets).groupby("__bucket").map_groups(
-        per_bucket, batch_format="pandas")
+    return by_key(ds, key, per_bucket)
 
 
 def grouped_quantiles(ds: ray.data.Dataset, key: str, value: str,
                       quantiles: list[float],
                       round_to: int = 6,
-                      method: str = "cont",
-                      num_buckets: int = 64) -> ray.data.Dataset:
+                      method: str = "cont") -> ray.data.Dataset:
     """Exact per-group quantiles: one row per (key, q). Group count
     must be low — each group's values are gathered into one task.
     ``method="cont"`` is linear interpolation (SQL ``quantile_cont``,
     rounded to ``round_to`` on both sides); ``method="disc"`` is the
     smallest data value whose CDF reaches q (SQL ``quantile_disc`` —
     an actual data point, returned UNrounded so equality is exact).
-
-    Shuffle shape: ONE coarse-bucket shuffle (keys hash into
-    ``num_buckets`` groups) + a per-key numpy pass inside each bucket —
-    grouping by the real key would make every key its own map_groups
-    task, and on a skewed key the hot group's task both straggles and
-    carries per-task overhead for thousands of tiny siblings."""
+    One per-key numpy pass per :func:`by_key` bucket."""
     if method not in ("cont", "disc"):
         raise ValueError(f"method must be cont|disc, got {method!r}")
 
@@ -135,8 +117,7 @@ def grouped_quantiles(ds: ray.data.Dataset, key: str, value: str,
         return pd.DataFrame({key: keys_out, "q": q_out,
                              "quantile_value": v_out})
 
-    return _bucket(ds, key, num_buckets).groupby("__bucket") \
-        .map_groups(per_bucket, batch_format="pandas")
+    return by_key(ds, key, per_bucket)
 
 
 def _group_count_capped(ds: ray.data.Dataset, key: str, cap: int) -> int:
@@ -278,18 +259,17 @@ def global_row_number(ds: ray.data.Dataset, by: list[str],
 
 
 def grouped_dense_rank(ds: ray.data.Dataset, key: str, value: str,
-                       out: str = "rnk", descending: bool = True,
-                       num_buckets: int = 64) -> ray.data.Dataset:
+                       out: str = "rnk",
+                       descending: bool = True) -> ray.data.Dataset:
     """DENSE_RANK() OVER (PARTITION BY key ORDER BY value) — ties share
-    a rank and no gaps follow. Coarse-bucket shuffle + one C-level
-    pandas ``rank(method='dense')`` pass per bucket; a key's rows
-    co-locate, so ranks are exact. Null values rank LAST (one shared
+    a rank and no gaps follow. One C-level pandas
+    ``rank(method='dense')`` pass per :func:`by_key` bucket. Null
+    values rank LAST (one shared
     dense rank after every non-null value — DuckDB's default
     NULLS LAST); null keys form their own partition."""
     import pandas as pd
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__bucket"])
         grp = g.groupby(key, sort=False, dropna=False)[value]
         r = grp.rank(method="dense", ascending=not descending)
         if r.isna().any():
@@ -298,23 +278,20 @@ def grouped_dense_rank(ds: ray.data.Dataset, key: str, value: str,
         g[out] = r.astype(np.int64)
         return g
 
-    return _bucket(ds, key, num_buckets).groupby("__bucket") \
-        .map_groups(per_bucket, batch_format="pandas")
+    return by_key(ds, key, per_bucket)
 
 
 def grouped_percent_rank(ds: ray.data.Dataset, key: str, value: str,
-                         out: str = "pct_rank",
-                         num_buckets: int = 64) -> ray.data.Dataset:
+                         out: str = "pct_rank") -> ray.data.Dataset:
     """PERCENT_RANK() OVER (PARTITION BY key ORDER BY value) =
     (rank - 1) / (n - 1), 0 for single-row groups — the quantile-
-    normalization transform. One coarse-bucket shuffle + a C-level
-    pandas min-rank pass per bucket; the divide is exact-int over
+    normalization transform. One C-level pandas min-rank pass per
+    :func:`by_key` bucket; the divide is exact-int over
     exact-int, identical in SQL, so results hash-match without
     rounding."""
     import pandas as pd
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__bucket"])
         grp = g.groupby(key, sort=False, dropna=False)[value]
         # na_option='bottom': SQL percent_rank ranks NULL rows too
         # (NULLS LAST under DuckDB's default) — a bare rank() would
@@ -325,20 +302,17 @@ def grouped_percent_rank(ds: ray.data.Dataset, key: str, value: str,
         g[out] = np.where(n > 1, (r - 1.0) / (n - 1.0), 0.0)
         return g
 
-    return _bucket(ds, key, num_buckets).groupby("__bucket") \
-        .map_groups(per_bucket, batch_format="pandas")
+    return by_key(ds, key, per_bucket)
 
 
 def grouped_mad(ds: ray.data.Dataset, key: str, value: str,
-                round_to: int = 6,
-                num_buckets: int = 64) -> ray.data.Dataset:
+                round_to: int = 6) -> ray.data.Dataset:
     """Median absolute deviation per group (robust spread — the
     outlier-resistant sibling of grouped_stats' stddev): median of
     |x - median(x)| with linear interpolation, matching DuckDB
-    ``mad()``. Same contract and shuffle shape as
-    :func:`grouped_quantiles`: low group count, each group's values
-    gather into one task, ONE coarse-bucket shuffle with a per-key
-    numpy pass per bucket (not one map_groups task per key)."""
+    ``mad()``. Same contract and plan as :func:`grouped_quantiles`:
+    low group count, one per-key numpy pass per :func:`by_key`
+    bucket."""
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         keys_out, mad_out = [], []
@@ -350,5 +324,4 @@ def grouped_mad(ds: ray.data.Dataset, key: str, value: str,
             keys_out.append(kval)
         return pd.DataFrame({key: keys_out, "mad": mad_out})
 
-    return _bucket(ds, key, num_buckets).groupby("__bucket") \
-        .map_groups(per_bucket, batch_format="pandas")
+    return by_key(ds, key, per_bucket)

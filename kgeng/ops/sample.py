@@ -12,7 +12,7 @@ a SQL oracle can reproduce it verbatim):
 - :func:`stratified_sample` — exactly ``n`` rows per group (the lowest
   hash ranks), the distributed
   ``row_number() OVER (PARTITION BY key ORDER BY hash, id) <= n``;
-  one bucketed shuffle via ops/rank.py's grouped top-k.
+  one keyed shuffle via ops/rank.py's grouped top-k.
 """
 
 from __future__ import annotations
@@ -44,11 +44,10 @@ def hash_sample(ds: ray.data.Dataset, id_col: str,
 
 
 def stratified_sample(ds: ray.data.Dataset, key: str, n: int,
-                      id_col: str,
-                      num_buckets: int = 64) -> ray.data.Dataset:
+                      id_col: str) -> ray.data.Dataset:
     """Exactly ``n`` rows per ``key`` group (fewer if the group is
     smaller): the ``n`` lowest hash ranks, ties broken by the id
-    itself. Adds a 1-based ``rank`` column. One bucketed shuffle."""
+    itself. Adds a 1-based ``rank`` column. One keyed shuffle."""
     from kgeng.ops.rank import top_k_per_group
 
     def add_rank(t: pa.Table) -> pa.Table:
@@ -57,8 +56,7 @@ def stratified_sample(ds: ray.data.Dataset, key: str, n: int,
 
     ranked = ds.map_batches(add_rank, batch_format="pyarrow")
     out = top_k_per_group(ranked, key, "__rk", n,
-                          tie_breakers=[id_col], descending=False,
-                          num_buckets=num_buckets)
+                          tie_breakers=[id_col], descending=False)
 
     def drop_rk(t: pa.Table) -> pa.Table:
         return t.drop_columns(["__rk"])

@@ -4,13 +4,13 @@ Ray Data has no event-time windows or watermarks (guide §streaming):
 
 - ``tumbling`` computes the window key vectorized (epoch // width) and
   aggregates with a partial+final groupby — no per-key grouping at all.
-- ``sessionize`` shuffles into a BOUNDED number of coarse hash buckets
-  (``hash(key) % num_buckets``) and sessionizes every key inside a
-  bucket with one vectorized pandas pass (sort + per-key diff +
-  cumsum) — never one Python call per key.
+- ``sessionize`` and the ``partitioned_*`` window functions run one
+  vectorized pandas pass (sort + grouped scan) per key bucket of
+  :func:`kgeng.ops.join.by_key`.
 
 Ordering assumption: correctness requires only per-key ordering, which
-is established inside each bucket — input partition order is irrelevant.
+is established inside each pass — input partition order is irrelevant.
+Null keys form one partition (SQL ``PARTITION BY``).
 """
 
 from __future__ import annotations
@@ -19,40 +19,24 @@ import numpy as np
 import pandas as pd
 import ray.data
 
-
-def _bucket_col(t, key: str, num_buckets: int):
-    """Append the coarse-bucket column (shared with join._bucket_ids —
-    ONE definition of the bucket hash, used by every windowed op)."""
-    import pyarrow as pa
-
-    from kgeng.ops.join import _bucket_ids
-
-    b = _bucket_ids(t, key, num_buckets)
-    return t.append_column("__bucket", pa.array(b.astype(np.int32)))
+from kgeng.ops.join import by_key
 
 
 def sessionize(events: ray.data.Dataset, key: str = "user_id",
-               ts: str = "ts", gap_minutes: float = 30.0,
-               num_buckets: int = 64) -> ray.data.Dataset:
+               ts: str = "ts",
+               gap_minutes: float = 30.0) -> ray.data.Dataset:
     """Session windows per key: a new session starts when the gap since
     the previous event exceeds ``gap_minutes``. Returns one row per
     session: (key, session_id, n_events, session_start, session_end),
     ``session_id`` = 1-based rank of the session within the key.
-
-    The shuffle groups by ``hash(key) % num_buckets`` — a bounded number
-    of coarse groups — and sessionizes every key inside a bucket with
-    ONE vectorized pandas pass (sort + per-key diff + cumsum), instead
-    of ``groupby(key).map_groups`` spawning one Python call per key
-    (millions of tiny groups at scale).
+    One vectorized pandas pass per :func:`by_key` bucket: sort +
+    per-key diff + cumsum.
     """
     gap = pd.Timedelta(minutes=gap_minutes)
 
-    def bucket(t):
-        return _bucket_col(t, key, num_buckets)
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts], kind="mergesort")
-        d = g.groupby(key, sort=False)[ts].diff()
+        d = g.groupby(key, sort=False, dropna=False)[ts].diff()
         sess = (d.isna() | (d > gap)).cumsum()  # unique ids within bucket
         grouped = g.groupby(sess.values, sort=True)
         out = grouped.agg(**{key: (key, "first"),
@@ -60,13 +44,12 @@ def sessionize(events: ray.data.Dataset, key: str = "user_id",
                              "session_start": (ts, "min"),
                              "session_end": (ts, "max")})
         out = out.reset_index(drop=True)
-        sid = out.groupby(key, sort=False).cumcount() + 1
+        sid = out.groupby(key, sort=False, dropna=False).cumcount() + 1
         out.insert(1, "session_id", sid.astype(np.int64))
         return out[[key, "session_id", "n_events",
                     "session_start", "session_end"]]
 
-    return events.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return by_key(events, key, per_bucket)
 
 
 def tumbling(events: ray.data.Dataset, key: str, ts: str, value: str,
@@ -101,30 +84,23 @@ def tumbling(events: ray.data.Dataset, key: str, ts: str, value: str,
 def partitioned_rolling_sum(events: ray.data.Dataset, key: str,
                             ts: str, value: str, window: int,
                             order_tiebreak: str | None = None,
-                            out: str = "roll_sum",
-                            num_buckets: int = 64) -> ray.data.Dataset:
+                            out: str = "roll_sum") -> ray.data.Dataset:
     """Rolling-window aggregate: per key, SUM(value) over the last
     ``window`` rows INCLUDING the current one, in (ts, tiebreak) order
     (SQL: ``sum(value) OVER (PARTITION BY key ORDER BY ts, tiebreak
     ROWS BETWEEN window-1 PRECEDING AND CURRENT ROW)``).
 
-    Same plan shape as :func:`sessionize`: one shuffle into a bounded
-    number of coarse hash buckets, then ONE vectorized pandas pass per
-    bucket. The rolling sum itself is the cumsum-difference identity
+    One vectorized pandas pass per :func:`by_key` bucket. The rolling
+    sum itself is the cumsum-difference identity
     (``cumsum - cumsum.shift(window)`` within each key) — two C-level
     grouped scans, no per-key Python and no pandas ``rolling`` object
     per group. Exact for integer values below 2^53 (pandas cumsum
     carries them in int64; the grouped shift is the only float step and
     it only moves already-exact values)."""
-
-    def bucket(t):
-        return _bucket_col(t, key, num_buckets)
-
     sort_cols = [key, ts] + ([order_tiebreak] if order_tiebreak else [])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__bucket"]).sort_values(sort_cols,
-                                                     kind="mergesort")
+        g = g.sort_values(sort_cols, kind="mergesort")
         if g[value].dtype.kind not in "iu":
             # loud, not silent: a float value column would be truncated
             # by the int64 cast below, and a null would crash it —
@@ -132,110 +108,78 @@ def partitioned_rolling_sum(events: ray.data.Dataset, key: str,
             raise TypeError(
                 f"partitioned_rolling_sum needs an integer value "
                 f"column, got {g[value].dtype}")
-        grouped = g.groupby(key, sort=False)[value]
-        cs = grouped.cumsum()
+        cs = g.groupby(key, sort=False, dropna=False)[value].cumsum()
         # cumsum of the row `window` back, 0 before the window fills
-        prev = cs.groupby(g[key].values, sort=False).shift(window)
+        prev = cs.groupby(g[key].values, sort=False,
+                          dropna=False).shift(window)
         g[out] = (cs - prev.fillna(0)).astype(np.int64)
         return g
 
-    return events.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return by_key(events, key, per_bucket)
 
 
 def partitioned_lag_gap(events: ray.data.Dataset, key: str = "user_id",
                         ts: str = "ts", order_tiebreak: str | None = None,
-                        out: str = "gap_sec",
-                        num_buckets: int = 64) -> ray.data.Dataset:
+                        out: str = "gap_sec") -> ray.data.Dataset:
     """LAG-style window function: per key, seconds since the PREVIOUS
     event in (ts, tiebreak) order — NaN for each key's first event
     (SQL: ``lag(ts) OVER (PARTITION BY key ORDER BY ts, tiebreak)``).
-
-    Same plan shape as :func:`sessionize`: one shuffle into a bounded
-    number of coarse hash buckets, then ONE vectorized pandas pass per
-    bucket (sort + per-key diff) — no per-key Python. A key's rows all
-    land in one bucket, so the per-bucket diff is exact."""
-
-    def bucket(t):
-        return _bucket_col(t, key, num_buckets)
-
+    One sort + per-key diff per :func:`by_key` bucket."""
     sort_cols = [key, ts] + ([order_tiebreak] if order_tiebreak else [])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__bucket"]).sort_values(sort_cols,
-                                                     kind="mergesort")
-        d = g.groupby(key, sort=False)[ts].diff()
+        g = g.sort_values(sort_cols, kind="mergesort")
+        d = g.groupby(key, sort=False, dropna=False)[ts].diff()
         g[out] = d.dt.total_seconds().astype("float64")
         return g
 
-    return events.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return by_key(events, key, per_bucket)
 
 
 def partitioned_locf(events: ray.data.Dataset, key: str, ts: str,
                      value: str, order_tiebreak: str | None = None,
-                     out: str | None = None,
-                     num_buckets: int = 64) -> ray.data.Dataset:
+                     out: str | None = None) -> ray.data.Dataset:
     """Forward-fill (last observation carried forward) per key: each
     null ``value`` takes the most recent non-null value of the SAME key
     in (ts, tiebreak) order; leading nulls stay null (SQL:
     ``last_value(value IGNORE NULLS) OVER (PARTITION BY key ORDER BY
     ts, tiebreak)``) — the gap-imputation step for sensor/event feeds.
-
-    Same plan shape as :func:`sessionize`: one shuffle into coarse hash
-    buckets, one vectorized pandas pass per bucket (sort + grouped
-    ffill) — no per-key Python. A key's rows co-locate in one bucket,
-    so the carry is exact across the whole key history."""
+    One sort + grouped ffill per :func:`by_key` bucket."""
     out = out or value
-
-    def bucket(t):
-        return _bucket_col(t, key, num_buckets)
-
     sort_cols = [key, ts] + ([order_tiebreak] if order_tiebreak else [])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__bucket"]).sort_values(sort_cols,
-                                                     kind="mergesort")
-        # dropna=False: a null key is its own partition (SQL PARTITION
-        # BY semantics) — the default would blank those rows' values
+        g = g.sort_values(sort_cols, kind="mergesort")
         g[out] = g.groupby(key, sort=False, dropna=False)[value].ffill()
         return g
 
-    return events.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return by_key(events, key, per_bucket)
 
 
 def ohlc_bars(events: ray.data.Dataset, key: str, ts: str, value: str,
-              width_seconds: int, tiebreak: str,
-              num_buckets: int = 64) -> ray.data.Dataset:
+              width_seconds: int, tiebreak: str) -> ray.data.Dataset:
     """Time-bar resampling per key: open / high / low / close of
     ``value`` within each tumbling window of ``width_seconds`` — the
     downsampling step for feature extraction over event/sensor feeds.
     Open/close are the first/last values in (ts, tiebreak) order
     (deterministic under duplicate timestamps); high/low are exact
-    min/max.
-
-    Plan: one coarse-bucket shuffle on hash(key), then ONE vectorized
-    pandas pass per bucket (sort + grouped first/last/min/max over the
-    (key, window) segments). A key's rows co-locate, so bars are exact;
-    no per-key Python."""
+    min/max. One sort + grouped first/last/min/max over the (key,
+    window) segments per :func:`by_key` bucket."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
     us = width_seconds * 1_000_000
 
-    def bucket(t):
+    def windowed(t):
         t_us = pc.cast(t[ts], pa.timestamp("us"))
         e = pc.cast(t_us, pa.int64()).to_numpy(zero_copy_only=False)
-        win = pa.array(e // us)
-        out = pa.table({key: t[key], "window": win,
-                        "__e": pa.array(e), tiebreak: t[tiebreak],
-                        value: t[value]})
-        return _bucket_col(out, key, num_buckets)
+        return pa.table({key: t[key], "window": pa.array(e // us),
+                         "__e": pa.array(e), tiebreak: t[tiebreak],
+                         value: t[value]})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__bucket"]).sort_values(
-            [key, "window", "__e", tiebreak], kind="mergesort")
+        g = g.sort_values([key, "window", "__e", tiebreak],
+                          kind="mergesort")
         # open/close are POSITIONAL (SQL first_value/last_value keeps
         # nulls; pandas agg 'first'/'last' would skip them) — take them
         # at the vectorized run boundaries of the sorted frame
@@ -258,34 +202,27 @@ def ohlc_bars(events: ray.data.Dataset, key: str, ts: str, value: str,
         return agg[[key, "window", "open", "high", "low", "close",
                     "n_events"]]
 
-    return events.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return by_key(events.map_batches(windowed, batch_format="pyarrow"),
+                  key, per_bucket)
 
 
 def partitioned_cumsum(events: ray.data.Dataset, key: str, ts: str,
                        value: str, tiebreak: str,
-                       out: str = "running_total",
-                       num_buckets: int = 64) -> ray.data.Dataset:
+                       out: str = "running_total") -> ray.data.Dataset:
     """Running total per key in (ts, tiebreak) order (SQL: ``sum(value)
     OVER (PARTITION BY key ORDER BY ts, tiebreak ROWS UNBOUNDED
     PRECEDING)``). The caller should pass an INTEGER value column
     (quantized cents) so partial order never changes the sum — the
-    established float policy. Same coarse-bucket plan as sessionize:
-    one shuffle, one vectorized grouped cumsum per bucket."""
-
-    def bucket(t):
-        return _bucket_col(t, key, num_buckets)
+    established float policy. One sort + grouped cumsum per
+    :func:`by_key` bucket."""
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__bucket"]).sort_values(
-            [key, ts, tiebreak], kind="mergesort")
-        # dropna=False: null keys form one partition (SQL semantics)
+        g = g.sort_values([key, ts, tiebreak], kind="mergesort")
         g[out] = g.groupby(key, sort=False,
                            dropna=False)[value].cumsum()
         return g
 
-    return events.map_batches(bucket, batch_format="pyarrow") \
-        .groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return by_key(events, key, per_bucket)
 
 
 def sliding_count(events: ray.data.Dataset, key: str, ts: str,

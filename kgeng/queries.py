@@ -26,6 +26,7 @@ from kgeng.ops import dedup as dedup_ops
 from kgeng.ops import media as media_ops
 from kgeng.ops import similarity as sim_ops
 from kgeng.ops import text as text_ops
+from kgeng.ops.join import by_key
 
 # ----------------------------------------------------------------- helpers
 
@@ -849,7 +850,7 @@ def events_last_order(sf_dir: str):
              ["o_custkey", "o_orderdate", "o_orderkey", "o_totalprice"])
     out = asof_join(ev, od, left_key="user_id", right_key="o_custkey",
                     left_ts="ts", right_ts="o_orderdate",
-                    tiebreak="o_orderkey", num_buckets=32)
+                    tiebreak="o_orderkey")
     return out.map_batches(
         lambda t: t.select(["event_id", "user_id", "ts",
                             "o_orderkey", "o_totalprice"]),
@@ -916,8 +917,8 @@ def _order_part_edges(sf_dir: str, symmetrize: bool = True):
         return _EDGE_CACHE[ck]
     li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
-    # dedup via PACKED single-int64 keys + 64 coarse buckets + in-group
-    # np.unique — a 64-group shuffle on a tiny tag instead of a 2-key
+    # dedup via PACKED single-int64 keys + by_key + in-bucket
+    # np.unique — a bucketed shuffle on one int64 instead of a 2-key
     # sort shuffle over every pair (the groupby-per-key path was the
     # dominant cost of every Pregel query's edge build). Keys pack as
     # (order*2) << 32 | (part*2+1): exact while both ids < 2^31 — the
@@ -929,12 +930,9 @@ def _order_part_edges(sf_dir: str, symmetrize: bool = True):
             raise ValueError("order/part ids exceed the 31-bit packed-"
                              "key bound; switch _order_part_edges to "
                              "the 2-key groupby dedup")
-        key = np.unique((s.astype(np.int64) * 2) << 32
-                        | (d.astype(np.int64) * 2 + 1))
-        b = (key.astype(np.uint64)
-             * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(58)  # top 6
-        return pa.table({"b": pa.array(b.astype(np.int32)),
-                         "key": pa.array(key)})
+        return pa.table({"key": pa.array(np.unique(
+            (s.astype(np.int64) * 2) << 32
+            | (d.astype(np.int64) * 2 + 1)))})
 
     def uniq_group(df):
         # Arrow output: downstream sort/union must see ONE block type.
@@ -948,9 +946,8 @@ def _order_part_edges(sf_dir: str, symmetrize: bool = True):
             s, d = np.concatenate([s, d]), np.concatenate([d, s])
         return pa.table({"src": pa.array(s), "dst": pa.array(d)})
 
-    out = li.map_batches(pairs, batch_format="pyarrow") \
-        .groupby("b").map_groups(uniq_group, batch_format="pandas") \
-        .materialize()
+    out = by_key(li.map_batches(pairs, batch_format="pyarrow"), "key",
+                 uniq_group).materialize()
     _EDGE_CACHE[ck] = out
     return out
 
@@ -1731,7 +1728,7 @@ def docs_length_ntile(sf_dir: str):
 def top_event_per_user(sf_dir: str):
     """Grouped MODE: each user's most frequent event type (ties -> the
     lexicographically smallest). Partial counts shuffle, never rows;
-    per-key argmax inside 64 coarse buckets."""
+    per-key argmax per ``join.by_key`` bucket."""
     from kgeng.ops.agg import grouped_mode
 
     ev = _pq(sf_dir, "events", ["user_id", "event_type"])
@@ -2214,7 +2211,7 @@ def revenue_by_orderpriority(sf_dir: str):
 
     li = li.map_batches(rev, batch_format="pyarrow")
     orders = _pq(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    joined = hash_join(li, orders, "o_orderkey", num_buckets=32)
+    joined = hash_join(li, orders, "o_orderkey")
     # 5 priorities: partial-per-block + driver final, no shuffle
     out = agg_ops.small_key_aggregate(
         joined, ["o_orderpriority"],
@@ -2251,7 +2248,7 @@ def sessionize_events(sf_dir: str):
 
 def top2_orders_per_cust(sf_dir: str):
     """Windowed row_number()<=k per group: top-2 orders per customer by
-    totalprice (coarse-bucket shuffle + one vectorized pass per bucket)."""
+    totalprice (one vectorized pass per ``join.by_key`` bucket)."""
     from kgeng.ops.rank import top_k_per_group
 
     ds = _pq(sf_dir, "orders", ["o_custkey", "o_orderkey", "o_totalprice"])
@@ -3447,8 +3444,9 @@ def orders_price_zscore(sf_dir: str):
 
 def _co_purchase_edges(sf_dir: str):
     """Part co-purchase pairs (two parts linked when some order
-    contains both): distinct (order, part) per batch, one coarse-bucket
-    shuffle, per-order vectorized pair generation (_segment_pairs).
+    contains both): distinct (order, part) per batch, one ``by_key``
+    shuffle on the order, per-order vectorized pair generation
+    (_segment_pairs).
     Pair fan-out is bounded by order size (C(n_items, 2)). Cached and
     materialized per sf_dir — shared by the triangle and k-core
     queries."""
@@ -3459,7 +3457,7 @@ def _co_purchase_edges(sf_dir: str):
         return _EDGE_CACHE[ck]
     li = _pq(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
-    def op_bucket(t: pa.Table) -> pa.Table:
+    def distinct_op(t: pa.Table) -> pa.Table:
         o = t["l_orderkey"].to_numpy(zero_copy_only=False)
         p = t["l_partkey"].to_numpy(zero_copy_only=False)
         # per-batch (order, part) dedup before the shuffle
@@ -3467,11 +3465,7 @@ def _co_purchase_edges(sf_dir: str):
         o, p = o[order], p[order]
         keep = np.ones(o.size, bool)
         keep[1:] = (o[1:] != o[:-1]) | (p[1:] != p[:-1])
-        o, p = o[keep], p[keep]
-        bkt = ((o.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15))
-               >> np.uint64(33)) % np.uint64(64)
-        return pa.table({"o": pa.array(o), "p": pa.array(p),
-                         "ob": pa.array(bkt.astype(np.int32))})
+        return pa.table({"o": pa.array(o[keep]), "p": pa.array(p[keep])})
 
     def pairs_group(df) -> pa.Table:
         o = df["o"].to_numpy(np.int64)
@@ -3486,9 +3480,8 @@ def _co_purchase_edges(sf_dir: str):
         fi, se = _segment_pairs(lens)
         return pa.table({"src": pa.array(p[fi]), "dst": pa.array(p[se])})
 
-    co = li.map_batches(op_bucket, batch_format="pyarrow") \
-        .groupby("ob").map_groups(pairs_group, batch_format="pandas") \
-        .materialize()
+    co = by_key(li.map_batches(distinct_op, batch_format="pyarrow"), "o",
+                pairs_group).materialize()
     _EDGE_CACHE[ck] = co
     return co
 
@@ -3765,8 +3758,8 @@ def events_running_total(sf_dir: str):
 
 def orders_price_rank_dense(sf_dir: str):
     """DENSE_RANK of order price within each priority
-    (ops/rank.grouped_dense_rank): coarse buckets + one C-level pandas
-    dense rank per bucket — hash-matches the window oracle."""
+    (ops/rank.grouped_dense_rank): one C-level pandas dense rank per
+    ``join.by_key`` bucket — hash-matches the window oracle."""
     from kgeng.ops.rank import grouped_dense_rank
 
     orders = _pq(sf_dir, "orders",
@@ -3847,8 +3840,8 @@ def docs_cap_per_source(sf_dir: str):
     """Per-domain document caps — the web-pipeline move that stops one
     crawl domain from dominating the corpus: keep the 10 lowest-doc_id
     documents per source via the bucketed distributed row_number
-    (ops/rank.top_k_per_group — coarse-bucket shuffle + one C-level
-    pandas pass per bucket, never a per-key group). Output
+    (ops/rank.top_k_per_group — one C-level pandas pass per
+    ``join.by_key`` bucket, never a per-key group). Output
     (doc_id, source, rank)."""
     from kgeng.ops.rank import top_k_per_group
 

@@ -13,6 +13,7 @@ import ray.data
 
 import tests.test_join_window as jw
 import tests.test_training_ops as to
+from kgeng.ops import agg, join, rank, sample, window
 from kgeng.ops import graph as G
 from tests.graph_plans import graph_plan
 
@@ -39,19 +40,33 @@ def test_raw_task_backend_passes_reference_tests(case):
     case(plans=("raw",))
 
 
+def _public(mod) -> list:
+    return [f for name, f in vars(mod).items()
+            if inspect.isfunction(f) and not name.startswith("_")
+            and f.__module__ == mod.__name__]
+
+
 def test_graph_functions_take_no_plan_parameters():
     """The plan is chosen from measured sizes only: no public function
     of the module takes a plan switch, a driver bound, a cutover or a
-    bucket count."""
+    bucket count. The keyed ops of window, rank, agg, join and sample
+    take no bucket count either (``join._BUCKETS`` is the one count),
+    except ``pack_sequences``: its bucket id is part of each
+    ``seq_id``, which ``queries.packed_oracle_sql`` reproduces, so the
+    count shapes the result."""
     banned = ("state", "num_buckets", "max_driver_*", "*cutover*")
-    public = [f for name, f in vars(G).items()
-              if inspect.isfunction(f) and not name.startswith("_")
-              and f.__module__ == G.__name__]
+    public = _public(G)
     assert len(public) >= 16
     for f in public:
         for p in inspect.signature(f).parameters:
             assert not any(fnmatch.fnmatch(p, b) for b in banned), \
                 (f.__name__, p)
+    keyed = [f for m in (window, rank, agg, join, sample)
+             for f in _public(m) if f is not sample.pack_sequences]
+    assert len(keyed) >= 40
+    for f in keyed:
+        assert "num_buckets" not in inspect.signature(f).parameters, \
+            f.__name__
 
 
 ZERO_BUDGET_CASES = {

@@ -8,9 +8,21 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pytest
 import ray
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+from kgeng.ops import join
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _three_buckets():
+    """Every keyed exchange here runs on 3 buckets, so several of the
+    four keys share one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(join, "_BUCKETS", 3)
+        yield
 
 
 def _ts(base_minutes: list[int]) -> pd.Series:
@@ -46,7 +58,7 @@ def test_asof_join_matches_bruteforce(left, right):
     out = asof_join(ray.data.from_arrow(lt), ray.data.from_arrow(rt),
                     left_key="k", right_key="rk",
                     left_ts="lts", right_ts="rts",
-                    tiebreak="rid", num_buckets=3).to_pandas()
+                    tiebreak="rid").to_pandas()
     got = {int(r.lid): (None if pd.isna(r.rid) else int(r.rid))
            for r in out.itertuples()}
     # brute force: max (rts, rid) among same-key rows with rts <= lts
@@ -86,8 +98,7 @@ def test_range_join_matches_bruteforce(left, right):
     })
     out = range_join(ray.data.from_arrow(lt), ray.data.from_arrow(rt),
                      left_key="k", right_key="rk", left_ts="lts",
-                     right_lo="lo", right_hi="hi",
-                     num_buckets=3).to_pandas()
+                     right_lo="lo", right_hi="hi").to_pandas()
     got = sorted((int(r.lid), int(r.rid)) for r in out.itertuples())
     want = sorted(
         (lid, rid)
@@ -99,7 +110,8 @@ def test_range_join_matches_bruteforce(left, right):
 
 @settings(max_examples=25, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(rows=st.lists(st.tuples(keys, minutes), min_size=1, max_size=15))
+@given(rows=st.lists(st.tuples(st.none() | keys, minutes), min_size=1,
+                     max_size=15))
 def test_lag_gap_matches_bruteforce(rows):
     from kgeng.ops.window import partitioned_lag_gap
 
@@ -109,12 +121,11 @@ def test_lag_gap_matches_bruteforce(rows):
         "ts": _ts([m for _, m in rows]),
     })
     out = (partitioned_lag_gap(ray.data.from_arrow(t), key="k", ts="ts",
-                               order_tiebreak="eid", num_buckets=3)
+                               order_tiebreak="eid")
            .to_pandas().set_index("eid"))
-    # brute force per key
-    order = sorted(range(len(rows)), key=lambda i: (rows[i][0],
-                                                    rows[i][1], i))
-    prev: dict[int, int] = {}
+    # brute force per key (None is one key: SQL PARTITION BY)
+    order = sorted(range(len(rows)), key=lambda i: (rows[i][1], i))
+    prev: dict[int | None, int] = {}
     for i in order:
         k, m = rows[i]
         exp = float((m - prev[k]) * 60) if k in prev else None
@@ -135,7 +146,7 @@ def test_hash_join_outer_matches_pandas_fuzz(left, right):
     lt = pa.table({"k": left, "a": list(range(len(left)))})
     rt = pa.table({"k": right, "b": list(range(len(right)))})
     got = hash_join(ray.data.from_arrow(lt), ray.data.from_arrow(rt),
-                    "k", num_buckets=3, how="outer").to_pandas()
+                    "k", how="outer").to_pandas()
     want = lt.to_pandas().merge(rt.to_pandas(), on="k", how="outer")
     cols = ["k", "a", "b"]
     pd.testing.assert_frame_equal(
@@ -157,8 +168,7 @@ def test_grouped_mode_matches_bruteforce_fuzz(rows):
     t = pa.table({"k": [k for k, _ in rows],
                   "v": [v for _, v in rows]})
     out = grouped_mode(ray.data.from_arrow(t).repartition(2),
-                       "k", "v", out="top", count_out="n",
-                       num_buckets=3).to_pandas()
+                       "k", "v", out="top", count_out="n").to_pandas()
     got = {int(r.k): (r.top, int(r.n)) for r in out.itertuples()}
     want = {}
     for k in set(x for x, _ in rows):

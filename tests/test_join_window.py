@@ -6,16 +6,18 @@ import pytest
 import pyarrow as pa
 import ray.data
 
+from kgeng.ops import join
 from kgeng.ops.join import hash_join
 from kgeng.ops.window import sessionize, tumbling
 from tests.graph_plans import PARITY, graph_plan
 
 
-def test_hash_join_inner_matches_pandas():
+def test_hash_join_inner_matches_pandas(monkeypatch):
+    monkeypatch.setattr(join, "_BUCKETS", 4)
     left = pa.table({"k": [1, 2, 2, 3, 5], "a": list("xyzuv")})
     right = pa.table({"k": [2, 3, 3, 4], "b": list("pqrs")})
     got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    "k", num_buckets=4).to_pandas()
+                    "k").to_pandas()
     want = left.to_pandas().merge(right.to_pandas(), on="k", how="inner")
     key = ["k", "a", "b"]
     pd.testing.assert_frame_equal(
@@ -31,9 +33,10 @@ def test_hash_join_string_key():
     assert got[["k", "x", "y"]].values.tolist() == [["b", 2, 10]]
 
 
-def test_hash_join_salted_skew():
+def test_hash_join_salted_skew(monkeypatch):
     """90%-one-key left side: salting must keep every merge group's left
     rows under the cap AND produce the identical join result."""
+    monkeypatch.setattr(join, "_BUCKETS", 4)
     import numpy as np
 
     from kgeng.ops.join import _bucket_ids
@@ -43,7 +46,7 @@ def test_hash_join_salted_skew():
     left = pa.table({"k": keys, "a": np.arange(n)})
     right = pa.table({"k": np.arange(50), "b": np.arange(50) * 10})
     got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    "k", num_buckets=4, max_bucket_rows=100).to_pandas()
+                    "k", max_bucket_rows=100).to_pandas()
     want = left.to_pandas().merge(right.to_pandas(), on="k", how="inner")
     cols = ["k", "a", "b"]
     pd.testing.assert_frame_equal(
@@ -57,11 +60,12 @@ def test_hash_join_salted_skew():
     assert np.bincount(b).max() <= 100
 
 
-def test_hash_join_salted_left_mode():
+def test_hash_join_salted_left_mode(monkeypatch):
+    monkeypatch.setattr(join, "_BUCKETS", 2)
     left = pa.table({"k": [1, 1, 1, 2, 9], "a": list("vwxyz")})
     right = pa.table({"k": [1, 2], "b": ["p", "q"]})
     got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    "k", num_buckets=2, how="left", salt=3).to_pandas()
+                    "k", how="left", salt=3).to_pandas()
     want = left.to_pandas().merge(right.to_pandas(), on="k", how="left")
     cols = ["k", "a", "b"]
     pd.testing.assert_frame_equal(
@@ -83,9 +87,10 @@ def test_sessionize_gap_splits():
     assert out["session_id"].tolist() == [1, 2]
 
 
-def test_sessionize_multi_user_bucketed():
+def test_sessionize_multi_user_bucketed(monkeypatch):
     """Many keys per coarse bucket: per-key session ids must still be
     independent and 1-based."""
+    monkeypatch.setattr(join, "_BUCKETS", 4)
     rows = []
     for u in range(20):
         base = pd.Timestamp("2024-03-01 08:00") + pd.Timedelta(minutes=u)
@@ -93,8 +98,7 @@ def test_sessionize_multi_user_bucketed():
                  (u, base + pd.Timedelta(hours=2))]
     ev = pa.table({"user_id": [r[0] for r in rows],
                    "ts": [r[1] for r in rows]})
-    out = sessionize(ray.data.from_arrow(ev), gap_minutes=30,
-                     num_buckets=4).to_pandas()
+    out = sessionize(ray.data.from_arrow(ev), gap_minutes=30).to_pandas()
     assert len(out) == 40  # 2 sessions per user
     for u in range(20):
         sub = out[out["user_id"] == u].sort_values("session_id")
@@ -117,15 +121,16 @@ def test_broadcast_join_left_and_inner():
     assert sorted(inner["a"]) == ["x", "y", "z"]
 
 
-def test_hash_join_semi_anti():
+def test_hash_join_semi_anti(monkeypatch):
+    monkeypatch.setattr(join, "_BUCKETS", 2)
     left = pa.table({"k": [1, 2, 3, 4, 4], "a": list("vwxyz")})
     right = pa.table({"k": [2, 4, 4, 9], "b": [1, 2, 3, 4]})
     semi = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                     "k", num_buckets=2, how="semi").to_pandas()
+                     "k", how="semi").to_pandas()
     assert sorted(semi["a"]) == ["w", "y", "z"]  # no duplication
     assert list(semi.columns) == ["k", "a"]
     anti = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                     "k", num_buckets=2, how="anti").to_pandas()
+                     "k", how="anti").to_pandas()
     assert sorted(anti["a"]) == ["v", "x"]
 
 
@@ -232,9 +237,10 @@ def test_grouped_quantiles_and_mad_skewed_key():
         assert gm[gm["g"] == key]["mad"].iloc[0] == want_mad, key
 
 
-def test_sessionize_random_matches_reference():
+def test_sessionize_random_matches_reference(monkeypatch):
     """Randomized events across many users: the coarse-bucketed
     sessionizer must match a straightforward per-key reference."""
+    monkeypatch.setattr(join, "_BUCKETS", 8)
     import numpy as np
 
     rng = np.random.default_rng(21)
@@ -243,8 +249,7 @@ def test_sessionize_random_matches_reference():
     base = pd.Timestamp("2024-06-01")
     ts = base + pd.to_timedelta(rng.integers(0, 72 * 3600, n), unit="s")
     ev = pa.table({"user_id": users, "ts": ts})
-    got = sessionize(ray.data.from_arrow(ev), gap_minutes=45,
-                     num_buckets=8).to_pandas()
+    got = sessionize(ray.data.from_arrow(ev), gap_minutes=45).to_pandas()
 
     # reference: python per-user sweep
     df = ev.to_pandas().sort_values(["user_id", "ts"])
@@ -305,10 +310,11 @@ def test_tumbling_counts():
     assert out["total"].tolist() == [3.0, 3.0]
 
 
-def test_asof_join_backward_ties_and_unmatched():
+def test_asof_join_backward_ties_and_unmatched(monkeypatch):
     """Backward as-of: greatest right ts <= left ts per key; o_orderdate
     ties resolve to the highest tiebreak id; keys with no prior right
     row keep null right columns (left-join semantics)."""
+    monkeypatch.setattr(join, "_BUCKETS", 4)
     from kgeng.ops.join import asof_join
 
     ev = pa.table({
@@ -327,7 +333,7 @@ def test_asof_join_backward_ties_and_unmatched():
     out = asof_join(ray.data.from_arrow(ev), ray.data.from_arrow(od),
                     left_key="user_id", right_key="o_custkey",
                     left_ts="ts", right_ts="o_orderdate",
-                    tiebreak="o_orderkey", num_buckets=4
+                    tiebreak="o_orderkey"
                     ).to_pandas().sort_values("event_id")
     # event 1 (10 @ 01-05): latest is 01-04 -> orderkey 5
     # event 2 (10 @ 01-01): nothing at-or-before -> null
@@ -341,15 +347,16 @@ def test_asof_join_backward_ties_and_unmatched():
     out2 = asof_join(ray.data.from_arrow(ev2), ray.data.from_arrow(od),
                      left_key="user_id", right_key="o_custkey",
                      left_ts="ts", right_ts="o_orderdate",
-                     tiebreak="o_orderkey", num_buckets=4
+                     tiebreak="o_orderkey"
                      ).to_pandas().sort_values("event_id")
     assert out2["o_orderkey"].tolist()[0] == 9.0
 
 
-def test_range_join_matches_and_boundaries():
+def test_range_join_matches_and_boundaries(monkeypatch):
     """Half-open [lo, hi) by default: a probe at lo matches, at hi does
     not; multiple overlapping intervals each emit a row; keys with no
     interval drop (inner semantics)."""
+    monkeypatch.setattr(join, "_BUCKETS", 4)
     from kgeng.ops.join import range_join
 
     left = pa.table({
@@ -368,7 +375,7 @@ def test_range_join_matches_and_boundaries():
     })
     out = range_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
                      left_key="uid", right_key="ukey", left_ts="ts",
-                     right_lo="lo", right_hi="hi", num_buckets=4
+                     right_lo="lo", right_hi="hi"
                      ).to_pandas().sort_values(["ev", "iv"])
     pairs = list(zip(out["ev"].astype(int), out["iv"].astype(int)))
     # ev1@00:00 -> iv100 only (iv101 starts 00:30); ev2@01:00 -> iv101
@@ -378,15 +385,16 @@ def test_range_join_matches_and_boundaries():
     # inclusive hi keeps ev2@01:00 in iv100 too
     out2 = range_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
                       left_key="uid", right_key="ukey", left_ts="ts",
-                      right_lo="lo", right_hi="hi", num_buckets=4,
+                      right_lo="lo", right_hi="hi",
                       hi_inclusive=True).to_pandas()
     pairs2 = sorted(zip(out2["ev"].astype(int), out2["iv"].astype(int)))
     assert pairs2 == [(1, 100), (2, 100), (2, 101), (3, 101)]
 
 
-def test_partitioned_lag_gap():
+def test_partitioned_lag_gap(monkeypatch):
     """Per-key diff in (ts, tiebreak) order: NaN for each key's first
     row; fractional seconds; keys never mix across buckets."""
+    monkeypatch.setattr(join, "_BUCKETS", 4)
     from kgeng.ops.window import partitioned_lag_gap
 
     ev = pa.table({
@@ -398,17 +406,17 @@ def test_partitioned_lag_gap():
             "2024-01-01 05:00:02"], format="mixed"),
     })
     out = (partitioned_lag_gap(ray.data.from_arrow(ev), key="user_id",
-                               ts="ts", order_tiebreak="event_id",
-                               num_buckets=4)
+                               ts="ts", order_tiebreak="event_id")
            .to_pandas().sort_values("event_id"))
     gaps = out["gap_sec"].tolist()
     assert pd.isna(gaps[0]) and pd.isna(gaps[3])
     assert gaps[1] == 10.5 and gaps[2] == 49.5 and gaps[4] == 2.0
 
 
-def test_partitioned_rolling_sum_matches_pandas_rolling():
+def test_partitioned_rolling_sum_matches_pandas_rolling(monkeypatch):
     """Randomized check of the cumsum-difference rolling sum against
     pandas' own rolling() per group, across bucket boundaries."""
+    monkeypatch.setattr(join, "_BUCKETS", 8)
     import numpy as np
 
     from kgeng.ops.window import partitioned_rolling_sum
@@ -425,7 +433,7 @@ def test_partitioned_rolling_sum_matches_pandas_rolling():
     out = (partitioned_rolling_sum(
         ray.data.from_pandas(df.copy()).repartition(7),
         key="user_id", ts="ts", value="v", window=4,
-        order_tiebreak="event_id", out="roll", num_buckets=8)
+        order_tiebreak="event_id", out="roll")
         .to_pandas().sort_values("event_id").reset_index(drop=True))
 
     ref = df.sort_values(["user_id", "ts", "event_id"], kind="mergesort")
@@ -697,13 +705,14 @@ def test_approx_quantiles_degenerate_group_exact():
     assert a_vals == [0.25, 0.25]
 
 
-def test_hash_join_full_outer_matches_pandas():
+def test_hash_join_full_outer_matches_pandas(monkeypatch):
     """Unmatched rows on BOTH sides surface exactly once, the other
     side nulled; int columns of both sides surface float64."""
+    monkeypatch.setattr(join, "_BUCKETS", 4)
     left = pa.table({"k": [1, 2, 2, 3], "a": [10, 20, 21, 30]})
     right = pa.table({"k": [2, 4], "b": [200, 400]})
     got = hash_join(ray.data.from_arrow(left), ray.data.from_arrow(right),
-                    "k", num_buckets=4, how="outer").to_pandas()
+                    "k", how="outer").to_pandas()
     want = left.to_pandas().merge(right.to_pandas(), on="k", how="outer")
     cols = ["k", "a", "b"]
     pd.testing.assert_frame_equal(

@@ -7,7 +7,7 @@ import pyarrow as pa
 import pytest
 import ray.data
 
-from kgeng.ops import agg, dedup, media, similarity, text
+from kgeng.ops import agg, dedup, join, media, similarity, text
 from tests.graph_plans import PARITY, graph_plan
 
 SF = "/root/testdata/sf0.001"
@@ -402,9 +402,10 @@ def test_hash_sample_deterministic_and_partition_invariant():
     assert abs(len(a) / 1000 - 0.2) < 0.05
 
 
-def test_stratified_sample_exact_n_per_group():
+def test_stratified_sample_exact_n_per_group(monkeypatch):
     """Exactly n rows per group (fewer when the group is smaller),
     rank 1..n, and the pick is partition-invariant."""
+    monkeypatch.setattr(join, "_BUCKETS", 8)
     import pyarrow as pa
 
     from kgeng.ops.sample import stratified_sample
@@ -414,8 +415,7 @@ def test_stratified_sample_exact_n_per_group():
         "lang": ["en"] * 150 + ["de"] * 140 + ["xx"] * 10,
     })
     out = stratified_sample(ray.data.from_arrow(t).repartition(5),
-                            key="lang", n=25, id_col="doc_id",
-                            num_buckets=8).to_pandas()
+                            key="lang", n=25, id_col="doc_id").to_pandas()
     sizes = out.groupby("lang")["doc_id"].count().to_dict()
     assert sizes == {"en": 25, "de": 25, "xx": 10}
     assert set(out["rank"]) <= set(range(1, 26))
