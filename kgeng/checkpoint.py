@@ -29,6 +29,7 @@ import os
 import shutil
 import time
 
+import pyarrow as pa
 import ray.data
 
 # Concurrency guard: ray's path_util imports fsspec.implementations.http on
@@ -138,19 +139,25 @@ class CheckpointStore:
                                partition_projections)
 
     def commit_stage_receipts(self, stage: str,
-                              receipts_ds: ray.data.Dataset,
+                              receipts_ds: pa.Table | ray.data.Dataset,
                               shard: int | None = None,
                               lineage: dict | None = None,
-                              metrics: dict | None = None) -> str:
+                              metrics: dict | None = None,
+                              elapsed: float = 0.0) -> str:
         """Second half: drive the receipts Dataset (this is where the
-        fused producer actually executes), then the same atomic tmp-dir
-        rename + manifest + _SUCCESS protocol as ``write_stage``."""
+        fused producer actually executes; a small plan hands over the
+        receipts table it already wrote in process), then the same
+        atomic tmp-dir rename + manifest + _SUCCESS protocol as
+        ``write_stage``. ``elapsed`` is the time the producer call
+        itself took (all of the work on the in-process path), added to
+        the manifest's ``write_wall_sec``."""
         d = self.stage_dir(stage, shard)
         tmp = d + ".tmp"
         t0 = time.monotonic()
         part_counts = _collect_receipts(receipts_ds)
         return self._finalize_stage(stage, shard, d, tmp, part_counts,
-                                    time.monotonic() - t0, lineage, metrics)
+                                    elapsed + time.monotonic() - t0,
+                                    lineage, metrics)
 
     def write_stage_receipts(self, stage: str, make_receipts,
                              partition_cols: list[str],
@@ -159,13 +166,16 @@ class CheckpointStore:
                              metrics: dict | None = None,
                              partition_projections: dict | None = None
                              ) -> str:
-        """One-shot fused write: ``make_receipts(writer) -> Dataset`` of
-        receipt rows; see :meth:`begin_stage_receipts`."""
+        """One-shot fused write: ``make_receipts(writer)`` returns the
+        receipt rows (a Dataset or a table); see
+        :meth:`begin_stage_receipts`."""
         writer = self.begin_stage_receipts(stage, partition_cols, shard,
                                            partition_projections)
+        t0 = time.monotonic()
+        receipts = make_receipts(writer)
         return self.commit_stage_receipts(
-            stage, make_receipts(writer), shard=shard, lineage=lineage,
-            metrics=metrics)
+            stage, receipts, shard=shard, lineage=lineage, metrics=metrics,
+            elapsed=time.monotonic() - t0)
 
     def _seal_stage_dir(self, d: str, stage: str, shard: int | None,
                         rows: int, n_files: int, wall: float,
@@ -265,8 +275,6 @@ class CheckpointStore:
         base = os.path.join(self.stage_dir(stage, shard), partition)
         files = _parquet_files(base)
         if not files:
-            import pyarrow as pa
-
             if schema is None:
                 raise FileNotFoundError(
                     f"no parquet files under {base} and no fallback schema")
@@ -326,8 +334,6 @@ class CheckpointStore:
         if not files:
             # a record kind that never occurred (degenerate corpus) has no
             # partition files; surface an EMPTY dataset, not a read error
-            import pyarrow as pa
-
             if schema is None:
                 raise FileNotFoundError(
                     f"no parquet files for stage {stage!r} "
@@ -393,8 +399,6 @@ class PartitionWriter:
     def _content_sig(part) -> str:
         import hashlib
 
-        import pyarrow as pa
-
         sink = pa.BufferOutputStream()
         with pa.ipc.new_stream(sink, part.schema) as w:
             w.write_table(part.combine_chunks())
@@ -403,7 +407,6 @@ class PartitionWriter:
     def __call__(self, batch):
         import uuid
 
-        import pyarrow as pa
         import pyarrow.compute as pc
         import pyarrow.parquet as pq
 
@@ -436,14 +439,16 @@ class PartitionWriter:
                          "rows": pa.array(written, pa.int64())})
 
 
-def _collect_receipts(receipts_ds: ray.data.Dataset
-                      ) -> dict[tuple[str, str], int]:
-    """Drive a receipts-producing Dataset and fold its (part, path, rows)
-    rows into a dict. A retried task overwrites its content-keyed path,
-    so duplicate receipts collapse via the dict."""
+def _collect_receipts(receipts) -> dict[tuple[str, str], int]:
+    """Fold (part, path, rows) receipt rows into a dict: a table a fused
+    producer already ran in this process, or a receipts-producing
+    Dataset, which this drives. A retried task overwrites its
+    content-keyed path, so duplicate receipts collapse via the dict."""
     out: dict[tuple[str, str], int] = {}
-    for b in receipts_ds.iter_batches(batch_size=None,
-                                      batch_format="pyarrow"):
+    batches = ([receipts] if isinstance(receipts, pa.Table)
+               else receipts.iter_batches(batch_size=None,
+                                          batch_format="pyarrow"))
+    for b in batches:
         for part, path, rows in zip(b["part"].to_pylist(),
                                     b["path"].to_pylist(),
                                     b["rows"].to_pylist()):

@@ -88,7 +88,10 @@ class PipelineConfig:
     # execution
     # fused-extract task grain (docs per read+extract+write task):
     # sweep at 1M docs measured 8192 fastest at 32 CPUs (9.1-9.4 s vs
-    # 9.4-9.9 s for 4096, 11.2 s for 2048) and no worse at 8 CPUs
+    # 9.4-9.9 s for 4096, 11.2 s for 2048) and no worse at 8 CPUs. It
+    # also sets the small-plan rule: a shard of at most
+    # detect_batch_size / ncpu docs (2,048 at 4 CPUs) is extracted in
+    # the calling process, with no Ray Data execution
     detect_batch_size: int = 8192
     link_batch_size: int = 16384
     link_concurrency: int = 8

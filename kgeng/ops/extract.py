@@ -31,16 +31,27 @@ every byte of the corpus):
 3. **Columnar assembly**: records are built as parallel per-kind column
    arrays (doc references as int32 indices resolved via ``pc.take``), not
    per-record tuples.
+4. **Small plans run in process**: the planner (``item_groups``) cuts
+   the row-group items into row-balanced task groups, and one group
+   function reads, extracts and writes each group. When the whole input,
+   spread over every CPU, would not fill one task
+   (``total_rows * ncpu <= target_rows``: 2,048 docs at 4 CPUs with the
+   default 8,192-doc grain), ``run_item_groups`` runs the groups in a
+   loop in the calling process — a Ray Data execution costs ~0.2 s
+   fixed, more than such a plan's kernel work — and otherwise as one
+   Ray task each. Same groups, same function, same writer: both paths
+   write the same content-keyed part files.
 
 The detector state (gazetteer dict + compiled regexes) is built once per
-actor in ``__init__`` — the actor-pool pattern the reference lacks (its
-parser re-evaluates per line, ``graphalytics_importer.py:112-124``).
+worker (``_cached_extract``) — the actor-pool pattern the reference lacks
+(its parser re-evaluates per line, ``graphalytics_importer.py:112-124``).
 """
 
 from __future__ import annotations
 
-import json
+import pickle
 import re
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -208,20 +219,22 @@ def _arrow_compilable(pattern: str) -> bool:
 class Extract:
     """Stateless-task / actor-pool callable: documents batch -> records."""
 
-    def __init__(self, gazetteer_ref, detect_cfg: DetectConfig | None = None):
+    def __init__(self, gazetteer: dict[str, tuple[str, str]],
+                 detect_cfg: DetectConfig | None = None):
         cfg = detect_cfg or DetectConfig()
-        gaz = ray.get(gazetteer_ref) if isinstance(
-            gazetteer_ref, ray.ObjectRef) else gazetteer_ref
         # surface -> (entity_id, ent_type)
-        self.gaz: dict[str, tuple[str, str]] = gaz
+        self.gaz = gazetteer
         self.cap_run = re.compile(_CAP_RUN)
         self.detectors = [(name, re.compile(pat))
                           for name, pat in cfg.regex_detectors]
-        # one alternation for predicate phrases; longest first so
-        # " is located in " wins over any embedded shorter phrase
+        # one plain alternation for predicate phrases, longest first so
+        # " is located in " wins over any embedded shorter phrase; the
+        # phrases are unique literals, so the matched text names its
+        # predicate (named groups cost ~14x per scan in Python ``re``)
         phrases = sorted(PRED_PHRASES.items(), key=lambda kv: -len(kv[1]))
         self.phrase_re = re.compile(
-            "|".join(f"(?P<{p}>{re.escape(s)})" for p, s in phrases))
+            "|".join(re.escape(s) for _p, s in phrases))
+        self.phrase_pred = {s: p for p, s in PRED_PHRASES.items()}
         # Arrow prefilter is sound only if EVERY detector has a known
         # RE2-superset rewrite that compiles (else a span matched only by
         # the odd detector — or only under Python's Unicode \w/\d — would
@@ -250,22 +263,17 @@ class Extract:
         return "\n".join(texts), starts
 
     def _scan(self, texts: list[str], mega: str, starts: np.ndarray,
-              rex: re.Pattern, want_group: bool):
+              rex: re.Pattern):
         """All matches of ``rex`` over ``texts``: returns (span_i, offset,
-        surface-or-lastgroup) parallel lists. Fast path: one finditer over
-        the joined megastring, mapped back via searchsorted."""
+        surface) parallel lists. Fast path: one finditer over the joined
+        megastring, mapped back via searchsorted."""
         if not texts:
             return np.empty(0, np.int64), np.empty(0, np.int64), []
         if self.mega_ok:
             pos, val = [], []
-            if want_group:
-                for m in rex.finditer(mega):
-                    pos.append(m.start())
-                    val.append(m.group())
-            else:
-                for m in rex.finditer(mega):
-                    pos.append(m.start())
-                    val.append(m.lastgroup)
+            for m in rex.finditer(mega):
+                pos.append(m.start())
+                val.append(m.group())
             if not pos:
                 return np.empty(0, np.int64), np.empty(0, np.int64), []
             p = np.asarray(pos, dtype=np.int64)
@@ -277,7 +285,7 @@ class Extract:
             for m in rex.finditer(text):
                 span_i.append(i)
                 off.append(m.start())
-                val.append(m.group() if want_group else m.lastgroup)
+                val.append(m.group())
         return (np.asarray(span_i, dtype=np.int64),
                 np.asarray(off, dtype=np.int64), val)
 
@@ -350,7 +358,7 @@ class Extract:
 
         # ---- entity-candidate mentions (capitalized runs) --------------
         cap_span, cap_off, cap_surf = self._scan(texts, mega, starts,
-                                                 self.cap_run, True)
+                                                 self.cap_run)
         if len(cap_span):
             gaz_get = self.gaz.get
             hits = [gaz_get(s) for s in cap_surf]
@@ -379,8 +387,7 @@ class Extract:
         # ---- regex detector mentions (separate pass per detector keeps
         # cross-detector overlap semantics identical to one-scan-each) ----
         for name, rex in self.detectors:
-            d_span, d_off, d_surf = self._scan(texts, mega, starts, rex,
-                                               True)
+            d_span, d_off, d_surf = self._scan(texts, mega, starts, rex)
             if len(d_span):
                 d, s = to_doc(d_span)
                 parts.append(self._tbl(
@@ -390,8 +397,8 @@ class Extract:
         # ---- relations: first phrase in a span with >= 2 cap mentions --
         rel_doc_subjects: dict[int, list[str]] = {}
         if len(cap_span):
-            ph_span, _ph_off, ph_name = self._scan(texts, mega, starts,
-                                                   self.phrase_re, False)
+            ph_span, _ph_off, ph_text = self._scan(texts, mega, starts,
+                                                   self.phrase_re)
             if len(ph_span):
                 # first phrase per span (matches arrive position-ordered)
                 ph_u, ph_first = np.unique(ph_span, return_index=True)
@@ -400,7 +407,8 @@ class Extract:
                 keep = cap_counts[ph_u] >= 2
                 rel_spans = ph_u[keep]
                 if len(rel_spans):
-                    preds = [ph_name[i] for i in ph_first[keep]]
+                    preds = [self.phrase_pred[ph_text[i]]
+                             for i in ph_first[keep]]
                     first_cap = np.searchsorted(cap_span, rel_spans,
                                                 side="left")
                     subj = [cap_surf[i] for i in first_cap]
@@ -483,7 +491,7 @@ class Extract:
 
 
 def load_gazetteer_dict(gazetteer_parquet: str) -> dict[str, tuple[str, str]]:
-    """surface -> (entity_id, ent_type), for broadcast via ray.put."""
+    """surface -> (entity_id, ent_type): the detector's gazetteer."""
     import pyarrow.parquet as pq
 
     t = pq.read_table(gazetteer_parquet)
@@ -495,21 +503,49 @@ def load_gazetteer_dict(gazetteer_parquet: str) -> dict[str, tuple[str, str]]:
     }
 
 
+class Shipped:
+    """A large read-only value a fused stage's group function captures
+    (the gazetteer, the resolution map), with the token its worker-cache
+    entry is keyed by. In process the value is used as it is. Ray Data
+    pickles the map function once per operator, but every task unpickles
+    it again, so the value travels as the bytes of its own pickle: a task
+    copies the bytes (0.02 s for a 1M-entry gazetteer) and unpickles the
+    value (0.58 s) only on a worker-cache miss."""
+
+    def __init__(self, value):
+        self.token = uuid.uuid4().hex
+        self._value, self._blob = value, None
+
+    def __getstate__(self):
+        if self._blob is None:
+            self._blob = pickle.dumps(self._value, pickle.HIGHEST_PROTOCOL)
+        return self.token, self._blob
+
+    def __setstate__(self, state):
+        (self.token, self._blob), self._value = state, None
+
+    def value(self):
+        if self._value is None:
+            self._value = pickle.loads(self._blob)
+        return self._value
+
+
 # worker-local detector cache: stateless tasks re-use the compiled
 # detector across batches within a worker process, so there is no actor
 # pool to spin up per shard (pools re-created per map_batches call cost
 # ~2s each; tasks amortize to zero) while state is still built once per
-# worker, not per batch
+# worker, not per batch. Keyed by the gazetteer's ``Shipped`` token, a
+# value the task already holds, so no task ever blocks in ``ray.get``.
 _DETECTOR_CACHE: dict[str, Extract] = {}
 
 
-def _cached_extract(key: str, gaz_ref, cfg, batch: pa.Table) -> pa.Table:
-    det = _DETECTOR_CACHE.get(key)
+def _cached_extract(gazetteer: Shipped, cfg) -> Extract:
+    det = _DETECTOR_CACHE.get(gazetteer.token)
     if det is None:
-        det = Extract(gaz_ref, cfg)
+        det = Extract(gazetteer.value(), cfg)
         _DETECTOR_CACHE.clear()
-        _DETECTOR_CACHE[key] = det
-    return det(batch)
+        _DETECTOR_CACHE[gazetteer.token] = det
+    return det
 
 
 def plan_read_items(files: list[str],
@@ -540,15 +576,16 @@ def plan_read_items(files: list[str],
     return items
 
 
-def item_source(items: list[dict], n_tasks: int) -> ray.data.Dataset:
-    """A Dataset with ``n_tasks`` blocks, each carrying one contiguous
-    slice of ``items`` as a list column. Built from ``ray.data.range``
-    (lazy — blocks materialize in tasks) plus ONE broadcast of the item
-    list: driver-side block creation (``from_items`` / ``repartition``)
-    costs ~20 ms of plasma put per block on this host, ~1 s of plan
-    time per fused stage.
+def cluster_cpus() -> int:
+    return int(ray.cluster_resources().get("CPU", 8))
 
-    Slices are ROW-balanced, not item-count-balanced: cumulative-row
+
+def item_groups(items: list[dict], n_tasks: int) -> list[list[dict]]:
+    """``items`` cut into at most ``n_tasks`` contiguous groups, the
+    task grain of a fused stage (never empty: no items give one empty
+    group, whose output is the stage's empty output).
+
+    Groups are ROW-balanced, not item-count-balanced: cumulative-row
     split points keep every task within ~one item of equal work, so the
     last scheduling wave is not stretched by whichever task drew the
     fattest items."""
@@ -565,19 +602,47 @@ def item_source(items: list[dict], n_tasks: int) -> ray.data.Dataset:
     bounds.append(len(items))
     groups = [items[bounds[i]:bounds[i + 1]]
               for i in range(len(bounds) - 1)]
-    groups = [g for g in groups if g]  # an oversized item can skip targets
-    n_tasks = len(groups)
-    ref = ray.put(groups)
+    # an oversized item can skip targets
+    return [g for g in groups if g] or [[]]
 
-    def attach(b: pa.Table) -> pa.Table:
-        g = ray.get(ref)
-        rows = [g[i] for i in b["id"].to_pylist()]
-        return pa.table({"items": pa.array(
-            [[json.dumps(it) for it in row] for row in rows],
-            pa.list_(pa.string()))})
 
-    src = ray.data.range(n_tasks, override_num_blocks=n_tasks)
-    return src.map_batches(attach, batch_format="pyarrow", batch_size=None)
+def item_source(groups: list[list[dict]], group_fn) -> ray.data.Dataset:
+    """One Ray task per group: a Dataset of ``group_fn(group)`` outputs.
+    Built from ``ray.data.range`` (lazy — blocks materialize in tasks):
+    driver-side block creation (``from_items`` / ``repartition``) costs
+    ~20 ms of plasma put per block on this host, ~1 s of plan time per
+    fused stage. The groups (and whatever ``group_fn`` captures) ride in
+    the map function, which Ray Data puts once per operator and hands
+    every task as a resolved argument."""
+    def run(b: pa.Table) -> pa.Table:
+        return pa.concat_tables([group_fn(groups[i])
+                                 for i in b["id"].to_pylist()])
+
+    n = len(groups)
+    return ray.data.range(n, override_num_blocks=n).map_batches(
+        run, batch_format="pyarrow", batch_size=None)
+
+
+def _in_process(total_rows: int, target_rows: int, ncpu: int) -> bool:
+    """The small-plan rule of the fused stages: when the whole input,
+    spread over every CPU, would not fill one ``target_rows`` task, a
+    Ray Data execution (~0.2-0.25 s fixed at 4 CPUs) costs more than
+    the parallelism it buys, so the groups run in the calling
+    process."""
+    return total_rows * ncpu <= target_rows
+
+
+def run_item_groups(items: list[dict], n_tasks: int, target_rows: int,
+                    ncpu: int, group_fn) -> pa.Table | ray.data.Dataset:
+    """``group_fn`` over ``item_groups(items, n_tasks)``: in this process
+    (one concatenated table) when ``_in_process`` says the plan is small,
+    else one Ray task per group (a Dataset of the groups' outputs). The
+    groups and the function are the same either way, so both paths give
+    the same output, and a fused writer the same files."""
+    groups = item_groups(items, n_tasks)
+    if _in_process(sum(it["rows"] for it in items), target_rows, ncpu):
+        return pa.concat_tables([group_fn(g) for g in groups])
+    return item_source(groups, group_fn)
 
 
 def plan_items_from_rows(files: list[str], file_rows: dict[str, int],
@@ -612,45 +677,47 @@ def plan_items_from_rows(files: list[str], file_rows: dict[str, int],
     return items
 
 
-def _iter_item_tables(batch: pa.Table):
-    """Yield (item_dict, row-group table) for every item in a fused
-    batch produced by ``item_source``. ``rg_hi`` of -1 (or past the end)
-    means "to the file's last row group" — ranges are clamped against
-    the actual footer, which is read HERE, in the worker. Consecutive
-    items over the same file (the common case: a task's items are a
-    contiguous plan slice) share one ``ParquetFile`` handle, so a
-    finer-than-file item grain does not multiply footer reads."""
+def _iter_item_tables(group: list[dict]):
+    """Yield (item_dict, row-group table) for every item of a group.
+    ``rg_hi`` of -1 (or past the end) means "to the file's last row
+    group" — ranges are clamped against the actual footer, which is read
+    HERE, in the task. Consecutive items over the same file (the common
+    case: a group is a contiguous plan slice) share one ``ParquetFile``
+    handle, so a finer-than-file item grain does not multiply footer
+    reads."""
     import pyarrow.parquet as pq
 
     cur_path, pf = None, None
-    for encoded in batch["items"].to_pylist():
-        for s in encoded:
-            it = json.loads(s)
-            if it["path"] != cur_path:
-                cur_path = it["path"]
-                pf = pq.ParquetFile(cur_path)
-            n_rg = pf.metadata.num_row_groups
-            lo, hi = it["rg_lo"], it["rg_hi"]
-            if hi < 0 or hi > n_rg:
-                hi = n_rg
-            if lo >= hi:
-                continue
-            yield it, pf.read_row_groups(list(range(lo, hi)))
+    for it in group:
+        if it["path"] != cur_path:
+            cur_path = it["path"]
+            pf = pq.ParquetFile(cur_path)
+        n_rg = pf.metadata.num_row_groups
+        lo, hi = it["rg_lo"], it["rg_hi"]
+        if hi < 0 or hi > n_rg:
+            hi = n_rg
+        if lo >= hi:
+            continue
+        yield it, pf.read_row_groups(list(range(lo, hi)))
 
 
 def extract_records_fused(files: list[str], gazetteer: dict,
                           detect_cfg: DetectConfig | None = None,
                           target_rows: int = 4096,
-                          writer=None) -> ray.data.Dataset:
+                          writer=None) -> pa.Table | ray.data.Dataset:
     """Fused read+extract: each task reads its own row-group range and
     runs the detector kernel on it in-process — the decoded documents
     table never round-trips the object store, and the (read task -> map
     task) scheduling pair collapses to one task per item. Measured 12%
     faster than ``read_parquet -> map_batches`` at 32 CPUs on the 1M-doc
     bench corpus (the decoded docs are ~890 MB of plasma traffic the
-    fused path never pays)."""
-    gaz_ref = ray.put(gazetteer)
-    key = gaz_ref.hex()
+    fused path never pays).
+
+    Returns the records, or with ``writer`` the receipts of the part
+    files it wrote: a Dataset when the groups run as Ray tasks, one
+    table when the plan is small enough to run in this process (see
+    ``run_item_groups``)."""
+    gaz = Shipped(gazetteer)
     cfg = detect_cfg
     # plan finer than the task grain, then regroup row-balanced into a
     # wave-aligned task count: file-grain items quantize to ragged final
@@ -658,19 +725,14 @@ def extract_records_fused(files: list[str], gazetteer: dict,
     # while fine items regrouped to a multiple of the CPU count pack
     # into full waves of near-equal tasks
     items = plan_read_items(files, max(512, target_rows // 4))
-    if not items:
-        if writer is not None:
-            return ray.data.from_arrow(
-                writer(RECORD_SCHEMA.empty_table()))
-        return ray.data.from_arrow(RECORD_SCHEMA.empty_table())
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    ncpu = cluster_cpus()
     total_rows = sum(it["rows"] for it in items)
     waves = max(1, round(total_rows / (target_rows * ncpu)))
     n_tasks = min(len(items), waves * ncpu)
 
-    def read_and_extract(b: pa.Table) -> pa.Table:
-        outs = [_cached_extract(key, gaz_ref, cfg, t)
-                for _it, t in _iter_item_tables(b)]
+    def read_and_extract(group: list[dict]) -> pa.Table:
+        det = _cached_extract(gaz, cfg)
+        outs = [det(t) for _it, t in _iter_item_tables(group)]
         res = (pa.concat_tables(outs) if outs
                else RECORD_SCHEMA.empty_table())
         if writer is not None:
@@ -680,5 +742,5 @@ def extract_records_fused(files: list[str], gazetteer: dict,
             return writer(res)
         return res
 
-    return item_source(items, n_tasks).map_batches(
-        read_and_extract, batch_format="pyarrow", batch_size=None)
+    return run_item_groups(items, n_tasks, target_rows, ncpu,
+                           read_and_extract)

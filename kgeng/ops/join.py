@@ -197,7 +197,8 @@ def _co_group(left: ray.data.Dataset, right: ray.data.Dataset,
     integer columns NON-UNIFORMLY across reduce batches (a batch holding
     only one side keeps its ints), and a bucket holding one side lacks
     the other's columns entirely: each side is reindexed to its columns
-    and restored to its numeric dtypes before ``fn`` sees it.
+    and restored to its numeric dtypes before ``fn`` sees it (an int
+    column holding a null as the nullable ``Int64``).
 
     With ``salt > 1`` each LEFT row goes to a sub-bucket (row position
     mod salt — any deterministic spread works, the join result is
@@ -221,10 +222,15 @@ def _co_group(left: ray.data.Dataset, right: ray.data.Dataset,
         return pa.concat_tables([tagged(t, b + s, 1)
                                  for s in range(salt)])
 
+    def restore(g: pd.DataFrame, cols: list[str], types: dict):
+        g = g.reindex(columns=cols)
+        return g.astype({c: "Int64" if t == "int64" and g[c].isna().any()
+                         else t for c, t in types.items()})
+
     def merge(g: pd.DataFrame) -> pd.DataFrame:
         side = g["__side"].to_numpy()
-        return fn(g[side == 0].reindex(columns=lcols).astype(ltypes),
-                  g[side == 1].reindex(columns=rcols).astype(rtypes))
+        return fn(restore(g[side == 0], lcols, ltypes),
+                  restore(g[side == 1], rcols, rtypes))
 
     return left.map_batches(tag_left, batch_format="pyarrow") \
         .union(right.map_batches(tag_right, batch_format="pyarrow")) \
@@ -292,12 +298,20 @@ def hash_join(left: ray.data.Dataset, right: ray.data.Dataset, key: str,
     int_left = ([c for c, t in ltypes.items()
                  if t == "int64" and c != key] if how == "outer" else [])
 
+    renamed = {c: c + suffix for c in rcols if c in lcols and c != key}
+
     def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
+        # a null key matches nothing (SQL), while pandas pairs null keys
+        # with each other: null-key right rows only come back as the
+        # unmatched rows of a full outer join
+        null_r = rg[key].isna().to_numpy()
         if how == "semi":
-            return lg[lg[key].isin(rg[key].unique())]
+            return lg[lg[key].isin(rg[key][~null_r].unique())]
         if how == "anti":
-            return lg[~lg[key].isin(rg[key].unique())]
-        out = lg.merge(rg, on=key, how=how, suffixes=("", suffix))
+            return lg[~lg[key].isin(rg[key][~null_r].unique())]
+        out = lg.merge(rg[~null_r], on=key, how=how, suffixes=("", suffix))
+        if how == "outer" and null_r.any():
+            out = pd.concat([out, rg[null_r].rename(columns=renamed)])
         out = out.reindex(columns=out_cols)
         for c in int_right:
             cc = c + suffix if c in lcols else c
@@ -316,6 +330,14 @@ def _disjoint_sides(left: ray.data.Dataset,
     if overlap:
         raise ValueError(f"column collision across sides: {overlap}")
     return lside, rside
+
+
+def _non_null(frame: pd.DataFrame, key: str) -> pd.DataFrame:
+    """``frame`` (whose ``key`` holds no null) with a nullable ``Int64``
+    key back as ``int64``."""
+    if isinstance(frame[key].dtype, pd.Int64Dtype):
+        return frame.astype({key: "int64"})
+    return frame
 
 
 def asof_join(left: ray.data.Dataset, right: ray.data.Dataset,
@@ -345,12 +367,20 @@ def asof_join(left: ray.data.Dataset, right: ray.data.Dataset,
         # reindex leaves float64 NaN
         lg[left_ts] = pd.to_datetime(lg[left_ts]).astype("datetime64[us]")
         rg[right_ts] = pd.to_datetime(rg[right_ts]).astype("datetime64[us]")
+        # a null key matches nothing: null-key left rows come back
+        # unmatched, and the rest take a non-nullable key dtype
+        # (merge_asof wants one dtype per key pair)
+        miss = lg[left_key].isna().to_numpy()
+        lg, unmatched = _non_null(lg[~miss], left_key), lg[miss]
+        rg = _non_null(rg[rg[right_key].notna().to_numpy()], right_key)
         lg = lg.sort_values(left_ts, kind="mergesort")
         rg = rg.sort_values([right_ts, tiebreak] if tiebreak
                             else [right_ts], kind="mergesort")
         out = pd.merge_asof(lg, rg, left_on=left_ts, right_on=right_ts,
                             left_by=left_key, right_by=right_key,
                             direction=direction)
+        if len(unmatched):
+            out = pd.concat([out, unmatched])
         # unmatched left rows null the right side; right int columns
         # surface as float64 (NaN for no-match) so every output block has
         # the same schema regardless of that batch's match pattern —
@@ -387,6 +417,9 @@ def range_join(left: ray.data.Dataset, right: ray.data.Dataset,
     def merge(lg: pd.DataFrame, rg: pd.DataFrame) -> pd.DataFrame:
         for frame, c in ((lg, left_ts), (rg, right_lo), (rg, right_hi)):
             frame[c] = pd.to_datetime(frame[c]).astype("datetime64[us]")
+        # a null key matches nothing (pandas pairs null keys)
+        lg = lg[lg[left_key].notna().to_numpy()]
+        rg = rg[rg[right_key].notna().to_numpy()]
         out = lg.merge(rg, left_on=left_key, right_on=right_key,
                        how="inner")
         keep = (out[right_lo] <= out[left_ts]) & (

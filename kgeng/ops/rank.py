@@ -165,8 +165,8 @@ def approx_grouped_quantiles(ds: ray.data.Dataset, key: str, value: str,
     histogram: absolute error <= (group max - min) / num_bins. Fully
     partial+final — per-group value sets are NEVER gathered; only the
     (group, bin) count table (num_bins rows per group) shuffles. The
-    small per-group (min, max) stats table is broadcast via ray.put."""
-    import ray as _ray
+    small per-group (min, max) stats table rides in the map functions,
+    so no task blocks in ``ray.get``."""
     from ray.data.aggregate import Count, Max, Min, Sum
 
     stats_rows = ds.groupby(key).aggregate(
@@ -179,17 +179,15 @@ def approx_grouped_quantiles(ds: ray.data.Dataset, key: str, value: str,
     # nonzero fallback width would return lo + width/2 and break the
     # (max-min)/num_bins error bound
     width = np.where(hi > lo, (hi - lo) / num_bins, 0.0)
-    stats_ref = _ray.put((keys_arr, lo, width))
 
     def bin_counts(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        ka, lo_a, w_a = _ray.get(stats_ref)
-        idx = pc.index_in(t[key], value_set=ka).to_numpy(
+        idx = pc.index_in(t[key], value_set=keys_arr).to_numpy(
             zero_copy_only=False).astype(np.int64)
         v = t[value].to_numpy(zero_copy_only=False).astype(np.float64)
-        w = w_a[idx]
-        raw = np.divide(v - lo_a[idx], w, out=np.zeros_like(v),
+        w = width[idx]
+        raw = np.divide(v - lo[idx], w, out=np.zeros_like(v),
                         where=w > 0)
         b = np.clip(raw.astype(np.int64), 0, num_bins - 1)
         # partial aggregation inside the batch: one row per (group, bin)
@@ -203,7 +201,6 @@ def approx_grouped_quantiles(ds: ray.data.Dataset, key: str, value: str,
 
     def quantiles_from_hist(g: pd.DataFrame) -> pd.DataFrame:
         gi = int(g["__g"].iloc[0])
-        ka, lo_a, w_a = _ray.get(stats_ref)
         g = g.sort_values("__bin")
         cum = g["cnt"].cumsum().to_numpy()
         total = cum[-1]
@@ -213,11 +210,11 @@ def approx_grouped_quantiles(ds: ray.data.Dataset, key: str, value: str,
             i = int(np.searchsorted(cum, target, side="left"))
             i = min(i, len(g) - 1)
             b = int(g["__bin"].iloc[i])
-            est = (lo_a[gi] if w_a[gi] == 0.0
-                   else lo_a[gi] + (b + 0.5) * w_a[gi])
+            est = (lo[gi] if width[gi] == 0.0
+                   else lo[gi] + (b + 0.5) * width[gi])
             out_q.append(q)
             out_v.append(round(float(est), round_to))
-        return pd.DataFrame({key: [ka[gi].as_py()] * len(quantiles),
+        return pd.DataFrame({key: [keys_arr[gi].as_py()] * len(quantiles),
                              "q": out_q, "quantile_value": out_v})
 
     return hist.groupby("__g").map_groups(quantiles_from_hist,

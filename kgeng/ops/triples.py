@@ -1,8 +1,8 @@
 """Deterministic (subj, pred, obj) triple emission.
 
 Relation/media records (surface-level, from ops/extract.py) are rewritten
-into entity-level triples using the broadcast resolution map — a pure
-vectorized ``map_batches`` (``pc.index_in`` lookups) with no shuffle.
+into entity-level triples using the resolution map — a pure vectorized
+fused read+resolve (``pc.index_in`` lookups) with no shuffle.
 Records whose subject or object surface does not resolve are dropped
 (noise candidates).
 
@@ -48,9 +48,7 @@ def _const_str(val: str, n: int) -> pa.Array:
 
 
 class ResolveTriples:
-    def __init__(self, resolution_ref):
-        res = ray.get(resolution_ref) if isinstance(
-            resolution_ref, ray.ObjectRef) else resolution_ref
+    def __init__(self, res: dict[str, tuple[str, bool]]):
         surfaces = list(res.keys())
         self.surface_arr = pa.array(surfaces, pa.string())
         self.eid_arr = pa.array([res[s][0] for s in surfaces], pa.string())
@@ -140,16 +138,17 @@ class ResolveTriples:
 
 
 # worker-local cache (same pattern as ops/extract.py): stateless tasks,
-# resolution tables deserialized once per worker, zero pool spin-up cost
+# resolution tables built once per worker and keyed by the resolution's
+# ``Shipped`` token, zero pool spin-up cost
 _RESOLVER_CACHE: dict[str, ResolveTriples] = {}
 
 
-def _cached_resolver(key: str, res_ref) -> ResolveTriples:
-    r = _RESOLVER_CACHE.get(key)
+def _cached_resolver(resolution) -> ResolveTriples:
+    r = _RESOLVER_CACHE.get(resolution.token)
     if r is None:
-        r = ResolveTriples(res_ref)
+        r = ResolveTriples(resolution.value())
         _RESOLVER_CACHE.clear()
-        _RESOLVER_CACHE[key] = r
+        _RESOLVER_CACHE[resolution.token] = r
     return r
 
 
@@ -162,12 +161,19 @@ def emit_triples_fused(relation_files: list[str], media_files: list[str],
                        resolution: dict[str, tuple[str, bool]],
                        target_rows: int = 16384,
                        file_rows: dict[str, int] | None = None,
-                       writer=None) -> ray.data.Dataset:
+                       writer=None) -> pa.Table | ray.data.Dataset:
     """Fused read+resolve over checkpointed record partitions: each task
     reads its own row-group range and resolves it in-process, so the
     corpus-scale relation table never round-trips the object store
     between a read operator and the resolve map (same pattern and
     rationale as ``extract_records_fused``).
+
+    Small plans run in the calling process: when the residue, spread
+    over every CPU, would not fill one ``_TASK_ROWS`` task
+    (``extract._in_process``), the same groups go through the same
+    group function and writer on the driver, and the result is one
+    table (the receipts, or the triples without a writer) instead of a
+    Dataset; the resolution is then never pickled.
 
     ``file_rows`` (the records manifests' per-file receipts) lets the
     plan skip all driver-side footer reads — worth ~0.35 s of fixed
@@ -176,40 +182,35 @@ def emit_triples_fused(relation_files: list[str], media_files: list[str],
     The per-kind checkpoint projections drop ``rec_kind`` (and media's
     ``pred``) from the files; the task dispatches on each item's
     partition kind directly, so neither column is reconstructed."""
-    from kgeng.ops.extract import plan_items_from_rows, plan_read_items
+    import math
+
+    from kgeng.ops.extract import (Shipped, _iter_item_tables, cluster_cpus,
+                                   plan_items_from_rows, plan_read_items,
+                                   run_item_groups)
 
     def plan(files: list[str]) -> list[dict]:
         if file_rows is not None:
             return plan_items_from_rows(files, file_rows, target_rows)
         return plan_read_items(files, target_rows)
 
-    res_ref = ray.put(resolution)
-    key = res_ref.hex()
+    res = Shipped(resolution)
     items = ([dict(it, kind="relation") for it in plan(relation_files)]
              + [dict(it, kind="media") for it in plan(media_files)])
-    if not items:
-        if writer is not None:
-            return ray.data.from_arrow(writer(TRIPLE_SCHEMA.empty_table()))
-        return ray.data.from_arrow(TRIPLE_SCHEMA.empty_table())
     # resolve is ~10x cheaper per row than extract, so one item per
     # checkpoint file makes overhead-dominated 50 ms tasks; group items
     # into ~128k-row tasks rounded UP to full scheduling waves (a task
     # count like 76 on 32 CPUs runs as 2.4 waves with a 2/3-idle tail —
     # measured sweep on the 1M-doc bench checkpoint: 64 aligned tasks at
     # 32 CPUs beat both 128 tiny and 32 coarse ones)
-    import math
-
-    ncpu = int(ray.cluster_resources().get("CPU", 8))
+    ncpu = cluster_cpus()
     total_rows = sum(it["rows"] for it in items)
     waves = max(1, math.ceil(total_rows / _TASK_ROWS / ncpu))
     n_tasks = int(min(len(items), waves * ncpu))
 
-    from kgeng.ops.extract import _iter_item_tables, item_source
-
-    def read_and_resolve(b: pa.Table) -> pa.Table:
-        r = _cached_resolver(key, res_ref)
+    def read_and_resolve(group: list[dict]) -> pa.Table:
+        r = _cached_resolver(res)
         outs = []
-        for it, t in _iter_item_tables(b):
+        for it, t in _iter_item_tables(group):
             outs.append(r.resolve_relation(t) if it["kind"] == "relation"
                         else r.resolve_media(t))
         if not outs:
@@ -231,5 +232,5 @@ def emit_triples_fused(relation_files: list[str], media_files: list[str],
             return writer(result)
         return result
 
-    return item_source(items, n_tasks).map_batches(
-        read_and_resolve, batch_format="pyarrow", batch_size=None)
+    return run_item_groups(items, n_tasks, _TASK_ROWS, ncpu,
+                           read_and_resolve)

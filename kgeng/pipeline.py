@@ -7,8 +7,12 @@ Dataflow posture (the 10^12-doc design, SURVEY.md §7):
   stage (per-shard checkpoints = mid-run resume granularity);
 - everything that shuffles (distinct surfaces, LSH bands, entity dedup) is
   orders of magnitude smaller than the corpus;
-- broadcast state (gazetteer, resolution map) moves via ``ray.put`` once,
-  never per batch;
+- broadcast state (gazetteer, resolution map) rides in the fused stages'
+  map functions as the bytes of its pickle (``ops/extract.Shipped``),
+  which Ray Data puts once per execution, and is rebuilt once per
+  worker, never per batch; a stage whose whole input is small runs its
+  task groups in this process instead (``ops/extract.run_item_groups``),
+  with no Ray Data execution at all;
 - stage boundaries are parquet checkpoints with lineage + metrics manifests
   (kgeng/checkpoint.py), so a killed run resumes where it stopped. Every
   run goes through the store: without a ``checkpoint_root`` it lives in a
@@ -22,6 +26,7 @@ import json
 import os
 import shutil
 import tempfile
+import time
 
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -35,8 +40,8 @@ from kgeng.io import sink
 from kgeng.ops.block import candidate_pairs
 from kgeng.ops.canonicalize import build_resolution
 from kgeng.ops.agg import distinct
-from kgeng.ops.extract import (RECORD_SCHEMA, extract_records_fused,
-                               load_gazetteer_dict)
+from kgeng.ops.extract import (RECORD_SCHEMA, cluster_cpus,
+                               extract_records_fused, load_gazetteer_dict)
 from kgeng.ops.triples import TRIPLE_SCHEMA, emit_triples_fused
 
 # per-kind checkpoint projections: each record kind keeps only its own
@@ -149,15 +154,13 @@ class KGPipeline:
         read the checkpoint store at ``result["checkpoint_root"]`` (a temp
         dir removed at interpreter exit when no ``checkpoint_root`` was
         given)."""
-        import time as _time
-
-        t_start = _time.monotonic()
+        t_start = time.monotonic()
         timing_on = bool(os.environ.get("KGENG_TIMING"))
         stage_walls: dict[str, float] = {}
         last = [t_start]
 
         def _t(label: str):
-            now = _time.monotonic()
+            now = time.monotonic()
             if label != "start":
                 stage_walls[label.removesuffix("_done")] = round(
                     now - last[0], 3)
@@ -325,7 +328,9 @@ class KGPipeline:
                     "records", shard=i, lineage=_lin(sf)))]
         # build the lazy per-shard pipelines on the MAIN thread (dataset
         # construction does eager path resolution that is not thread-safe
-        # in this environment); only the executions run concurrently
+        # in this environment); only the executions run concurrently. A
+        # shard small enough for the in-process plan is extracted and
+        # written right here, and hands back its receipts table
         jobs = []
         for i, shard_files in todo:
             # fused read+extract+WRITE: ~detect_batch_size-doc
@@ -338,15 +343,16 @@ class KGPipeline:
             w = store.begin_stage_receipts(
                 "records", ["rec_kind"], shard=i,
                 partition_projections=_REC_PROJECTIONS)
+            t0 = time.monotonic()
             recs = extract_records_fused(
                 shard_files, gaz, target_rows=cfg.detect_batch_size,
                 writer=w)
-            jobs.append((i, shard_files, recs))
+            jobs.append((i, shard_files, recs, time.monotonic() - t0))
         # shard-execution concurrency adapts to cluster size: at low CPU
         # counts concurrent shard pipelines just contend (each shard has
         # ample internal parallelism), at high counts overlap amortizes
         # per-execution startup
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
+        ncpu = cluster_cpus()
         # 2 concurrent shard executions at 32 CPUs measured best: more
         # thrash each other (each streaming executor assumes the whole
         # cluster), fewer leave startup gaps between serial shards
@@ -361,11 +367,12 @@ class KGPipeline:
                 list(ex.map(
                     lambda j: store.commit_stage_receipts(
                         "records", j[2], shard=j[0],
-                        lineage=_lin(j[1])), jobs))
+                        lineage=_lin(j[1]), elapsed=j[3]), jobs))
         else:
-            for i, shard_files, recs in jobs:
+            for i, shard_files, recs, elapsed in jobs:
                 store.commit_stage_receipts("records", recs, shard=i,
-                                            lineage=_lin(shard_files))
+                                            lineage=_lin(shard_files),
+                                            elapsed=elapsed)
         # the records Dataset view is constructed lazily by run()'s
         # LazyResult — building it here would prefetch every part-file
         # footer on the driver inside the extract stage wall

@@ -145,6 +145,78 @@ def test_null_keys_form_one_partition(monkeypatch, case):
     assert _rows(got, cols) == _rows(want, cols)
 
 
+# ------------------------------------------ joins over nullable ints
+
+def _join_sides() -> tuple[pa.Table, pa.Table]:
+    """Left: events whose int key and int column ``vn`` hold nulls.
+    Right: intervals whose int key ``k`` holds nulls, with one ``lo``
+    per key (so the as-of match is unique)."""
+    rng = np.random.default_rng(21)
+    n = 40
+    lo = pd.to_datetime("2024-01-01") + pd.to_timedelta(
+        rng.permutation(3 * 24 * 60)[:n], unit="m")
+    right = pa.table({
+        "rid": np.arange(n, dtype=np.int64),
+        "k": pa.array([None if i % 9 == 0 else int(x) for i, x in
+                       enumerate(rng.integers(1, 25, n))], pa.int64()),
+        "lo": lo, "hi": lo + pd.to_timedelta(
+            rng.integers(1, 900, n), unit="m"),
+    })
+    return _events_big().drop_columns(["s"]), right
+
+
+_JOIN_CASES = {
+    "inner": (lambda l, r: join.hash_join(l, r.drop_columns(["lo", "hi"]),
+                                          "k"),
+              "SELECT l.*, r.rid FROM l JOIN r ON l.k = r.k"),
+    "left": (lambda l, r: join.hash_join(l, r.drop_columns(["lo", "hi"]),
+                                         "k", how="left"),
+             "SELECT l.*, r.rid FROM l LEFT JOIN r ON l.k = r.k"),
+    "outer": (lambda l, r: join.hash_join(l, r.drop_columns(["lo", "hi"]),
+                                          "k", how="outer"),
+              "SELECT l.* EXCLUDE (k), coalesce(l.k, r.k) AS k, r.rid "
+              "FROM l FULL JOIN r ON l.k = r.k"),
+    "semi": (lambda l, r: join.hash_join(l, r.drop_columns(["lo", "hi"]),
+                                         "k", how="semi"),
+             "SELECT * FROM l WHERE EXISTS "
+             "(SELECT 1 FROM r WHERE r.k = l.k)"),
+    "anti": (lambda l, r: join.hash_join(l, r.drop_columns(["lo", "hi"]),
+                                         "k", how="anti"),
+             "SELECT * FROM l WHERE NOT EXISTS "
+             "(SELECT 1 FROM r WHERE r.k = l.k)"),
+    "asof": (lambda l, r: join.asof_join(
+        l, r.drop_columns(["hi"]).map_batches(
+            lambda t: t.rename_columns(["rid", "rk", "lo"]),
+            batch_format="pyarrow"), "k", "rk", "ts", "lo", tiebreak="rid"),
+        "SELECT l.*, r.rid, r.k AS rk, r.lo FROM l ASOF LEFT JOIN r "
+        "ON l.k = r.k AND l.ts >= r.lo"),
+    "range": (lambda l, r: join.range_join(
+        l, r.map_batches(
+            lambda t: t.rename_columns(["rid", "rk", "lo", "hi"]),
+            batch_format="pyarrow"), "k", "rk", "ts", "lo", "hi"),
+        "SELECT l.*, r.rid, r.k AS rk, r.lo, r.hi FROM l JOIN r "
+        "ON l.k = r.k AND r.lo <= l.ts AND l.ts < r.hi"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JOIN_CASES))
+def test_joins_keep_nullable_ints_and_null_keys(monkeypatch, case):
+    """Int columns holding nulls (key or not) survive every join, and a
+    null key matches nothing, on either side: the rows DuckDB gives."""
+    monkeypatch.setattr(join, "_BUCKETS", 3)
+    run, sql = _JOIN_CASES[case]
+    left, right = _join_sides()
+    got = _pdf(run(ray.data.from_arrow(left).repartition(3),
+                   ray.data.from_arrow(right).repartition(2)))
+    con = duckdb.connect()
+    con.register("l", left)
+    con.register("r", right)
+    want = con.execute(sql).fetch_df()
+    cols = list(want.columns)
+    assert sorted(got.columns) == sorted(cols)
+    assert _rows(got, cols) == _rows(want, cols)
+
+
 # ------------------------------------------- bucket-count invariance
 
 def _events_big() -> pa.Table:
@@ -168,11 +240,9 @@ def _ev() -> ray.data.Dataset:
 
 
 def _ev_keyed() -> ray.data.Dataset:
-    """The events with a key and no int column holding nulls (the bars
-    need a key; the joins restore int dtypes on both sides)."""
-    return _ev().map_batches(
-        lambda t: t.filter(pc.is_valid(t["k"])).drop_columns(["vn"]),
-        batch_format="pyarrow")
+    """The events with a key (the bars need one)."""
+    return _ev().map_batches(lambda t: t.filter(pc.is_valid(t["k"])),
+                             batch_format="pyarrow")
 
 
 def _right() -> ray.data.Dataset:
@@ -267,14 +337,14 @@ ROUTED_OPS = {
     "stratified_sample": lambda: sample.stratified_sample(
         _ev(), "k", 3, "eid"),
     "hash_join": lambda: join.hash_join(
-        _ev_keyed(), _right().select_columns(["rk", "rid"]).map_batches(
+        _ev(), _right().select_columns(["rk", "rid"]).map_batches(
             lambda t: t.rename_columns(["k", "rid"]),
             batch_format="pyarrow"), "k", how="left"),
     "asof_join": lambda: join.asof_join(
-        _ev_keyed(), _right().select_columns(["rid", "rk", "lo"]),
+        _ev(), _right().select_columns(["rid", "rk", "lo"]),
         "k", "rk", "ts", "lo", tiebreak="rid"),
     "range_join": lambda: join.range_join(
-        _ev_keyed(), _right(), "k", "rk", "ts", "lo", "hi"),
+        _ev(), _right(), "k", "rk", "ts", "lo", "hi"),
     "triangle_counts": _plan_b(lambda: graph.triangle_counts(
         _graph_edges())),
     "edge_triangle_support": _plan_b(lambda: graph.edge_triangle_support(

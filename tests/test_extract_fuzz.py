@@ -129,3 +129,49 @@ def test_exotic_detectors_fall_back_soundly():
     # never matches inside any single span (the X span has no digit)
     assert ("42", "LINENO") in hits and ("7", "LINENO") in hits
     assert not any(e == "NONDIGIT" for _s, e in hits)
+
+
+def test_phrase_scan_matches_named_group_reference():
+    """The phrase alternation carries no named groups; the matched text
+    maps back to its predicate. Every span's (offset, predicate) list
+    equals the one the named-group alternation gives, through the
+    megastring scan and the per-span fallback."""
+    import re
+
+    from kgeng.synth.corpus import PRED_PHRASES
+
+    by_len = sorted(PRED_PHRASES.items(), key=lambda kv: -len(kv[1]))
+    ref = re.compile("|".join(f"(?P<{p}>{re.escape(s)})"
+                              for p, s in by_len))
+    phrases = list(PRED_PHRASES.values())
+    rng = np.random.default_rng(5)
+    texts = [
+        "A" + "B".join(phrases) + "C",              # every phrase
+        # nested and overlapping: phrases sharing their edge spaces,
+        # repeated back to back, and inside longer words
+        " works for works for  founded partnered with acquired ",
+        "X is located in founded Y acquired  acquired Z",
+        "unfounded  founded  refounded acquiredness is located inn",
+        "",
+    ]
+    pieces = phrases + [p.strip() for p in phrases] + [
+        " ", "Ada", "Acme Corp", " is ", " located", " in ", "for ",
+        "über", "x"]
+    for _ in range(300):
+        texts.append("".join(
+            str(rng.choice(pieces))
+            for _ in range(int(rng.integers(0, 12)))))
+
+    def want(text):
+        return [(m.start(), m.lastgroup) for m in ref.finditer(text)]
+
+    for mega_ok in (True, False):
+        ex = Extract({})
+        ex.mega_ok = mega_ok
+        mega, starts = ex._join(texts)
+        span_i, off, surf = ex._scan(texts, mega, starts, ex.phrase_re)
+        got: list[list] = [[] for _ in texts]
+        for i, o, s in zip(span_i.tolist(), off.tolist(), surf):
+            got[i].append((o, ex.phrase_pred[s]))
+        assert got == [want(t) for t in texts]
+    assert sum(map(len, (want(t) for t in texts))) > 300
