@@ -18,16 +18,17 @@ this makes the result reproducible bit-for-bit across summation orders
 ~1e-17 relative, far below the rounding granularity), so a DuckDB
 oracle with the same per-round rounding hash-matches exactly.
 
-The eight iterative algorithms (pagerank, hits, sssp_hops,
-bellman_ford_rounds, effective_closeness, scc, slpa,
-label_propagation_communities) are each written once, as a vertex
-program in the Pregel / GAS shape: the loop and its convergence test
-run on the driver, and a round is ``send`` (one message per edge, from
-the sender's state), a combine per receiver (``sum``, ``min``, ``max``
-or ``mode``) and ``apply`` (the receiver's new state), all numpy over
-arrays of node state. One round interface runs them on three backends,
-picked by one rule from sizes the algorithm already measures (node
-count, edge count, rounds, sketch width):
+The eleven iterative algorithms (pagerank, hits, sssp_hops,
+bellman_ford_rounds, effective_closeness, bounded_harmonic,
+bounded_closeness, scc, slpa, label_propagation_communities, k_core)
+are each written once, as a vertex program in the Pregel / GAS shape:
+the loop and its convergence test run on the driver, and a round is
+``send`` (one message per edge, from the sender's state), a combine per
+receiver (``sum``, ``min``, ``max``, ``or`` or ``mode``) and ``apply``
+(the receiver's new state), all numpy over arrays of node state. One
+round interface runs them on three backends, picked by one rule from
+sizes the algorithm already measures (node count, edge count, rounds,
+sketch width):
 
 - in-process (plan A, at most ``_LOCAL_EDGES`` edges): the state is a
   dict of numpy arrays on the driver and a round is one call of
@@ -40,9 +41,8 @@ count, edge count, rounds, sketch width):
   co-bucketed ``groupby(bucket).map_groups`` stages
   (:class:`_DatasetRounds`); the driver sees only scalar sums.
 
-The three give the same rows. Triangles, ``edge_triangle_support``,
-``k_core``, ``random_walks`` and the bounded-BFS pair plan keep plans of
-their own under the same budget.
+The three give the same rows. Triangles, ``edge_triangle_support`` and
+``random_walks`` keep plans of their own under the same budget.
 """
 
 from __future__ import annotations
@@ -177,10 +177,11 @@ def _ends_block(blk, src: str, dst: str):
 #   ok = accept(s, j, vals)        optional: receiver-side filter, ``j``
 #                                  each message's receiver row
 #   agg, has = combine per receiver: "sum" (float64, has None), or
-#                                  "min" / "max" (rows or register
-#                                  matrices) / "mode" (most frequent
-#                                  value, ties to the smallest), with
-#                                  ``has`` marking receivers that heard
+#                                  "min" / "max" / "or" (rows or
+#                                  register matrices) / "mode" (most
+#                                  frequent value, ties to the
+#                                  smallest), with ``has`` marking
+#                                  receivers that heard
 #   s |= apply(s, agg, has)        the columns apply returns replace or
 #                                  join the state
 #
@@ -229,7 +230,7 @@ def _pair_counts(r: np.ndarray, v: np.ndarray, c: np.ndarray | None = None):
             np.add.reduceat(c, starts).astype(np.int64))
 
 
-_UFUNC = {"min": np.minimum, "max": np.maximum}
+_UFUNC = {"min": np.minimum, "max": np.maximum, "or": np.bitwise_or}
 
 
 def _part(combine: str, rcv: np.ndarray, vals: np.ndarray, n: int):
@@ -321,6 +322,18 @@ def _bounded_blocks(edges: ray.data.Dataset,
     return edges
 
 
+def _by_src(edges: ray.data.Dataset, src: str) -> ray.data.Dataset:
+    """Materialize; above ``_LOCAL_EDGES`` edges, sort by ``src``, so
+    each raw-task partial of a reverse round (receivers are sources)
+    covers a disjoint range of receivers: n rows per round in total,
+    not per block. For the programs whose messages are register or
+    bitset rows."""
+    edges = edges.materialize()
+    if edges.count() > _LOCAL_EDGES:
+        edges = edges.sort(src).materialize()
+    return edges
+
+
 class _IndexedEdges:
     """Plan A's round backend: per-block (si, di[, w]) index arrays of a
     MATERIALIZED edge Dataset, staged once, with the backend picked from
@@ -338,15 +351,15 @@ class _IndexedEdges:
     sorted ids as ``node``; :meth:`round` reduces the per-block partials
     in block order as they arrive.
 
-    The plan rule: the caller's plan A holds ``node_bytes`` per node
-    plus ``edge_bytes`` per edge on the driver. Node discovery runs
+    The plan rule: the caller's plan A holds ``state_bytes(n, m)``
+    bytes on the driver for n nodes and m edges. Node discovery runs
     first; when that total exceeds ``_DRIVER_STATE_BYTES``, ``fits``
     is False, nothing is indexed, and :func:`_rounds` runs the
     algorithm on :class:`_DatasetRounds` instead."""
 
     def __init__(self, edges: ray.data.Dataset, src: str, dst: str,
-                 weight: str | None = None, node_bytes: int = 0,
-                 edge_bytes: int = 0):
+                 weight: str | None = None,
+                 state_bytes=lambda n, m: 0):
         m = edges.count()
         self.local = m <= _LOCAL_EDGES
         # the raw blocks until the index staging below replaces them
@@ -361,8 +374,7 @@ class _IndexedEdges:
                  else np.zeros(0, np.int64))
         self.nodes = nodes
         self.n = len(nodes)
-        self.fits = (node_bytes * self.n + edge_bytes * m
-                     <= _DRIVER_STATE_BYTES)
+        self.fits = state_bytes(self.n, m) <= _DRIVER_STATE_BYTES
         if self.fits:
             self.idx = self._fan(_index_block, nodes, src, dst, weight)
 
@@ -507,6 +519,7 @@ class _DatasetRounds:
                  weight: str | None, nodes: np.ndarray):
         from kgeng.ops import join
 
+        self.nodes = nodes
         self.n = len(nodes)
         self._B = join._BUCKETS
         self._edges = (edges, src, dst, weight)
@@ -584,12 +597,12 @@ class _DatasetRounds:
 
 
 def _rounds(edges: ray.data.Dataset, src: str, dst: str,
-            weight: str | None = None, node_bytes: int = 0,
-            edge_bytes: int = 0):
+            weight: str | None = None, state_bytes=lambda n, m: 0):
     """The round backend of one algorithm run, by the plan rule:
     :class:`_IndexedEdges` when plan A's driver state fits, else
-    :class:`_DatasetRounds`."""
-    ie = _IndexedEdges(edges, src, dst, weight, node_bytes, edge_bytes)
+    :class:`_DatasetRounds`. Both hold the sorted node ids as
+    ``nodes``."""
+    ie = _IndexedEdges(edges, src, dst, weight, state_bytes)
     return ie if ie.fits else _DatasetRounds(edges, src, dst, weight,
                                              ie.nodes)
 
@@ -614,7 +627,7 @@ def pagerank(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     # unsuitable for the per-block dense reduce (each extra pass over
     # the edges is a whole executor run)
     edges = _bounded_blocks(edges)
-    g = _rounds(edges, src, dst, node_bytes=48)
+    g = _rounds(edges, src, dst, state_bytes=lambda n, m: 48 * n)
     n = g.n
     base = (1.0 - damping) / n
     s = g.state(lambda node: {
@@ -646,7 +659,7 @@ def sssp_hops(edges: ray.data.Dataset, source: int, src: str = "src",
     until a layer is empty (exact BFS, no iteration cap; 24 bytes per
     node on plan A). Integer distances: the oracle is exact."""
     edges = _bounded_blocks(edges)
-    g = _rounds(edges, src, dst, node_bytes=24)
+    g = _rounds(edges, src, dst, state_bytes=lambda n, m: 24 * n)
     s = g.state(lambda node: {"dist": np.where(node == source, 0, -1)})
     if not g.sum(s, lambda s: s["dist"] == 0):
         # isolated source: the seeded-CTE oracle semantics — one row
@@ -695,7 +708,7 @@ def hits(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     across summation orders). Each half-round is one summing round and
     one scalar sum (the norm); 40 bytes per node on plan A."""
     edges = _bounded_blocks(edges)
-    g = _rounds(edges, src, dst, node_bytes=40)
+    g = _rounds(edges, src, dst, state_bytes=lambda n, m: 40 * n)
 
     def norm(x: np.ndarray, s: float) -> np.ndarray:
         return _round9(x / s, ndigits) if s > 0 else x
@@ -768,15 +781,11 @@ def effective_closeness(edges: ray.data.Dataset, src: str = "src",
     stop when no register moves. Plan A holds three n x 2^p byte
     matrices (registers, the round's merged candidates and the next
     registers), so the width ``p`` enters the plan rule; on raw tasks
-    the edge blocks are sorted by source, so each block's candidates
-    cover a disjoint range of receivers (N x 2^p bytes per round in
-    total, not per block). On plan B the registers are a
-    fixed_size_binary column."""
+    the edges are sorted by source (:func:`_by_src`). On plan B the
+    registers are a fixed_size_binary column."""
     m = 1 << p
-    by_src = edges.materialize()
-    if by_src.count() > _LOCAL_EDGES:
-        by_src = by_src.sort(src).materialize()
-    g = _rounds(by_src, src, dst, node_bytes=3 * m)
+    g = _rounds(_by_src(edges, src), src, dst,
+                state_bytes=lambda n, _: 3 * m * n)
 
     def init(node):
         regs = _hll_init_regs(node, p)
@@ -825,7 +834,8 @@ def bellman_ford_rounds(edges: ray.data.Dataset, source: int,
     INF = np.int64(2**62)
 
     edges = _bounded_blocks(edges)
-    g = _rounds(edges, src, dst, weight=weight, node_bytes=32)
+    g = _rounds(edges, src, dst, weight=weight,
+                state_bytes=lambda n, m: 32 * n)
     s = g.state(lambda node: {"dist": np.where(node == source, 0, INF)})
     if not g.sum(s, lambda s: s["dist"] == 0):
         raise ValueError(f"source {source} has no edges in the graph")
@@ -953,7 +963,7 @@ def scc(edges: ray.data.Dataset, src: str = "src",
     the component (so the result is partition- and order-invariant by
     construction)."""
     edges = _bounded_blocks(edges)
-    g = _rounds(edges, src, dst, node_bytes=64)
+    g = _rounds(edges, src, dst, state_bytes=lambda n, m: 64 * n)
     s = g.state(lambda node: {"scc_id": np.full(len(node), -1, np.int64),
                               "active": np.ones(len(node), bool)})
 
@@ -1077,7 +1087,8 @@ def slpa(edges: ray.data.Dataset, src: str = "src", dst: str = "dst",
     where communities are the labels (node ids) held in >= threshold
     of memory, sorted, '|'-joined."""
     edges = _bounded_blocks(edges)
-    g = _rounds(edges, src, dst, node_bytes=8 * (rounds + 1))
+    g = _rounds(edges, src, dst,
+                state_bytes=lambda n, m: 8 * (rounds + 1) * n)
     s = g.state(lambda node: {"m0": node})
     for r in range(1, rounds + 1):
         s = g.round(s, lambda s, i, e, r=r: _slpa_speak(s, i, e, r),
@@ -1111,7 +1122,8 @@ def label_propagation_communities(edges: ray.data.Dataset,
     driver holds three n-vectors and the round's pair stream with its
     sorted copy (24 bytes per node, 32 per edge)."""
     edges = _bounded_blocks(edges)
-    g = _rounds(edges, src, dst, node_bytes=24, edge_bytes=32)
+    g = _rounds(edges, src, dst,
+                state_bytes=lambda n, m: 24 * n + 32 * m)
     s = g.state(lambda node: {"label": node})
     for _ in range(rounds):
         s = g.round(s, lambda s, i, e: (None, s["label"][i]), "mode",
@@ -1120,49 +1132,50 @@ def label_propagation_communities(edges: ray.data.Dataset,
     return g.table(s, lambda s: {"node": s["node"], "label": s["label"]})
 
 
-# ----------------------------------------------- bounded harmonic (exact)
+# ------------------------------------------ exact bounded BFS (balls)
 
-def _harmonic_driver(se: np.ndarray, de: np.ndarray, max_hops: int,
-                     lcm: int) -> tuple[np.ndarray, np.ndarray,
-                                        np.ndarray, np.ndarray]:
-    """Plan A: dense vectorized multi-source BFS on the driver. Rows of
-    the (V, V) boolean frontier are BFS roots; one round is a gather of
-    frontier columns at edge sources + a maximum.reduceat over
-    dst-grouped edges — numpy throughout, no per-node Python. Returns
-    (sorted node ids, integer LCM//d harmonic sums, reached counts
-    excluding self, integer distance sums) — the last two feed
-    :func:`bounded_closeness` off the same BFS."""
-    nodes = np.unique(np.concatenate([se, de]))
-    V = len(nodes)
-    si = np.searchsorted(nodes, se)
-    di = np.searchsorted(nodes, de)
-    # dedup edges, group by dst
-    pk = di.astype(np.int64) * V + si
-    pk = np.unique(pk)
-    di_s, si_s = pk // V, pk % V
-    grp_starts = np.flatnonzero(np.r_[True, di_s[1:] != di_s[:-1]])
-    grp_dst = di_s[grp_starts]
-    visited = np.zeros((V, V), bool)
-    ar = np.arange(V)
-    visited[ar, ar] = True
-    frontier = visited.copy()
-    s60 = np.zeros(V, np.int64)
-    cnt = np.zeros(V, np.int64)
-    sd = np.zeros(V, np.int64)
+def _exact_balls(edges: ray.data.Dataset, src: str, dst: str,
+                 max_hops: int, lcm: int, finish) -> ray.data.Dataset:
+    """Exact bounded BFS from every node at once, as one vertex program
+    (HyperBall, Boldi & Vigna 2013, with exact registers): each node's
+    state ``b`` is the packed bitset of the nodes it reaches, bit j the
+    node of row j in the sorted ids, and round d ORs in the sets of its
+    out-neighbors (a reverse round, the "or" combine). The popcount
+    growth of round d is the number of nodes at distance exactly d,
+    accumulated as integers: ``reached`` (self included), ``sd`` (sum of
+    d x new) and ``hs`` (sum of lcm//d x new). Rounds stop after
+    ``max_hops`` or when no set grows. Plan A holds the sets, the
+    round's merged candidates and the new sets per node, and the
+    messages with their sorted copy per edge, each a ceil(n/8)-byte
+    row. Returns the rows ``finish(s)`` gives."""
+    g = _rounds(_by_src(edges, src), src, dst,
+                state_bytes=lambda n, m: (3 * n + 2 * m) * -(-n // 8))
+    ids, width = g.nodes, -(-g.n // 8)
+    # popcount of every byte value (numpy 1.26 has no bitwise_count)
+    ones = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                         axis=1).sum(axis=1).astype(np.uint8)
+
+    def init(node):
+        j = np.searchsorted(ids, node)
+        b = np.zeros((len(node), width), np.uint8)
+        b[np.arange(len(node)), j >> 3] = np.left_shift(1, j & 7)
+        zero = np.zeros(len(node), np.int64)
+        return {"b": b, "reached": zero + 1, "sd": zero, "hs": zero}
+
+    s = g.state(init)
     for d in range(1, max_hops + 1):
-        if not frontier.any():
+        def grow(s, cand, _, d=d):
+            b = s["b"] | cand
+            new = ones[b].sum(axis=1, dtype=np.int64) - s["reached"]
+            return {"b": b, "reached": s["reached"] + new,
+                    "sd": s["sd"] + d * new,
+                    "hs": s["hs"] + lcm // d * new, "moved": new > 0}
+
+        s = g.round(s, lambda s, i, e: (None, s["b"][i]), "or", grow,
+                    reverse=True)
+        if not g.sum(s, _moved):
             break
-        red = np.maximum.reduceat(frontier[:, si_s], grp_starts, axis=1)
-        new = np.zeros((V, V), bool)
-        new[:, grp_dst] = red
-        new &= ~visited
-        visited |= new
-        frontier = new
-        n_new = new.sum(1)
-        s60 += (lcm // d) * n_new
-        cnt += n_new
-        sd += d * n_new
-    return nodes, s60, cnt, sd
+    return g.table(s, finish)
 
 
 def bounded_harmonic(edges: ray.data.Dataset, src: str = "src",
@@ -1176,52 +1189,20 @@ def bounded_harmonic(edges: ray.data.Dataset, src: str = "src",
     (every term divides the LCM exactly), so partial-sum order across
     partitions can never move a float bit; both engines perform the
     same final double division + half-away round, keeping the
-    recursive-CTE oracle bit-exact.
-
-    Two plans (:func:`_bounded_bfs_plan` picks one):
-
-    - plan A: dense vectorized multi-source BFS on the driver — V^2
-      bits of frontier, one reduceat sweep per round. Right for the
-      bounded-subgraph sizes this exact op is meant for.
-    - plan B: all-pairs BFS as dataset rounds — the (root, node)
-      frontier hash-joins the edge list, first-arrival depth kept by a
-      (root, node) min-groupby, next frontier = rows whose depth equals
-      the round number. Convergence is read from the MATERIALIZED
-      row-count metadata (no extra per-round count execution). State
-      is O(reachable pairs): inherently quadratic, so this exact op is
-      the VERIFY-stage twin of ``effective_closeness`` (HyperBall) —
-      the sketch is the 100-TB path."""
+    recursive-CTE oracle bit-exact. The BFS is the exact-ball vertex
+    program :func:`_exact_balls`, on every backend. Its state is
+    inherently quadratic (n^2 bits), so this exact op is the
+    VERIFY-stage twin of ``effective_closeness`` (HyperBall) — the
+    sketch is the 100-TB path."""
     import math
 
     lcm = math.lcm(*range(1, max_hops + 1))
-    kind, payload = _bounded_bfs_plan(edges, src, dst, max_hops, lcm,
-                                      "bounded_harmonic")
-    if kind == "driver":
-        nodes, s60, _cnt, _sd = payload
-        h = pc.round(
-            pc.divide(pc.cast(pa.array(s60), pa.float64()),
+    return _exact_balls(edges, src, dst, max_hops, lcm, lambda s: {
+        "node": s["node"],
+        "harmonic": pc.round(
+            pc.divide(pc.cast(pa.array(s["hs"]), pa.float64()),
                       float(lcm)), ndigits=ndigits,
-            round_mode="half_towards_infinity")
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array(nodes), "harmonic": h}))
-    visited = payload
-
-    def score(t: pa.Table) -> pa.Table:
-        d = t["dist"].to_numpy(zero_copy_only=False)
-        s = np.where(d > 0, lcm // np.maximum(d, 1), 0).astype(np.int64)
-        return pa.table({"node": t["root"], "s": pa.array(s)})
-
-    total = visited.map_batches(score, batch_format="pyarrow") \
-        .groupby("node").sum("s")
-
-    def finish(t: pa.Table) -> pa.Table:
-        t = t.rename_columns(["node", "s"])
-        h = pc.round(pc.divide(pc.cast(t["s"], pa.float64()),
-                               float(lcm)), ndigits=ndigits,
-                     round_mode="half_towards_infinity")
-        return pa.table({"node": t["node"], "harmonic": h})
-
-    return total.map_batches(finish, batch_format="pyarrow")
+            round_mode="half_towards_infinity")})
 
 
 def bounded_closeness(edges: ray.data.Dataset, src: str = "src",
@@ -1234,132 +1215,15 @@ def bounded_closeness(edges: ray.data.Dataset, src: str = "src",
     order can never move a float bit and the recursive-CTE oracle is
     bit-exact after the shared double division + half-away round. The
     exact verify-stage twin of :func:`effective_closeness` (HyperBall),
-    same plan A/B convention as :func:`bounded_harmonic` (shared
-    machinery: `_bounded_bfs_plan`)."""
-    kind, payload = _bounded_bfs_plan(edges, src, dst, max_hops, 1,
-                                      "bounded_closeness")
-    if kind == "driver":
-        nodes, _s, cnt, sd = payload
-        with np.errstate(divide="ignore", invalid="ignore"):
-            clos = np.where(sd > 0, cnt / np.maximum(sd, 1), 0.0)
-        c = pc.round(pa.array(clos), ndigits=ndigits,
-                     round_mode="half_towards_infinity")
-        return ray.data.from_arrow(pa.table({
-            "node": pa.array(nodes), "closeness": c}))
-    visited = payload
+    on the same exact-ball program as :func:`bounded_harmonic`."""
+    def finish(s):
+        cnt, sd = s["reached"] - 1, s["sd"]
+        clos = np.where(sd > 0, cnt / np.maximum(sd, 1), 0.0)
+        return {"node": s["node"],
+                "closeness": pc.round(pa.array(clos), ndigits=ndigits,
+                                      round_mode="half_towards_infinity")}
 
-    def score(t: pa.Table) -> pa.Table:
-        d = t["dist"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "node": t["root"],
-            "c": pa.array((d > 0).astype(np.int64)),
-            "s": pa.array(d)})
-
-    from ray.data.aggregate import Sum
-    total = visited.map_batches(score, batch_format="pyarrow") \
-        .groupby("node").aggregate(Sum("c", alias_name="c"),
-                                   Sum("s", alias_name="s"))
-
-    def finish(t: pa.Table) -> pa.Table:
-        c = pc.cast(t["c"], pa.float64()).to_numpy(zero_copy_only=False)
-        s = pc.cast(t["s"], pa.float64()).to_numpy(zero_copy_only=False)
-        clos = np.where(s > 0, c / np.maximum(s, 1.0), 0.0)
-        out = pc.round(pa.array(clos), ndigits=ndigits,
-                       round_mode="half_towards_infinity")
-        return pa.table({"node": pc.cast(t["node"], pa.int64()),
-                         "closeness": out})
-
-    return total.map_batches(finish, batch_format="pyarrow")
-
-
-def _bounded_bfs_plan(edges: ray.data.Dataset, src: str, dst: str,
-                      max_hops: int, lcm: int, opname: str):
-    """Shared plan selection + BFS core for the exact bounded
-    centralities. Returns ``('driver', (nodes, s_lcm, cnt, sd))`` from
-    the dense driver BFS (:func:`_harmonic_driver`) when its state
-    fits ``_DRIVER_STATE_BYTES``, else ``('pairs', visited)`` where
-    ``visited`` is the distributed Dataset(root, node, dist) of all
-    shortest-path facts within ``max_hops``. Plan A holds the pulled
-    edges (16 bytes each), three V x V boolean matrices and one V x E
-    boolean gather per round: 3V^2 + V*E bytes."""
-    proj = edges.select_columns([src, dst])
-
-    n_edges = proj.count()
-    if 16 * n_edges <= _DRIVER_STATE_BYTES:
-        t = pa.concat_tables(
-            ray.get(b) for b in proj.to_arrow_refs())
-        se = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
-        de = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = len(np.unique(np.concatenate([se, de])))
-        if 3 * v * v + v * n_edges <= _DRIVER_STATE_BYTES:
-            return "driver", _harmonic_driver(se, de, max_hops, lcm)
-
-    def seed(t: pa.Table) -> pa.Table:
-        ids = np.unique(np.concatenate([
-            t[src].to_numpy(zero_copy_only=False).astype(np.int64),
-            t[dst].to_numpy(zero_copy_only=False).astype(np.int64)]))
-        # node ids travel through hash_join, whose nullable-int
-        # convention floats the right side: ids >= 2^53 would round
-        # silently (same hazard line_graph guards loudly)
-        if len(ids) and (ids.max() >= (1 << 53) or ids.min() < 0):
-            raise ValueError(
-                f"{opname} requires node ids in [0, 2^53): "
-                "larger ids corrupt in the join's float64 transit — "
-                "remap ids first")
-        return pa.table({"root": pa.array(ids), "node": pa.array(ids),
-                         "dist": pa.array(np.zeros(len(ids), np.int64))})
-
-    # per-block unique -> global distinct -> (n, n, 0) seed rows
-    visited = proj.map_batches(seed, batch_format="pyarrow") \
-        .groupby(["root", "node"]).min("dist")
-    visited = visited.map_batches(
-        lambda t: t.rename_columns(["root", "node", "dist"]),
-        batch_format="pyarrow").materialize()
-    frontier = visited
-
-    def renamed_edges(t: pa.Table) -> pa.Table:
-        return pa.table({"node": pc.cast(t[src], pa.int64()),
-                         "nxt": pc.cast(t[dst], pa.int64())})
-
-    hop = proj.map_batches(renamed_edges, batch_format="pyarrow") \
-        .materialize()
-
-    # convergence reads MATERIALIZED row-count metadata: a round that
-    # adds no (root, node) pair leaves the count unchanged, and counting
-    # a materialized dataset launches no execution (unlike counting the
-    # lazy frontier filter, which re-ran the whole plan every round)
-    prev_rows = visited.count()
-    for t_round in range(1, max_hops + 1):
-        j = _ijoin(frontier.select_columns(["root", "node"]), hop,
-                   key="node", how="inner", left_cols=["root", "node"],
-                   right_cols=["node", "nxt"])
-
-        def step(t: pa.Table, _d=t_round) -> pa.Table:
-            return pa.table({
-                "root": pc.cast(t["root"], pa.int64()),
-                "node": pc.cast(t["nxt"], pa.int64()),
-                "dist": pa.array(np.full(len(t), _d, np.int64))})
-
-        cand = j.map_batches(step, batch_format="pyarrow")
-        merged = visited.union(cand).groupby(["root", "node"]) \
-            .min("dist")
-        # map_batches rename (Dataset.rename_columns breaks on the
-        # pandas blocks a groupby emits) + repartition: iterative
-        # union/groupby loops otherwise double the block count per
-        # round. 16 blocks is a block count, not a key bucket count:
-        # each block of the visited set is a task of every round's join
-        # and groupby, and the count stays fixed across rounds
-        visited = mat(merged.map_batches(
-            lambda t: t.rename_columns(["root", "node", "dist"]),
-            batch_format="pyarrow").repartition(16))
-        rows = visited.count()
-        if rows == prev_rows:
-            break
-        prev_rows = rows
-        frontier = visited.filter(
-            expr=f"dist == {t_round}")
-
-    return "pairs", visited
+    return _exact_balls(edges, src, dst, max_hops, 1, finish)
 
 
 # ------------------------------------------------------------ triangles
@@ -1734,16 +1598,18 @@ def triangle_counts(edges: ray.data.Dataset, src: str = "src",
 def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
            dst: str = "dst", max_rounds: int = 200) -> ray.data.Dataset:
     """The k-core of an undirected graph (maximal subgraph where every
-    node has degree >= k), by distributed iterative peeling: each round
-    computes degrees (per-block partials + one groupby), finds nodes
-    below ``k``, and filters their edges out — a broadcast sorted-array
-    ``searchsorted`` filter while the doomed ids (8 bytes each) fit
-    ``_DRIVER_STATE_BYTES``, else two semi ``hash_join`` passes against
-    the surviving nodes (plan B, nothing node-sized on the driver).
-    Converges when a round removes nothing; ``max_rounds`` raises
-    loudly instead of looping silently (pathological chains peel one
-    node per round — raise k or pre-trim). Returns (node, deg): the
-    surviving nodes with their in-core degrees. Exact, all-integer.
+    node has degree >= k), by iterative peeling as a vertex program
+    over the canonical undirected edges: a node stays ``active`` while
+    its degree among active nodes is at least ``k``. Each peel is one
+    forward and one reverse summing round of 1 from every active sender
+    (the in- plus out-degree, as in scc's trim; 40 bytes per node on
+    plan A). A peel moves the active nodes whose degree fell to
+    1..k-1; one left with no active neighbor leaves too, uncounted, as
+    it holds no edge any more. Converges when a peel moves nothing;
+    ``max_rounds`` peels raise loudly instead of looping silently
+    (pathological chains peel one node per round — raise k or
+    pre-trim). Returns (node, deg): the surviving nodes with their
+    in-core degrees. Exact, all-integer.
 
     Reference analogue: none (the reference delegates all graph
     analytics to server-side Pregel, start_Pregel.py:194-198); k-core
@@ -1751,53 +1617,25 @@ def k_core(edges: ray.data.Dataset, k: int, src: str = "src",
     harmonic/scc/slpa/triangles/components)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    e = _canonical_undirected(edges, src, dst).materialize()
+    e = _bounded_blocks(_canonical_undirected(edges, src, dst))
+    g = _rounds(e, "u", "v", state_bytes=lambda n, m: 40 * n)
+    s = g.state(lambda node: {"active": np.ones(len(node), bool)})
+
+    def peel(s, outdeg, _):
+        deg = (s["indeg"] + outdeg).astype(np.int64)
+        return {"deg": deg, "active": s["active"] & (deg >= k),
+                "moved": s["active"] & (deg > 0) & (deg < k)}
 
     for _ in range(max_rounds):
-        if e.count() == 0:
-            break
-        degs = mat(_undirected_degrees(e))
-        bad = degs.filter(expr=f"deg < {k}")
-        n_bad = bad.count()
-        if n_bad == 0:
-            return degs
-        if 8 * n_bad <= _DRIVER_STATE_BYTES:
-            doomed = np.sort(np.concatenate([
-                t["node"].to_numpy(zero_copy_only=False)
-                for t in bad.select_columns(["node"]).iter_batches(
-                    batch_size=None, batch_format="pyarrow")]))
-
-            # ``d`` arrives through fn_args, inside the map operator's
-            # transformer, which Ray puts once and hands every task as a
-            # resolved argument: no task blocks in ray.get
-            def drop(t: pa.Table, d: np.ndarray) -> pa.Table:
-                u = t["u"].to_numpy(zero_copy_only=False)
-                v = t["v"].to_numpy(zero_copy_only=False)
-                iu = np.searchsorted(d, u)
-                iv = np.searchsorted(d, v)
-                hit_u = (iu < d.size) & (d[np.minimum(iu, d.size - 1)]
-                                         == u)
-                hit_v = (iv < d.size) & (d[np.minimum(iv, d.size - 1)]
-                                         == v)
-                return t.filter(pa.array(~(hit_u | hit_v)))
-
-            e = mat(e.map_batches(drop, fn_args=(doomed,),
-                                  batch_format="pyarrow"))
-        else:
-            keep = degs.filter(expr=f"deg >= {k}")
-            e1 = _ijoin(e, _ren(keep, {"u": "node"}, ["u"]), key="u",
-                        how="semi", left_cols=["u", "v"], right_cols=["u"])
-            e = mat(_ijoin(e1, _ren(keep, {"v": "node"}, ["v"]), key="v",
-                           how="semi", left_cols=["u", "v"],
-                           right_cols=["v"]))
-    else:
-        raise RuntimeError(
-            f"k_core did not converge within {max_rounds} rounds "
-            f"(k={k}); raise max_rounds or pre-trim the graph")
-    # graph fully peeled away: empty k-core with the output schema
-    return ray.data.from_arrow(pa.table({
-        "node": pa.array([], pa.int64()),
-        "deg": pa.array([], pa.int64())}))
+        s = g.round(s, _from_active, "sum",
+                    lambda s, indeg, _: {"indeg": indeg})
+        s = g.round(s, _from_active, "sum", peel, reverse=True)
+        if not g.sum(s, _moved):
+            return g.table(s, lambda s: {"node": s["node"][s["active"]],
+                                         "deg": s["deg"][s["active"]]})
+    raise RuntimeError(
+        f"k_core did not converge within {max_rounds} rounds "
+        f"(k={k}); raise max_rounds or pre-trim the graph")
 
 
 # --------------------------------------------------------- random walks

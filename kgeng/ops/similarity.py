@@ -12,6 +12,11 @@
 
 All scoring is float64 so results are reproducible and comparable to a
 DuckDB oracle (``list_cosine_similarity``).
+
+The small driver-side arrays (queries, hyperplanes, centroids) reach the
+block functions as ``fn_args`` values: Ray puts the map transformer once
+per operator and hands every task the resolved values, so no task blocks
+in ``ray.get`` (a ref in ``fn_args`` would arrive unresolved).
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 
@@ -54,10 +58,7 @@ def brute_force_topk(ds: ray.data.Dataset, queries: np.ndarray,
     """Exact cosine top-k for each query row. Ties broken by ascending
     vec_id (deterministic). Returns (query_id, vec_id, sim)."""
     qn = _normalize(np.asarray(queries, dtype=np.float64))
-    q_ref = ray.put((qn, list(query_ids)))
-
-    def local_topk(t: pa.Table) -> pa.Table:
-        q, qids = ray.get(q_ref)
+    def local_topk(t: pa.Table, q: np.ndarray, qids: list) -> pa.Table:
         m = _normalize(_stack(t[emb_col]))
         sims = m @ q.T  # (n, Q)
         ids = t[id_col].to_numpy(zero_copy_only=False)
@@ -74,8 +75,8 @@ def brute_force_topk(ds: ray.data.Dataset, queries: np.ndarray,
                          "vec_id": pa.array(out_v),
                          "sim": pa.array(out_s, pa.float64())})
 
-    local = ds.map_batches(local_topk, batch_format="pyarrow",
-                           batch_size=8192)
+    local = ds.map_batches(local_topk, fn_args=(qn, list(query_ids)),
+                           batch_format="pyarrow", batch_size=8192)
 
     global_topk = _global_topk(k)
 
@@ -106,10 +107,8 @@ def lsh_topk(ds: ray.data.Dataset, queries: np.ndarray, query_ids: list,
     planes = rng.standard_normal((num_tables, num_planes, d))
     q_sigs = np.stack([hyperplane_signatures(qn, planes[t])
                        for t in range(num_tables)], axis=1)  # (Q, T)
-    q_ref = ray.put((qn, list(query_ids), planes, q_sigs))
-
-    def local(t: pa.Table) -> pa.Table:
-        q, qids, pl, qs = ray.get(q_ref)
+    def local(t: pa.Table, q: np.ndarray, qids: list, pl: np.ndarray,
+              qs: np.ndarray) -> pa.Table:
         m = _normalize(_stack(t[emb_col]))
         ids = t[id_col].to_numpy(zero_copy_only=False)
         sigs = np.stack([hyperplane_signatures(m, pl[tb])
@@ -130,7 +129,9 @@ def lsh_topk(ds: ray.data.Dataset, queries: np.ndarray, query_ids: list,
                          "vec_id": pa.array(out_v),
                          "sim": pa.array(out_s, pa.float64())})
 
-    local_ds = ds.map_batches(local, batch_format="pyarrow", batch_size=8192)
+    local_ds = ds.map_batches(local,
+                              fn_args=(qn, list(query_ids), planes, q_sigs),
+                              batch_format="pyarrow", batch_size=8192)
 
     global_topk = _global_topk(k)
 
@@ -278,15 +279,13 @@ def _ivf_score(ds: ray.data.Dataset, queries: np.ndarray,
                query_ids: list, cents: np.ndarray, k: int,
                emb_col: str, id_col: str, nprobe: int,
                round_to: int) -> ray.data.Dataset:
-    """Shared IVF scoring pass: broadcast (queries, centroids, probe
-    cells) once, score each block's vectors only against queries whose
+    """Shared IVF scoring pass: pass (queries, centroids, probe cells)
+    as ``fn_args``, score each block's vectors only against queries whose
     probe set contains the vector's cell."""
     qn = _normalize(np.asarray(queries, dtype=np.float64))
     q_cells = np.argsort(-(qn @ cents.T), axis=1)[:, :nprobe]  # (Q, nprobe)
-    state_ref = ray.put((qn, list(query_ids), cents, q_cells))
-
-    def local(t: pa.Table) -> pa.Table:
-        q, qids, c, qc = ray.get(state_ref)
+    def local(t: pa.Table, q: np.ndarray, qids: list, c: np.ndarray,
+              qc: np.ndarray) -> pa.Table:
         m = _normalize(_stack(t[emb_col]))
         ids = t[id_col].to_numpy(zero_copy_only=False)
         cell = (m @ c.T).argmax(axis=1)  # nearest centroid per vector
@@ -306,8 +305,9 @@ def _ivf_score(ds: ray.data.Dataset, queries: np.ndarray,
                          "vec_id": pa.array(out_v),
                          "sim": pa.array(out_s, pa.float64())})
 
-    local_ds = ds.map_batches(local, batch_format="pyarrow",
-                              batch_size=8192)
+    local_ds = ds.map_batches(local,
+                              fn_args=(qn, list(query_ids), cents, q_cells),
+                              batch_format="pyarrow", batch_size=8192)
 
     global_topk = _global_topk(k)
 
@@ -425,8 +425,8 @@ def kmeans_centroids(ds: ray.data.Dataset, k: int = 8, iters: int = 10,
 
     - centroids initialize from the ``k`` LOWEST-id vectors (one tiny
       distributed sort+limit);
-    - each iteration is ONE streaming pass: centroids broadcast via
-      ``ray.put``, every block computes assignments (float64 distances
+    - each iteration is ONE streaming pass: centroids passed as
+      ``fn_args``, every block computes assignments (float64 distances
       against the same matrix — per-row deterministic) and per-cluster
       partial sums QUANTIZED to int64 at ``scale``, so the driver-side
       merge is order-invariant; the driver holds only k x dim;
@@ -457,10 +457,7 @@ def kmeans_centroids(ds: ray.data.Dataset, k: int = 8, iters: int = 10,
 
     n_done = 0
     for _ in range(iters):
-        ref = ray.put(cent)
-
-        def partial(t: pa.Table) -> pa.Table:
-            c = ray.get(ref)
+        def partial(t: pa.Table, c: np.ndarray) -> pa.Table:
             m = _stack(t[vec]).astype(np.float64)
             if m.size == 0:
                 return pa.table({
@@ -482,7 +479,8 @@ def kmeans_centroids(ds: ray.data.Dataset, k: int = 8, iters: int = 10,
 
         sums = np.zeros_like(cent, dtype=np.int64)
         cnts = np.zeros(k, np.int64)
-        for b in ds.map_batches(partial, batch_format="pyarrow") \
+        for b in ds.map_batches(partial, fn_args=(cent,),
+                                batch_format="pyarrow") \
                 .iter_batches(batch_size=None, batch_format="pyarrow"):
             cl = b["cl"].to_numpy(zero_copy_only=False)
             # np.add.at: duplicate-safe — a block bundling several
@@ -515,10 +513,7 @@ def kmeans_assign(ds: ray.data.Dataset, k: int = 8, iters: int = 10,
     cent, iters_run = kmeans_centroids(ds, k=k, iters=iters,
                                        id_col=id_col, vec=vec,
                                        scale=scale)
-    ref = ray.put(cent)
-
-    def assign(t: pa.Table) -> pa.Table:
-        c = ray.get(ref)
+    def assign(t: pa.Table, c: np.ndarray) -> pa.Table:
         m = _stack(t[vec]).astype(np.float64)
         if m.size == 0:
             return pa.table({id_col: t[id_col],
@@ -532,7 +527,7 @@ def kmeans_assign(ds: ray.data.Dataset, k: int = 8, iters: int = 10,
             "n_iters_run": pa.array(
                 np.full(len(a), iters_run, np.int64))})
 
-    return ds.map_batches(assign, batch_format="pyarrow")
+    return ds.map_batches(assign, fn_args=(cent,), batch_format="pyarrow")
 
 
 def semantic_dup_pairs(ds: ray.data.Dataset, k: int = 16,
@@ -556,10 +551,7 @@ def semantic_dup_pairs(ds: ray.data.Dataset, k: int = 16,
     ds = ds.materialize()  # shared by the iterations AND bucketize
     cent, _ = kmeans_centroids(ds, k=k, iters=iters, id_col=id_col,
                                vec=emb_col, scale=scale)
-    ref = ray.put(cent)
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        c = ray.get(ref)
+    def bucketize(t: pa.Table, c: np.ndarray) -> pa.Table:
         raw = _stack(t[emb_col]).astype(np.float64)
         if raw.size == 0:
             return pa.table({
@@ -576,7 +568,8 @@ def semantic_dup_pairs(ds: ray.data.Dataset, k: int = 16,
                          "vec_id": pc.cast(t[id_col], pa.string()),
                          "emb": emb})
 
-    return ds.map_batches(bucketize, batch_format="pyarrow") \
+    return ds.map_batches(bucketize, fn_args=(cent,),
+                          batch_format="pyarrow") \
         .groupby("bucket").map_groups(_pair_emit(threshold, round_to),
                                       batch_format="pandas")
 
@@ -649,10 +642,7 @@ def _kmeans_q8_quantized(ds: ray.data.Dataset, k: int, iters: int,
     cent = np.stack([np.asarray(r["q8v"], np.int64) for r in seeds])
 
     for _ in range(iters):
-        ref = ray.put(cent)
-
-        def partial(t: pa.Table) -> pa.Table:
-            c = ray.get(ref)
+        def partial(t: pa.Table, c: np.ndarray) -> pa.Table:
             m = _stack_i64(t["q8v"])
             if m.size == 0:
                 return pa.table({
@@ -672,7 +662,8 @@ def _kmeans_q8_quantized(ds: ray.data.Dataset, k: int, iters: int,
 
         sums = np.zeros_like(cent)
         cnts = np.zeros(k, np.int64)
-        for b in qds.map_batches(partial, batch_format="pyarrow") \
+        for b in qds.map_batches(partial, fn_args=(cent,),
+                                 batch_format="pyarrow") \
                 .iter_batches(batch_size=None, batch_format="pyarrow"):
             cl = b["cl"].to_numpy(zero_copy_only=False)
             np.add.at(cnts, cl, b["n_p"].to_numpy(zero_copy_only=False))
@@ -702,10 +693,7 @@ def kmeans_q8_assign(ds: ray.data.Dataset, k: int = 8, iters: int = 3,
     zero vectors drop (no direction to quantize). Returns
     (id, cluster)."""
     qds, cent = _kmeans_q8_quantized(ds, k, iters, id_col, vec, scale)
-    ref = ray.put(cent)
-
-    def assign(t: pa.Table) -> pa.Table:
-        c = ray.get(ref)
+    def assign(t: pa.Table, c: np.ndarray) -> pa.Table:
         m = _stack_i64(t["q8v"])
         if m.size == 0:
             return pa.table({id_col: t[id_col],
@@ -716,7 +704,7 @@ def kmeans_q8_assign(ds: ray.data.Dataset, k: int = 8, iters: int = 3,
             id_col: t[id_col],
             "cluster": pa.array(np.argmin(d2, axis=1).astype(np.int64))})
 
-    return qds.map_batches(assign, batch_format="pyarrow")
+    return qds.map_batches(assign, fn_args=(cent,), batch_format="pyarrow")
 
 
 def semantic_dup_pairs_q8(ds: ray.data.Dataset, k: int = 8,
@@ -747,10 +735,7 @@ def semantic_dup_pairs_q8(ds: ray.data.Dataset, k: int = 8,
             f"tau2_num={tau2_num}, tau2_den={tau2_den} overflows int64 "
             "in the integer cosine test (needs max(tau2_num, tau2_den) "
             "* (dim*127^2)^2 < 2^63)")
-    ref = ray.put(cent)
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        c = ray.get(ref)
+    def bucketize(t: pa.Table, c: np.ndarray) -> pa.Table:
         m = _stack_i64(t["q8v"])
         if m.size == 0:
             return pa.table({"bucket": pa.array([], pa.int64()),
@@ -789,5 +774,6 @@ def semantic_dup_pairs_q8(ds: ray.data.Dataset, k: int = 8,
                     "dot": dots[ai, bj].astype(np.int64)}))
         return pd.concat(frames, ignore_index=True) if frames else empty
 
-    return qds.map_batches(bucketize, batch_format="pyarrow") \
+    return qds.map_batches(bucketize, fn_args=(cent,),
+                           batch_format="pyarrow") \
         .groupby("bucket").map_groups(emit, batch_format="pandas")

@@ -28,6 +28,9 @@ RAW_BACKEND_CASES = [
     jw.test_effective_closeness_tracks_exact_bfs,
     jw.test_scc_distributed_matches_plan_a_and_cutover,
     jw.test_slpa_distributed_matches_plan_a_and_cutover,
+    jw.test_bounded_harmonic_matches_bfs_reference,
+    jw.test_bounded_closeness_matches_bfs_reference,
+    jw.test_k_core_random_parity_both_plans,
     jw.test_triangle_counts_random_parity_both_plans,
     to.test_edge_triangle_support_plans_agree_and_match_bruteforce,
     to.test_labelprop_plans_agree,
@@ -80,13 +83,17 @@ ZERO_BUDGET_CASES = {
     "slpa": lambda ds: G.slpa(ds, rounds=1),
     "label_propagation": lambda ds: G.label_propagation_communities(
         ds, rounds=1),
+    "bounded_harmonic": lambda ds: G.bounded_harmonic(ds, max_hops=1),
+    "bounded_closeness": lambda ds: G.bounded_closeness(ds, max_hops=1),
+    "k_core": lambda ds: G.k_core(ds, k=2),
 }
 
 
 @pytest.mark.parametrize("name", ZERO_BUDGET_CASES)
 def test_zero_budget_reaches_distributed_plan(name, monkeypatch):
-    """Each of the eight vertex programs runs its rounds on the Dataset
-    backend (plan B) under a zero budget, and on no other backend."""
+    """Each of the eleven vertex programs runs its rounds on the
+    Dataset backend (plan B) under a zero budget, and on no other
+    backend."""
     calls = []
     for backend in (G._IndexedEdges, G._DatasetRounds):
         def spy(self, *a, _round=backend.round, **k):
@@ -124,10 +131,46 @@ def test_mode_rounds_take_ids_spanning_int64(plan):
     assert got == {wide[k]: wide[v] for k, v in run(np.arange(30)).items()}
 
 
+@pytest.mark.parametrize("plan", ["local", "raw", "distributed"])
+def test_exact_balls_take_ids_spanning_int64(plan):
+    """The exact bounded centralities keep ids as int64 on every plan:
+    over ids spread across the int64 range they give the rows of the
+    same graph with dense ids, mapped back."""
+    rng = np.random.default_rng(29)
+    src, dst = rng.integers(0, 30, 90), rng.integers(0, 30, 90)
+    wide = np.sort(rng.choice(np.arange(-2**62, 2**62, 2**56),
+                              30, replace=False))
+
+    def run(op, col, ids):
+        ds = ray.data.from_arrow(pa.table({"src": ids[src],
+                                           "dst": ids[dst]}))
+        out = op(ds, max_hops=3).to_pandas()
+        return dict(zip(out["node"], out[col]))
+
+    for op, col in ((G.bounded_harmonic, "harmonic"),
+                    (G.bounded_closeness, "closeness")):
+        with graph_plan(plan):
+            got = run(op, col, wide)
+        dense = run(op, col, np.arange(30))
+        assert got == {wide[k]: v for k, v in dense.items()}, col
+
+
+@pytest.mark.parametrize("plan", ["local", "raw", "distributed"])
+def test_k_core_max_rounds_raises(plan):
+    """A 20-node chain peels two nodes per round at k=2, so two rounds
+    cannot converge: k_core raises instead of returning a partial
+    peel."""
+    ds = ray.data.from_arrow(pa.table({"src": np.arange(19),
+                                       "dst": np.arange(1, 20)}))
+    with graph_plan(plan), pytest.raises(RuntimeError,
+                                         match="did not converge"):
+        G.k_core(ds, k=2, max_rounds=2).to_pandas()
+
+
 def test_remaining_joins_pass_names_and_types(monkeypatch):
-    """line_graph, the bounded-BFS pair plan and k_core's plan B hand
-    hash_join every column name and dtype, so no join fetches the schema
-    of a lazy input."""
+    """line_graph hands hash_join every column name and dtype, so no
+    join fetches the schema of a lazy input; the exact bounded
+    centralities and k_core join nothing on plan B."""
     from kgeng.ops import join
 
     calls = []
@@ -139,13 +182,14 @@ def test_remaining_joins_pass_names_and_types(monkeypatch):
                                        "dst": [1, 2, 0, 3, 1, 3, 4]}))
     with graph_plan("distributed"):
         G.line_graph(ds).to_pandas()
-        G.bounded_harmonic(ds, max_hops=2).to_pandas()
-        G.k_core(ds, k=2).to_pandas()
-    assert len(calls) >= 4  # line graph 1, BFS pairs >= 1, k-core 2
-    for kw in calls:
+        assert len(calls) == 1
         for arg in ("left_cols", "right_cols", "left_types",
                     "right_types"):
-            assert kw.get(arg) is not None, (arg, kw)
+            assert calls[0].get(arg) is not None, (arg, calls[0])
+        G.bounded_harmonic(ds, max_hops=2).to_pandas()
+        G.bounded_closeness(ds, max_hops=2).to_pandas()
+        G.k_core(ds, k=2).to_pandas()
+    assert len(calls) == 1
 
 
 def _graph(m: int) -> pa.Table:

@@ -1028,7 +1028,7 @@ def test_line_graph_exact_above_2_53_packing():
     assert out.values.tolist() == [[(a << 32) | b, (b << 32) | c]]
 
 
-def test_bounded_harmonic_matches_bfs_reference():
+def test_bounded_harmonic_matches_bfs_reference(plans=PARITY):
     import math
     from collections import deque
 
@@ -1069,7 +1069,7 @@ def test_bounded_harmonic_matches_bfs_reference():
         want[u] = round(s / lcm, 6)
 
     ds = ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
-    for plan in PARITY:
+    for plan in plans:
         with graph_plan(plan):
             got = bounded_harmonic(ds, max_hops=H).to_pandas()
         got_map = dict(zip(got["node"], got["harmonic"]))
@@ -1077,10 +1077,10 @@ def test_bounded_harmonic_matches_bfs_reference():
         assert len(got_map) == len(nodes)
 
 
-def test_bounded_closeness_matches_bfs_reference():
-    """3-way: plan A (dense driver BFS) == plan B (distributed pair
-    rounds) == python BFS, for the exact bounded closeness — both
-    integer numerator and denominator, so equality is exact."""
+def test_bounded_closeness_matches_bfs_reference(plans=PARITY):
+    """Each plan of the exact-ball program == python BFS, for the exact
+    bounded closeness — both integer numerator and denominator, so
+    equality is exact."""
     from collections import deque
 
     import numpy as np
@@ -1119,7 +1119,7 @@ def test_bounded_closeness_matches_bfs_reference():
         want[u] = round(c / s, 6) if s > 0 else 0.0
 
     ds = ray.data.from_arrow(pa.table({"src": src, "dst": dst}))
-    for plan in PARITY:
+    for plan in plans:
         with graph_plan(plan):
             got = bounded_closeness(ds, max_hops=H).to_pandas()
         got_map = dict(zip(got["node"], got["closeness"]))
@@ -1133,8 +1133,8 @@ def test_bounded_harmonic_early_exit_on_converged_bfs():
     from kgeng.ops.graph import bounded_harmonic
 
     ds = ray.data.from_arrow(pa.table({"src": [1, 2], "dst": [2, 3]}))
-    # distributed plan: the converged-count break must fire before the
-    # dead rounds; driver plan: the empty-frontier break
+    # every plan: the no-set-grew break must fire before the dead
+    # rounds
     for plan in PARITY:
         with graph_plan(plan):
             got = bounded_harmonic(ds, max_hops=6).to_pandas()
@@ -1273,7 +1273,7 @@ def test_k_core_clique_with_pendant_chain():
     assert set(empty.schema().names) == {"node", "deg"}
 
 
-def test_k_core_random_parity_both_plans():
+def test_k_core_random_parity_both_plans(plans=PARITY):
     from kgeng.ops.graph import k_core
 
     rng = np.random.default_rng(13)
@@ -1282,7 +1282,7 @@ def test_k_core_random_parity_both_plans():
     ref = _peel_ref(list(zip(u.tolist(), v.tolist())), 3)
     t = pa.table({"src": pa.array(u, pa.int64()),
                   "dst": pa.array(v, pa.int64())})
-    for plan in PARITY:  # broadcast filter / semi-join filter
+    for plan in plans:
         with graph_plan(plan):
             out = k_core(ray.data.from_arrow(t).repartition(4),
                          k=3).to_pandas()
