@@ -706,13 +706,12 @@ def heavy_hitters_rescan(ds: ray.data.Dataset, key: str, k: int = 20,
 
     cand = merged.map_batches(pick_keys, batch_format="pyarrow") \
         .take_all()
+    # captured as a value: the map function carries it to every task
     cand_set = pa.array([r[key] for r in cand], pa.string())
-    ref = ray.put(cand_set)
 
     def exact_partial(t: pa.Table) -> pa.Table:
         import pandas as pd
-        vs = ray.get(ref)
-        keep = t.filter(pc.is_in(t[key], value_set=vs))
+        keep = t.filter(pc.is_in(t[key], value_set=cand_set))
         if weight is None:
             vc = keep[key].to_pandas().value_counts(sort=False)
             keys, cnts = vc.index.to_numpy(), vc.to_numpy(np.int64)

@@ -17,20 +17,25 @@ only the much smaller records table ever reaches a wide operator):
 Hot-path layout (this stage is the pipeline's scaling limiter — it touches
 every byte of the corpus):
 
-1. **Arrow prefilter**: ``pc.match_substring_regex`` (re2, vectorized)
-   marks the text spans that can possibly yield a record; non-candidate
-   spans never reach Python at all (their strings are never materialized).
-2. **Megastring scan**: all candidate span texts of a batch are joined
-   with ``\\n`` and each compiled pattern runs ONE ``finditer`` over the
-   joined string, so Python loop overhead is per *match*, not per span ×
-   pattern. Matches map back to (doc, span, offset) via vectorized
-   ``np.searchsorted`` — no per-span Python. (Safe because no pattern can
-   match across ``\\n``: detector/phrase patterns are gated on containing
-   no ``\\n``/``\\s``; if a custom detector fails the gate, the kernel
-   falls back to per-span scanning with identical semantics.)
-3. **Columnar assembly**: records are built as parallel per-kind column
-   arrays (doc references as int32 indices resolved via ``pc.take``), not
-   per-record tuples.
+1. **RE2 scan through Arrow**: each pattern finds every match of a batch
+   in one ``pc.replace_substring_regex`` pass over the span texts, which
+   wraps each match in ``\\x00`` markers, and one ``pc.split_pattern`` on
+   the marker. A span's pieces alternate gap, match, gap, ..., so the
+   matches, their spans and their offsets (the summed lengths of the
+   pieces before them) come out as arrays: no Python per match or per
+   span. The phrase scan runs only on spans with >= 2 capitalized runs,
+   the only spans a relation can come from.
+2. **Fallback gate**: RE2 and Python ``re`` find the same matches only on
+   ASCII text (RE2's ``\\w \\d \\b`` are ASCII, Python's Unicode), on text
+   free of the marker, and for patterns that cannot match the empty
+   string and read the same in both dialects (``_re2_exact``). Every
+   other span, and every span for any other pattern, is scanned per span
+   with ``re.finditer`` — the reference semantics — and the two paths'
+   matches merge in (span, offset) order.
+3. **Columnar assembly**: records are built as per-kind Arrow columns;
+   the gazetteer dict is asked once per distinct surface of a batch and
+   ``pc.index_in`` maps the answers back, predicates map by
+   ``pc.index_in``, constant columns are ``pa.repeat``.
 4. **Small plans run in process**: the planner (``item_groups``) cuts
    the row-group items into row-balanced task groups, and one group
    function reads, extracts and writes each group. When the whole input,
@@ -42,7 +47,7 @@ every byte of the corpus):
    Ray task each. Same groups, same function, same writer: both paths
    write the same content-keyed part files.
 
-The detector state (gazetteer dict + compiled regexes) is built once per
+The detector state (gazetteer dict + compiled patterns) is built once per
 worker (``_cached_extract``) — the actor-pool pattern the reference lacks
 (its parser re-evaluates per line, ``graphalytics_importer.py:112-124``).
 """
@@ -52,6 +57,8 @@ from __future__ import annotations
 import pickle
 import re
 import uuid
+from re import _constants as re_constants
+from re import _parser as re_parser
 
 import numpy as np
 import pyarrow as pa
@@ -84,136 +91,54 @@ RECORD_SCHEMA = pa.schema([
 # mentions (catches typo aliases that are not in the gazetteer)
 _CAP_RUN = r"\b[A-Z][a-z]+(?: [A-Z][a-z]+)+\b"
 
+# wraps every RE2 match; a span holding it is scanned by ``re``
+_MARK = "\x00"
 
-# Escapes that can never match '\n' and whose semantics are position-
-# independent across a '\n' join boundary. '\b' qualifies: boundary-ness
-# at a span edge is "neighbor is a word char?" and both start-of-string
-# and '\n' are non-word, so per-span and megastring agree.
-_NL_SAFE_ESCAPES = frozenset("dwbtfrvS")
-
-
-def _newline_safe(pattern: str) -> bool:
-    """True if scanning the '\\n'-joined megastring yields exactly the
-    per-span matches for this pattern. Rejects anything that could match
-    '\\n' (``\\s \\D \\W``, hex/octal/unicode escapes, negated classes,
-    literal newlines), positional assertions (``^ $ \\A \\Z \\B``),
-    inline ``s``/``m``/``x`` flags, lookarounds, and backreferences —
-    a rejected pattern falls back to per-span scanning."""
-    i, n = 0, len(pattern)
-    in_class = False
-    while i < n:
-        c = pattern[i]
-        if c == "\n":
-            return False
-        if c == "\\":
-            if i + 1 >= n:
-                return False
-            e = pattern[i + 1]
-            if e.isalnum() and e not in _NL_SAFE_ESCAPES:
-                return False   # \n \s \D \W \A \Z \B \x.. \0.. \u \N \1
-            i += 2
-            continue
-        if in_class:
-            if c == "]":
-                in_class = False
-            i += 1
-            continue
-        if c in "^$":
-            return False
-        if c == "[":
-            in_class = True
-            if pattern[i + 1:i + 2] == "^":
-                return False   # negated class matches '\n'
-            i += 1
-            continue
-        if c == "(" and pattern[i + 1:i + 2] == "?":
-            nxt = pattern[i + 2:i + 3]
-            if nxt == ":" or (nxt == "P" and pattern[i + 3:i + 4] == "<"):
-                i += 3
-                continue
-            # inline flags: only a/i/u leave newline semantics intact
-            j = i + 2
-            while j < n and pattern[j] in "aiu":
-                j += 1
-            if j > i + 2 and j < n and pattern[j] in "):":
-                i = j + 1
-                continue
-            return False       # (?s (?m (?x lookarounds conditionals ...
-        i += 1
-    return not in_class
+# parse-tree codes RE2 reads differently from Python even on ASCII text:
+# ``$`` and ``\Z`` (Python's also match before a final '\n'), ``\s`` and
+# ``\S`` (Python's take '\v' and '\x1c'-'\x1f'), and what RE2 lacks
+_RE2_DIFFERS = frozenset({
+    "AT_END", "AT_END_STRING", "ASSERT", "ASSERT_NOT", "GROUPREF",
+    "GROUPREF_EXISTS", "ATOMIC_GROUP", "POSSESSIVE_REPEAT",
+    "CATEGORY_SPACE", "CATEGORY_NOT_SPACE"})
 
 
-# Positive-class expansions: RE2's \w/\d/\s are ASCII while Python's are
-# Unicode-aware; widening with the Unicode property classes makes the
-# RE2 pattern match a SUPERSET of the Python one (sound for a prefilter).
-_RE2_CLASS_EXPAND = {
-    "w": r"\w\p{L}\p{N}",
-    "d": r"\d\p{Nd}",
-    "s": "\\s\\p{Z}\\v\\x{85}\\x{1c}-\\x{1f}",
-}
+def _codes(node):
+    """The names of every opcode in a parsed ``re`` pattern."""
+    if isinstance(node, re_constants._NamedIntConstant):
+        yield node.name
+    elif isinstance(node, (list, tuple, re_parser.SubPattern)):
+        for x in node:
+            yield from _codes(x)
 
 
-def _re2_superset(pattern: str) -> str | None:
-    """Rewrite a Python-``re`` pattern into an RE2 pattern that matches a
-    SUPERSET of it, or ``None`` if no sound rewrite is known.
-
-    - ``\\w \\d \\s`` widen via ``_RE2_CLASS_EXPAND`` (ADVICE r02:
-      'josé@example.com' matches Python's EMAIL detector but not RE2's
-      ASCII ``\\w`` — the prefilter silently dropped the span).
-    - ``\\b``/``\\B`` outside classes are removed: dropping a zero-width
-      assertion only widens the match set.
-    - ``\\W \\D \\S`` and negated classes pass through unchanged: the
-      RE2 (ASCII-complement) versions are already supersets.
-    - Lookarounds/conditionals have no RE2 form -> ``None`` (prefilter
-      disabled, per-span Python scan keeps exact semantics).
-    """
-    out: list[str] = []
-    i, n = 0, len(pattern)
-    in_class = neg_class = False
-    while i < n:
-        c = pattern[i]
-        if c == "\\":
-            if i + 1 >= n:
-                return None
-            e = pattern[i + 1]
-            if not in_class and e in ("b", "B"):
-                if pattern[i + 2:i + 3] in ("*", "+", "?", "{"):
-                    return None  # quantified assertion: can't just drop
-                i += 2
-                continue
-            if e in _RE2_CLASS_EXPAND and not neg_class:
-                exp = _RE2_CLASS_EXPAND[e]
-                out.append(exp if in_class else "[" + exp + "]")
-            else:
-                out.append(c + e)
-            i += 2
-            continue
-        if in_class:
-            if c == "]":
-                in_class = neg_class = False
-            out.append(c)
-            i += 1
-            continue
-        if c == "[":
-            in_class = True
-            neg_class = pattern[i + 1:i + 2] == "^"
-        elif c == "(" and pattern[i + 1:i + 2] == "?":
-            nxt = pattern[i + 2:i + 3]
-            if nxt in ("=", "!", "(") or pattern[i + 2:i + 4] in ("<=",
-                                                                  "<!"):
-                return None
-        out.append(c)
-        i += 1
-    return "".join(out)
-
-
-def _arrow_compilable(pattern: str) -> bool:
+def _re2_exact(pattern: str) -> bool:
+    """True if RE2 through Arrow finds exactly Python ``re``'s matches of
+    ``pattern`` in any ASCII text: Arrow compiles it, it cannot match the
+    empty string (RE2 steps past an empty match differently), and it
+    holds none of ``_RE2_DIFFERS`` nor a syntax the dialects read
+    differently (``{,n}`` repeats in Python and is literal in RE2;
+    ``[:alpha:]`` is a POSIX class only in RE2)."""
+    tree = re_parser.parse(pattern)
+    if (tree.getwidth()[0] == 0 or "{," in pattern or "[:" in pattern
+            or not _RE2_DIFFERS.isdisjoint(_codes(tree))):
+        return False
     try:
-        pc.match_substring_regex(pa.array([""], pa.string()),
-                                 pattern=pattern)
-        return True
+        pc.match_substring_regex(pa.array([""]), pattern=pattern)
     except pa.ArrowException:
         return False
+    return True
+
+
+def _re2_texts(texts: pa.Array) -> np.ndarray:
+    """Which texts the RE2 scan may take: ASCII, free of ``_MARK``."""
+    return pc.and_(pc.string_is_ascii(texts), pc.invert(
+        pc.match_substring(texts, _MARK))).to_numpy(zero_copy_only=False)
+
+
+def _pattern(p: str):
+    """(compiled ``re`` pattern, whether RE2 may scan it)."""
+    return re.compile(p), _re2_exact(p)
 
 
 class Extract:
@@ -222,95 +147,102 @@ class Extract:
     def __init__(self, gazetteer: dict[str, tuple[str, str]],
                  detect_cfg: DetectConfig | None = None):
         cfg = detect_cfg or DetectConfig()
-        # surface -> (entity_id, ent_type)
-        self.gaz = gazetteer
-        self.cap_run = re.compile(_CAP_RUN)
-        self.detectors = [(name, re.compile(pat))
-                          for name, pat in cfg.regex_detectors]
+        self.gaz = gazetteer  # surface -> (entity_id, ent_type)
+        self.cap_run = _pattern(_CAP_RUN)
+        self.detectors = [(name, _pattern(p))
+                          for name, p in cfg.regex_detectors]
         # one plain alternation for predicate phrases, longest first so
         # " is located in " wins over any embedded shorter phrase; the
         # phrases are unique literals, so the matched text names its
-        # predicate (named groups cost ~14x per scan in Python ``re``)
+        # predicate
         phrases = sorted(PRED_PHRASES.items(), key=lambda kv: -len(kv[1]))
-        self.phrase_re = re.compile(
-            "|".join(re.escape(s) for _p, s in phrases))
-        self.phrase_pred = {s: p for p, s in PRED_PHRASES.items()}
-        # Arrow prefilter is sound only if EVERY detector has a known
-        # RE2-superset rewrite that compiles (else a span matched only by
-        # the odd detector — or only under Python's Unicode \w/\d — would
-        # be silently skipped)
-        sup = [_re2_superset(p)
-               for p in [_CAP_RUN] + [p for _n, p in cfg.regex_detectors]]
-        self.prefilter = (sup if all(s is not None and _arrow_compilable(s)
-                                     for s in sup)
-                          else None)
-        # megastring join is sound only if no pattern can match across \n
-        # or change meaning at a join boundary (gate covers the built-in
-        # NER/phrase patterns too, not just configured detectors)
-        self.mega_ok = all(
-            _newline_safe(p)
-            for p in [_CAP_RUN, self.phrase_re.pattern]
-            + [p for _n, p in cfg.regex_detectors])
+        self.phrase_re = _pattern("|".join(re.escape(s)
+                                           for _p, s in phrases))
+        self.phrase_text = pa.array([s for _p, s in phrases])
+        self.phrase_pred = pa.array([p for p, _s in phrases])
 
     # ---------------------------------------------------------- scanning
     @staticmethod
-    def _join(texts: list[str]):
-        """('\\n'-joined megastring, span start offsets) — built once per
-        batch and shared by every pattern scan."""
-        starts = np.zeros(len(texts) + 1, dtype=np.int64)
-        if texts:
-            np.cumsum([len(t) + 1 for t in texts], out=starts[1:])
-        return "\n".join(texts), starts
+    def _find(pat, texts: pa.Array, re2_ok: np.ndarray):
+        """Every match of ``pat`` (see ``_pattern``) in ``texts``, in
+        (text, offset) order: (text index, offset) int64 arrays and the
+        surfaces as a string array. RE2 scans the texts ``re2_ok`` marks
+        when the pattern allows it; ``re.finditer`` scans the rest."""
+        rex, exact = pat
+        if not exact:
+            re2_ok = np.zeros(len(texts), np.bool_)
+        found = []
+        fast = np.flatnonzero(re2_ok)
+        if len(fast):
+            sub = texts if len(fast) == len(texts) else texts.take(fast)
+            pieces = pc.split_pattern(pc.replace_substring_regex(
+                sub, rex.pattern, _MARK + r"\0" + _MARK), _MARK)
+            bounds = pieces.offsets.to_numpy()
+            first = np.repeat(bounds[:-1], np.diff(bounds))
+            # odd pieces within a text are matches
+            m = np.flatnonzero((np.arange(len(first)) - first) & 1)
+            size = pc.binary_length(pieces.values).to_numpy()
+            starts = np.cumsum(size, dtype=np.int64) - size  # ASCII texts
+            found.append((np.repeat(fast, np.diff(bounds))[m],
+                          starts[m] - starts[first[m]],
+                          pieces.values.take(m)))
+        slow = np.flatnonzero(~re2_ok)
+        if len(slow):
+            pos, off, val = [], [], []
+            for i, t in zip(slow.tolist(), texts.take(slow).to_pylist()):
+                for mt in rex.finditer(t):
+                    pos.append(i)
+                    off.append(mt.start())
+                    val.append(mt.group())
+            found.append((np.asarray(pos, np.int64),
+                          np.asarray(off, np.int64),
+                          pa.array(val, pa.string())))
+        if len(found) == 1:
+            return found[0]
+        if not found:
+            return (np.empty(0, np.int64), np.empty(0, np.int64),
+                    pa.array([], pa.string()))
+        pos = np.concatenate([f[0] for f in found])
+        off = np.concatenate([f[1] for f in found])
+        order = np.lexsort((off, pos))
+        return (pos[order], off[order],
+                pa.concat_arrays([f[2] for f in found]).take(order))
 
-    def _scan(self, texts: list[str], mega: str, starts: np.ndarray,
-              rex: re.Pattern):
-        """All matches of ``rex`` over ``texts``: returns (span_i, offset,
-        surface) parallel lists. Fast path: one finditer over the joined
-        megastring, mapped back via searchsorted."""
-        if not texts:
-            return np.empty(0, np.int64), np.empty(0, np.int64), []
-        if self.mega_ok:
-            pos, val = [], []
-            for m in rex.finditer(mega):
-                pos.append(m.start())
-                val.append(m.group())
-            if not pos:
-                return np.empty(0, np.int64), np.empty(0, np.int64), []
-            p = np.asarray(pos, dtype=np.int64)
-            span_i = np.searchsorted(starts, p, side="right") - 1
-            return span_i, p - starts[span_i], val
-        # fallback: per-span scans (identical semantics, exotic detectors)
-        span_i, off, val = [], [], []
-        for i, text in enumerate(texts):
-            for m in rex.finditer(text):
-                span_i.append(i)
-                off.append(m.start())
-                val.append(m.group())
-        return (np.asarray(span_i, dtype=np.int64),
-                np.asarray(off, dtype=np.int64), val)
+    def _gaz_hits(self, surf: pa.Array):
+        """(row, eid, ent_type): each surface's row into the eid/type
+        arrays of the batch's distinct surfaces, null when the gazetteer
+        lacks it. The dict is asked once per distinct surface:
+        ``pc.index_in`` against the gazetteer itself would rebuild its
+        hash table on every call (0.2 s at 1M entries)."""
+        uniq = pc.unique(surf)
+        hits = [self.gaz.get(s) for s in uniq.to_pylist()]
+        rows = pa.array([None if h is None else i
+                         for i, h in enumerate(hits)], pa.int32())
+        return (rows.take(pc.index_in(surf, value_set=uniq)),
+                pa.array([h and h[0] for h in hits], pa.string()),
+                pa.array([h and h[1] for h in hits], pa.string()))
 
     # ---------------------------------------------------------- assembly
     @staticmethod
-    def _tbl(kind: str, doc_ids: pa.Array, span_idx, offset, surface,
-             ent_type, source, subj, pred, obj,
-             cand="", score=None) -> pa.Table:
+    def _tbl(kind: str, doc_ids: pa.Array, span_idx=0, offset=0,
+             surface="", ent_type="", source="", subj="", pred="", obj="",
+             cand="", score=0.0) -> pa.Table:
+        """One record kind's rows; a scalar argument is a constant
+        column."""
         n = len(doc_ids)
 
-        def col(v):
-            if isinstance(v, str):  # constant
-                return pa.array([v] * n, pa.string())
-            return v if isinstance(v, pa.Array) else pa.array(v, pa.string())
+        def col(v, ty=pa.string()):
+            if isinstance(v, pa.Array):
+                return v
+            if isinstance(v, np.ndarray):
+                return pa.array(v, ty)
+            return pa.repeat(pa.scalar(v, ty), n)
 
-        score_arr = (pa.array(np.zeros(n, dtype=np.float32))
-                     if score is None
-                     else pa.array(np.asarray(score, dtype=np.float32)))
         return pa.Table.from_arrays([
-            col(kind), doc_ids,
-            pa.array(np.asarray(span_idx, dtype=np.int32), pa.int32()),
-            pa.array(np.asarray(offset, dtype=np.int32), pa.int32()),
-            col(surface), col(ent_type), col(source),
-            col(subj), col(pred), col(obj),
-            col(cand), score_arr,
+            col(kind), doc_ids, col(span_idx, pa.int32()),
+            col(offset, pa.int32()), col(surface), col(ent_type),
+            col(source), col(subj), col(pred), col(obj), col(cand),
+            col(score, pa.float32()),
         ], schema=RECORD_SCHEMA)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -319,171 +251,116 @@ class Extract:
         offsets = spans_col.offsets.to_numpy(zero_copy_only=False)
         doc_id_arr = batch["doc_id"].combine_chunks()
 
-        kind_arr = flat.field("kind")
-        text_arr = flat.field("text")
-        is_text = pc.equal(kind_arr, "text")
-        if self.prefilter is not None:
-            m = pc.match_substring_regex(text_arr, pattern=self.prefilter[0])
-            for pat in self.prefilter[1:]:
-                m = pc.or_kleene(
-                    m, pc.match_substring_regex(text_arr, pattern=pat))
-            cand = pc.fill_null(pc.and_kleene(is_text, m), False)
-        else:
-            cand = is_text
-        cand_np = cand.to_numpy(zero_copy_only=False)
-        cand_idx = np.flatnonzero(cand_np)
-        # adaptive prefilter: the re2 pre-pass pays for itself only when it
-        # actually filters (it re-scans every byte; ~5% of batch time). If
-        # a large batch shows >=95% of text spans are candidates anyway,
-        # drop the prefilter for this worker's later batches — skipping it
-        # treats all text spans as candidates, which is exactly the
-        # fallback semantics, so output is identical either way.
-        if self.prefilter is not None and len(cand_np) >= 4096:
-            n_text = pc.sum(pc.cast(is_text, pa.int64())).as_py() or 0
-            if n_text and cand_idx.size >= 0.95 * n_text:
-                self.prefilter = None
-        texts = (text_arr.take(pa.array(cand_idx)).to_pylist()
-                 if len(cand_idx) else [])
-        if texts and any(x is None for x in texts):
-            texts = [x or "" for x in texts]  # null-safe
-        mega, starts = self._join(texts)
+        kind = flat.field("kind")
+        text_idx = np.flatnonzero(pc.fill_null(
+            pc.equal(kind, "text"), False).to_numpy(zero_copy_only=False))
+        tx = pc.fill_null(flat.field("text"), "").take(text_idx)
+        re2_ok = _re2_texts(tx)
 
-        def to_doc(span_i: np.ndarray):
-            """candidate-span index array -> (doc_idx, span_idx_in_doc)."""
-            g = cand_idx[span_i]
+        def docs(pos: np.ndarray):
+            """text positions -> (doc ids, span_idx in the doc)."""
+            g = text_idx[pos]
             d = np.searchsorted(offsets, g, side="right") - 1
-            return d, g - offsets[d]
+            return pc.take(doc_id_arr, pa.array(d)), g - offsets[d], d
 
         parts: list[pa.Table] = []
 
         # ---- entity-candidate mentions (capitalized runs) --------------
-        cap_span, cap_off, cap_surf = self._scan(texts, mega, starts,
-                                                 self.cap_run)
-        if len(cap_span):
-            gaz_get = self.gaz.get
-            hits = [gaz_get(s) for s in cap_surf]
-            ent_type = [h[1] if h is not None else "" for h in hits]
-            source = ["gazetteer" if h is not None else "ner" for h in hits]
-            cand = [h[0] if h is not None else "" for h in hits]
-            score = np.fromiter((1.0 if h is not None else 0.0
-                                 for h in hits), np.float32, len(hits))
-            d, s = to_doc(cap_span)
+        cap_pos, cap_off, cap_surf = self._find(self.cap_run, tx, re2_ok)
+        hit, gaz_eid, gaz_type = self._gaz_hits(cap_surf)
+        if len(cap_pos):
+            found = pc.is_valid(hit)
+            doc, span, _d = docs(cap_pos)
             parts.append(self._tbl(
-                "mention", pc.take(doc_id_arr, pa.array(d)), s, cap_off,
-                cap_surf, ent_type, source, "", "", "",
-                cand=cand, score=score))
+                "mention", doc, span, cap_off, cap_surf,
+                pc.fill_null(gaz_type.take(hit), ""),
+                pc.if_else(found, "gazetteer", "ner"), "", "", "",
+                cand=pc.fill_null(gaz_eid.take(hit), ""),
+                score=pc.cast(found, pa.float32())))
             # side output: the batch's unique unresolved (NER) surfaces as
             # their own record kind, so canonicalization reads a tiny
             # 'surface' partition instead of re-scanning every mention
-            ner_uniq = sorted({s_ for s_, h in zip(cap_surf, hits)
-                               if h is None})
-            if ner_uniq:
-                parts.append(self._tbl(
-                    "surface", pa.array([""] * len(ner_uniq)),
-                    np.zeros(len(ner_uniq), np.int32),
-                    np.zeros(len(ner_uniq), np.int32),
-                    ner_uniq, "", "", "", "", ""))
+            ner = pc.unique(cap_surf.filter(pc.invert(found))).sort()
+            if len(ner):
+                parts.append(self._tbl("surface", pa.repeat("", len(ner)),
+                                       surface=ner))
 
         # ---- regex detector mentions (separate pass per detector keeps
         # cross-detector overlap semantics identical to one-scan-each) ----
-        for name, rex in self.detectors:
-            d_span, d_off, d_surf = self._scan(texts, mega, starts, rex)
-            if len(d_span):
-                d, s = to_doc(d_span)
-                parts.append(self._tbl(
-                    "mention", pc.take(doc_id_arr, pa.array(d)), s, d_off,
-                    d_surf, name, "regex", "", "", ""))
+        for name, pat in self.detectors:
+            d_pos, d_off, d_surf = self._find(pat, tx, re2_ok)
+            if len(d_pos):
+                doc, span, _d = docs(d_pos)
+                parts.append(self._tbl("mention", doc, span, d_off, d_surf,
+                                       name, "regex"))
 
         # ---- relations: first phrase in a span with >= 2 cap mentions --
-        rel_doc_subjects: dict[int, list[str]] = {}
-        if len(cap_span):
-            ph_span, _ph_off, ph_text = self._scan(texts, mega, starts,
-                                                   self.phrase_re)
-            if len(ph_span):
-                # first phrase per span (matches arrive position-ordered)
-                ph_u, ph_first = np.unique(ph_span, return_index=True)
-                n_cand = len(texts)
-                cap_counts = np.bincount(cap_span, minlength=n_cand)
-                keep = cap_counts[ph_u] >= 2
-                rel_spans = ph_u[keep]
-                if len(rel_spans):
-                    preds = [self.phrase_pred[ph_text[i]]
-                             for i in ph_first[keep]]
-                    first_cap = np.searchsorted(cap_span, rel_spans,
-                                                side="left")
-                    subj = [cap_surf[i] for i in first_cap]
-                    obj = [cap_surf[i + 1] for i in first_cap]
-                    d, s = to_doc(rel_spans)
-                    # EARLY TRIPLE EMISSION: a relation whose subject AND
-                    # object both exact-match the gazetteer is fully
-                    # determined here — canonicalization maps every
-                    # gazetteer surface to its own entity (via_alias=False,
-                    # ops/canonicalize.py:_resolve_components), so the
-                    # downstream resolve would emit exactly
-                    # (eid_s, pred, eid_o, conf=1.0). Emitting it in THIS
-                    # pass moves ~3/4 of triple emission into the
-                    # corpus-linear extract stage and shrinks the
-                    # resolve-barrier stage to the alias-dependent residue.
-                    gaz_get = self.gaz.get
-                    s_hit = [gaz_get(x) for x in subj]
-                    o_hit = [gaz_get(x) for x in obj]
-                    early = np.fromiter(
-                        (a is not None and b is not None
-                         for a, b in zip(s_hit, o_hit)),
-                        np.bool_, len(subj))
-                    if early.any():
-                        e_idx = np.flatnonzero(early)
-                        e_subj = [s_hit[i][0] for i in e_idx]
-                        e_obj = [o_hit[i][0] for i in e_idx]
-                        parts.append(self._tbl(
-                            "triple", pc.take(doc_id_arr,
-                                              pa.array(d[e_idx])),
-                            s[e_idx], np.zeros(len(e_idx), np.int32),
-                            "", "", "", e_subj,
-                            [preds[i] for i in e_idx], e_obj))
-                        # side output: the batch's unique early-triple
-                        # entity ids (same pattern as 'surface'), so the
-                        # entities stage reads a tiny partition
-                        eids = sorted(set(e_subj) | set(e_obj))
-                        parts.append(self._tbl(
-                            "eid", pa.array([""] * len(eids)),
-                            np.zeros(len(eids), np.int32),
-                            np.zeros(len(eids), np.int32),
-                            "", "", "", eids, "", ""))
-                    if not early.all():
-                        p_idx = np.flatnonzero(~early)
-                        parts.append(self._tbl(
-                            "relation", pc.take(doc_id_arr,
-                                                pa.array(d[p_idx])),
-                            s[p_idx], np.zeros(len(p_idx), np.int32),
-                            "", "", "", [subj[i] for i in p_idx],
-                            [preds[i] for i in p_idx],
-                            [obj[i] for i in p_idx]))
-                    # relation subjects per doc, span order (d is sorted);
-                    # collected from ALL relations — media subjects do not
-                    # depend on the early/pending split
-                    for di, sj in zip(d.tolist(), subj):
-                        rel_doc_subjects.setdefault(di, []).append(sj)
+        two = np.flatnonzero(np.bincount(cap_pos) >= 2)
+        ph_pos, _ph_off, ph_text = self._find(self.phrase_re, tx.take(two),
+                                              re2_ok[two])
+        # first phrase per span (matches arrive position-ordered)
+        rel, ph_first = np.unique(two[ph_pos], return_index=True)
+        if len(rel):
+            preds = self.phrase_pred.take(pc.index_in(
+                ph_text.take(ph_first), value_set=self.phrase_text))
+            first_cap = np.searchsorted(cap_pos, rel)
+            subj, obj = cap_surf.take(first_cap), cap_surf.take(first_cap + 1)
+            s_hit, o_hit = hit.take(first_cap), hit.take(first_cap + 1)
+            doc, span, d = docs(rel)
+            # EARLY TRIPLE EMISSION: a relation whose subject AND object
+            # both exact-match the gazetteer is fully determined here —
+            # canonicalization maps every gazetteer surface to its own
+            # entity (via_alias=False, ops/canonicalize.py:
+            # _resolve_components), so the downstream resolve would emit
+            # exactly (eid_s, pred, eid_o, conf=1.0). Emitting it in THIS
+            # pass moves ~3/4 of triple emission into the corpus-linear
+            # extract stage and shrinks the resolve-barrier stage to the
+            # alias-dependent residue.
+            early = pc.and_(pc.is_valid(s_hit), pc.is_valid(o_hit)
+                            ).to_numpy(zero_copy_only=False)
+            if early.any():
+                e = np.flatnonzero(early)
+                e_subj = gaz_eid.take(s_hit.take(e))
+                e_obj = gaz_eid.take(o_hit.take(e))
+                parts.append(self._tbl(
+                    "triple", doc.take(e), span[e], 0, "", "", "", e_subj,
+                    preds.take(e), e_obj))
+                # side output: the batch's unique early-triple entity ids
+                # (same pattern as 'surface'), so the entities stage reads
+                # a tiny partition
+                eids = pc.unique(pa.concat_arrays([e_subj, e_obj])).sort()
+                parts.append(self._tbl("eid", pa.repeat("", len(eids)),
+                                       subj=eids))
+            if not early.all():
+                p = np.flatnonzero(~early)
+                parts.append(self._tbl(
+                    "relation", doc.take(p), span[p], 0, "", "", "",
+                    subj.take(p), preds.take(p), obj.take(p)))
 
-        # ---- media records (docs that produced a relation subject) ------
-        media_idx = np.flatnonzero(
-            pc.invert(is_text).to_numpy(zero_copy_only=False))
-        if len(media_idx) and rel_doc_subjects:
+            # ---- media records (docs that produced a relation subject) --
+            media_idx = np.flatnonzero(pc.fill_null(
+                pc.not_equal(kind, "text"), False
+            ).to_numpy(zero_copy_only=False))
             m_doc = np.searchsorted(offsets, media_idx, side="right") - 1
-            keep = np.isin(m_doc, np.fromiter(rel_doc_subjects, np.int64,
-                                              len(rel_doc_subjects)))
+            keep = np.isin(m_doc, d)
             if keep.any():
-                m_doc = m_doc[keep]
-                m_g = media_idx[keep]
-                refs = flat.field("media_ref").take(pa.array(m_g)).to_pylist()
-                # media subject = ordered head of the doc's relation-subject
-                # candidates; which one resolves is known post-canonicalize
-                cands = ["|".join(rel_doc_subjects[di][:8])
-                         for di in m_doc.tolist()]
+                m_doc, m_g = m_doc[keep], media_idx[keep]
+                # media subject = ordered head of the doc's relation-
+                # subject candidates (all relations, early or pending;
+                # d is sorted); which one resolves is known
+                # post-canonicalize
+                head = np.flatnonzero(
+                    np.arange(len(d)) - np.searchsorted(d, d) < 8)
+                h_doc, h_first = np.unique(d[head], return_index=True)
+                lists = pa.ListArray.from_arrays(
+                    pa.array(np.append(h_first, len(head)), pa.int32()),
+                    subj.take(head))
+                cands = pc.binary_join(lists, "|").take(
+                    np.searchsorted(h_doc, m_doc))
                 parts.append(self._tbl(
                     "media", pc.take(doc_id_arr, pa.array(m_doc)),
-                    m_g - offsets[m_doc], np.zeros(len(m_doc), np.int32),
-                    "", "", "", cands, "", refs))
+                    m_g - offsets[m_doc], 0, "", "", "", cands, "",
+                    flat.field("media_ref").take(m_g)))
 
         if not parts:
             return RECORD_SCHEMA.empty_table()

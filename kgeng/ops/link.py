@@ -17,13 +17,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from kgeng.ops.extract import Shipped
+
 LINKED_SCHEMA_EXTRA = [("cand_id", pa.string()), ("link_score", pa.float32())]
 
 
 class Linker:
-    def __init__(self, gazetteer_ref):
-        gaz = ray.get(gazetteer_ref) if isinstance(
-            gazetteer_ref, ray.ObjectRef) else gazetteer_ref
+    def __init__(self, gazetteer: Shipped):
+        gaz = gazetteer.value()
         surfaces = list(gaz.keys())
         self.surface_arr = pa.array(surfaces, pa.string())
         self.eid_arr = pa.array([gaz[s][0] for s in surfaces], pa.string())
@@ -52,9 +53,10 @@ class Linker:
 
 
 # worker-local cache: stateless tasks rebuild the linker once per worker
-# process, not per batch (the extract-stage pattern) — for the tiny
-# lookup-array state an actor pool's ~2 s spin-up per run is pure fixed
-# cost; pass use_actors=True when the state is a heavy model
+# process, not per batch (the extract-stage pattern), keyed by the
+# gazetteer's ``Shipped`` token — for the tiny lookup-array state an
+# actor pool's ~2 s spin-up per run is pure fixed cost; pass
+# use_actors=True when the state is a heavy model
 _LINKER_CACHE: dict[str, Linker] = {}
 
 
@@ -62,23 +64,24 @@ def link_mentions(mentions: ray.data.Dataset, gazetteer: dict,
                   batch_size: int = 8192,
                   concurrency: int = 8,
                   use_actors: bool = False) -> ray.data.Dataset:
-    gaz_ref = ray.put(gazetteer)
+    # the gazetteer rides in the map function (or the actor's constructor
+    # arguments) as a value: no task or actor blocks in ``ray.get``
+    gaz = Shipped(gazetteer)
     if use_actors:
         return mentions.map_batches(
             Linker,
-            fn_constructor_args=(gaz_ref,),
+            fn_constructor_args=(gaz,),
             batch_format="pyarrow",
             batch_size=batch_size,
             concurrency=concurrency,
         )
-    key = gaz_ref.hex()
 
     def fn(batch: pa.Table) -> pa.Table:
-        lk = _LINKER_CACHE.get(key)
+        lk = _LINKER_CACHE.get(gaz.token)
         if lk is None:
-            lk = Linker(gaz_ref)
+            lk = Linker(gaz)
             _LINKER_CACHE.clear()
-            _LINKER_CACHE[key] = lk
+            _LINKER_CACHE[gaz.token] = lk
         return lk(batch)
 
     # concurrency caps the task pool too (not only the actor path) —

@@ -19,6 +19,19 @@ Usage: python scripts/extract_ceiling.py [K ...]
 (default: 1, n // 4 and n for the n CPUs this process may run on)
 Prints one JSON line: {"K<k>": docs_per_sec, ..., "ratio_hi_lo": r,
 "ceiling_vs_ideal": r/(hi/lo)}.
+
+Single-process mode, for timing the kernel itself on a given corpus:
+
+    python scripts/extract_ceiling.py --docs PATH [PATH ...] \
+        --gazetteer GAZ.parquet
+
+runs ``Extract`` (the pipeline's detector config) over every document of
+the given parquet files (a directory stands for its ``*.parquet`` files)
+in 2,048-row slices, 7 times after one warm pass, and prints {"docs",
+"best_s", "median_s", "docs_per_s"} from the best pass.
+The files ``python3 -m perfbench.inputs kg_append SEED DIR`` writes are
+one such input: ``--docs DIR/in/corpus DIR/in/fragments --gazetteer
+DIR/in/gazetteer.parquet``.
 """
 
 from __future__ import annotations
@@ -66,11 +79,61 @@ def measure(corpus_dir: str, k: int, files_per_worker: int = 2) -> float:
     return sum(rates)
 
 
+def _parquet_files(paths: list[str]) -> list[str]:
+    out = []
+    for p in paths:
+        if os.path.isdir(p):
+            out += sorted(os.path.join(p, f) for f in os.listdir(p)
+                          if f.endswith(".parquet"))
+        else:
+            out.append(p)
+    return out
+
+
+def kernel_best_of(docs: list[str], gazetteer: str) -> dict:
+    import statistics
+
+    import pyarrow.parquet as pq
+
+    from kgeng.config import PipelineConfig
+    from kgeng.ops.extract import Extract, load_gazetteer_dict
+
+    ex = Extract(load_gazetteer_dict(gazetteer), PipelineConfig().detect)
+    tabs = [pq.read_table(f) for f in _parquet_files(docs)]
+    batches = [t.slice(i, 2048) for t in tabs
+               for i in range(0, len(t), 2048)]
+    n_docs = sum(len(b) for b in batches)
+    walls = []
+    for _ in range(8):   # best of 7; the first pass warms caches
+        t0 = time.perf_counter()
+        for b in batches:
+            ex(b)
+        walls.append(time.perf_counter() - t0)
+    walls = walls[1:]
+    best = min(walls)
+    return {"docs": n_docs, "best_s": round(best, 4),
+            "median_s": round(statistics.median(walls), 4),
+            "docs_per_s": round(n_docs / best, 1)}
+
+
 def main():
+    import argparse
+
     from kgeng.synth.corpus import ensure_bench_corpus
 
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("ks", nargs="*", type=int)
+    ap.add_argument("--docs", nargs="+")
+    ap.add_argument("--gazetteer")
+    args = ap.parse_args()
+    if args.docs:
+        if not args.gazetteer:
+            ap.error("--docs needs --gazetteer")
+        print(json.dumps(kernel_best_of(args.docs, args.gazetteer)))
+        return
+
     n = len(os.sched_getaffinity(0))
-    ks = [int(a) for a in sys.argv[1:]] or sorted({1, max(1, n // 4), n})
+    ks = args.ks or sorted({1, max(1, n // 4), n})
     n_docs = int(os.environ.get("KG_BENCH_NDOCS", "2000000"))
     corpus_dir = ensure_bench_corpus(n_docs)
     out = {}
