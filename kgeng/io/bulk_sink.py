@@ -8,14 +8,20 @@ the field is omitted; edge_list.py:31 comment, README.md:101-103).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import uuid
 
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
+from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 
+from kgeng.config import _DRIVER_SIDE_READ_BYTES
 from kgeng.io.graph_files import docs_to_jsonl_rows
+from kgeng.ops.mat import block_bytes, pull_blocks
 
 
 # JSON string escapes for U+0000-U+001F, as ``json.dumps`` writes them,
@@ -72,36 +78,86 @@ def render_jsonl(batch: pa.Table) -> bytes:
     return whole[0].as_buffer().to_pybytes()
 
 
+# rows per JSONL part file (the reference's bulk_size)
+_BULK_ROWS = 10_000
+
+
+def _write_bulk(batch: pa.Table, out_dir: str) -> pa.Table:
+    """Write one bulk as a part file; returns its receipt (rows, file).
+
+    The name is content-keyed (``sha1`` of the body, as the checkpoint
+    part files): the body goes to a temp file first, which is published
+    with ``os.link`` (atomic, fails if the name exists) under the first
+    free ``part-<sha1>[-k].jsonl``. A byte-identical bulk of the same
+    write, or a retried task's rewrite of its bulks, takes the next
+    ``-k``; ``write_jsonl_collection`` then drops every part file no
+    receipt names, so the files hold each bulk exactly once."""
+    body = render_jsonl(batch)
+    name = hashlib.sha1(body).hexdigest()[:16]
+    tmp = os.path.join(out_dir, f".tmp-{uuid.uuid4().hex}")
+    with open(tmp, "wb") as f:
+        f.write(body)
+    try:
+        k = 0
+        while True:
+            part = f"part-{name}{f'-{k}' if k else ''}.jsonl"
+            try:
+                os.link(tmp, os.path.join(out_dir, part))
+                break
+            except FileExistsError:
+                k += 1
+    finally:
+        os.unlink(tmp)
+    return pa.table({"rows": pa.array([batch.num_rows], pa.int64()),
+                     "file": pa.array([part], pa.string())})
+
+
+def _writes_in_process(ds: ray.data.Dataset) -> bool:
+    """A materialized Dataset of one block of at most
+    ``_DRIVER_SIDE_READ_BYTES`` by its metadata: the ``map_batches``
+    plan would write it in one task, doing the same serial work."""
+    return (isinstance(ds, MaterializedDataset)
+            and ds.num_blocks() == 1
+            and block_bytes(ds) <= _DRIVER_SIDE_READ_BYTES)
+
+
 def write_jsonl_collection(ds: ray.data.Dataset, out_dir: str) -> int:
     """Materialize a document Dataset as a directory of JSONL part files
-    (one line per document, optional fields absent). Returns row count.
+    (one line per document, optional fields absent). Returns row count,
+    which equals the lines in the directory: its old part files are
+    removed first.
 
-    One Ray ``map_batches`` over bulks of 10,000 rows (the reference bulk
-    size); each bulk is rendered by ``render_jsonl`` with Arrow kernels.
-    Whether the Dataset came from a driver-side parse (``from_arrow``
-    below ``_DRIVER_SIDE_READ_BYTES``) or a distributed one, the write is
-    the same."""
+    Bulks of 10,000 rows (the reference bulk size), each rendered by
+    ``render_jsonl`` with Arrow kernels and written by ``_write_bulk``.
+    A materialized one-block Dataset of at most
+    ``_DRIVER_SIDE_READ_BYTES`` (by its block metadata, read before the
+    pull: ``import_edge_list``'s driver plan gives such blocks) is pulled
+    and written in the calling process, bulk by bulk in row order, with
+    no Ray Data execution; anything else is one Ray ``map_batches``. Both
+    plans write the same files for such a Dataset."""
     os.makedirs(out_dir, exist_ok=True)
+    _remove_parts(out_dir, keep=set())
+    if _writes_in_process(ds):
+        block = BlockAccessor.for_block(
+            pull_blocks(ds, _DRIVER_SIDE_READ_BYTES)[0]).to_arrow()
+        receipts = [r for i in range(0, block.num_rows, _BULK_ROWS)
+                    for r in _write_bulk(block.slice(i, _BULK_ROWS),
+                                         out_dir).to_pylist()]
+    else:
+        receipts = ds.map_batches(
+            _write_bulk, fn_kwargs={"out_dir": out_dir},
+            batch_format="pyarrow", batch_size=_BULK_ROWS).take_all()
+    # reconcile: a task attempt Ray retried leaves its files behind while
+    # only the retry's receipt survives
+    _remove_parts(out_dir, keep={r["file"] for r in receipts})
+    return sum(r["rows"] for r in receipts)
 
-    def write_part(batch: pa.Table, *, _dir=out_dir) -> pa.Table:
-        import hashlib
-        import uuid
 
-        body = render_jsonl(batch)
-        # content-keyed filename (same convention as the checkpoint
-        # part files): a retried Ray task rewrites the SAME path instead
-        # of duplicating the batch under a fresh random name
-        name = hashlib.sha1(body).hexdigest()[:16]
-        path = os.path.join(_dir, f"part-{name}.jsonl")
-        tmp = f"{path}.tmp.{uuid.uuid4().hex[:8]}"
-        with open(tmp, "wb") as f:
-            f.write(body)
-        os.replace(tmp, path)
-        return pa.table({"rows": pa.array([batch.num_rows], pa.int64())})
-
-    counts = ds.map_batches(write_part, batch_format="pyarrow",
-                            batch_size=10000)  # the reference bulk_size
-    return sum(r["rows"] for r in counts.take_all())
+def _remove_parts(out_dir: str, keep: set[str]) -> None:
+    for entry in os.listdir(out_dir):
+        if entry.startswith("part-") and entry.endswith(".jsonl") \
+                and entry not in keep:
+            os.remove(os.path.join(out_dir, entry))
 
 
 class BulkHttpSink:

@@ -22,19 +22,22 @@ An edge file is read by one of two plans, chosen from its size before any
 byte is read:
 
 - the driver plan: a regular, uncompressed file of at most
-  ``_DRIVER_SIDE_READ_BYTES`` is read on the driver in chunks that end just
-  after a ``\\n``; each chunk is split into lines with ``str.splitlines``
-  (the splitter of Ray's ``read_text``) and into fields by the same kernel
-  as the Ray plan. The driver hands the fields over with ``from_arrow``
-  in ``_DRIVER_PLAN_BLOCKS`` blocks; the ``_id`` projection runs in the
-  consumer's first worker stage. The edge-list import parses the file
-  once and builds both collections from that one parse (vertices =
-  ``pc.unique`` of the endpoints). A 1 MB file then costs tens of
-  milliseconds instead of one Ray parse per collection plus a
-  256-bucket shuffle;
+  ``_DRIVER_SIDE_READ_BYTES`` is read on the driver in chunks of
+  ``_READ_CHUNK_BYTES`` that end just after a ``\\n``; each chunk is split
+  into lines with ``str.splitlines`` (the splitter of Ray's
+  ``read_text``) and into fields by the same kernel as the Ray plan, and
+  becomes one block. ``read_edge_file`` hands the fields over with
+  ``from_arrow`` and projects ``_id`` in the consumer's first map (fused
+  into its task). ``import_edge_list`` parses the file once and builds
+  both collections on the driver from that one parse (vertices =
+  ``pc.unique`` of the endpoints, edges projected per block), handed
+  over materialized, so a small file's collections reach
+  ``bulk_sink.write_jsonl_collection`` as single blocks it writes in the
+  calling process: no Ray Data execution from parse to part files;
 - the Ray plan: compressed files (``pa.Codec.detect`` on the path, as Ray
   decides), directories and larger files go through ``ray.data.read_text``
-  and a distributed vertex dedup.
+  (one read block per ``_READ_CHUNK_BYTES``, 16-256 of them) and a
+  distributed vertex dedup.
 
 Both plans return Datasets with the same rows.
 
@@ -57,18 +60,14 @@ import ray.data
 from kgeng.config import _DRIVER_SIDE_READ_BYTES
 
 _COMMENT_CHARS = pa.array(["#", "/", "%"])
-# driver plan read grain: chunks of this many bytes, extended to the next
-# b"\n" (a line break byte never occurs inside a UTF-8 sequence, and no
-# splitlines break spans it), so a chunk splits exactly like the file
-_READ_CHUNK_BYTES = 1 << 20
-# blocks the driver plan hands over: they set the parallelism of the
-# consumer's first stage, the JSONL write (bulk_sink.write_jsonl_collection,
-# whose tasks take whole blocks up to its 10,000-row bulks; one block
-# would write the whole file in one task). Graph analytics on a file this
-# small run in-process (ops/graph._LOCAL_EDGES), so the count no longer
-# shapes their rounds. The Ray plan reads more blocks because its parse
-# runs per block
-_DRIVER_PLAN_BLOCKS = 8
+# block grain of both plans: the driver plan reads chunks of this many
+# bytes, each extended to the next b"\n" (a line break byte never occurs
+# inside a UTF-8 sequence, and no splitlines break spans it, so a chunk
+# splits exactly like the file) and parsed into one block; the Ray plan
+# asks read_text for one block per this many bytes
+_READ_CHUNK_BYTES = 4 << 20
+# the edge document columns (``_id`` side-columns dropped)
+_EDGE_DOC_COLS = ["_from", "_to", "weight"]
 
 
 @dataclass(frozen=True)
@@ -175,17 +174,14 @@ def _line_chunks(path: str):
 def _split_edge_file(path: str) -> list[pa.Table]:
     """Driver plan of the parse: ``_split_edge_lines`` per chunk, each
     chunk split into lines exactly as Ray's ``read_text`` does
-    (``decode().splitlines()``), the result cut into
-    ``_DRIVER_PLAN_BLOCKS`` zero-copy slices. The blank lines
-    ``read_text`` drops are dropped by the kernel's trim, which strips
-    every in-line character ``str.strip`` does."""
-    split = pa.concat_tables([
-        _split_edge_lines(pa.table({"text": pa.array(
-            chunk.decode("utf-8").splitlines(), pa.string())}))
-        for chunk in _line_chunks(path)] or [_EMPTY_SPLIT])
-    step = max(1, -(-split.num_rows // _DRIVER_PLAN_BLOCKS))
-    return [split.slice(i, step)
-            for i in range(0, split.num_rows, step)] or [split]
+    (``decode().splitlines()``); one table per chunk that holds an edge
+    (at least one table). The blank lines ``read_text`` drops are dropped
+    by the kernel's trim, which strips every in-line character
+    ``str.strip`` does."""
+    tables = (_split_edge_lines(pa.table({"text": pa.array(
+        chunk.decode("utf-8").splitlines(), pa.string())}))
+        for chunk in _line_chunks(path))
+    return [t for t in tables if t.num_rows] or [_EMPTY_SPLIT]
 
 
 def _driver_edges(blocks: list[pa.Table], vcoll: str,
@@ -218,7 +214,7 @@ def read_edge_file(path: str, cfg: CompatGraphConfig,
     # split large files into many read blocks so the parse parallelizes
     # (read_text alone yields ~one block per file)
     size = os.path.getsize(path) if os.path.isfile(path) else 0
-    nblocks = max(16, min(256, size // (4 << 20))) if size else None
+    nblocks = max(16, min(256, size // _READ_CHUNK_BYTES)) if size else None
     lines = ray.data.read_text(path, override_num_blocks=nblocks)
     return lines.map_batches(
         lambda t: _parse_edge_lines(t, vcoll, smart),
@@ -227,7 +223,7 @@ def read_edge_file(path: str, cfg: CompatGraphConfig,
 
 def edge_docs(edges: ray.data.Dataset) -> ray.data.Dataset:
     """Drop the internal id side-columns, keeping the document layout."""
-    return edges.select_columns(["_from", "_to", "weight"])
+    return edges.select_columns(_EDGE_DOC_COLS)
 
 
 def read_graphalytics_vertices(path: str,
@@ -324,16 +320,19 @@ def import_edge_list(path: str, cfg: CompatGraphConfig):
     global dedup).
 
     Driver plan (see ``read_edge_file``): the file is parsed once and
-    both collections come from that parse, vertices as one ``pc.unique``
-    of the endpoints; both are handed over via ``ray.data.from_arrow``. Ray
-    plan: two lazy Datasets over one ``read_edge_file``, the vertex dedup
-    collapsed into one shuffle (``edge_list_vertices``)."""
+    both collections are built on the driver from that parse, vertices
+    as one ``pc.unique`` of the endpoints, edges as the ``_id``
+    projection of each parsed block; both are handed over via
+    ``ray.data.from_arrow`` (materialized, one block per read chunk).
+    Ray plan: two lazy Datasets over one ``read_edge_file``, the vertex
+    dedup collapsed into one shuffle (``edge_list_vertices``)."""
     if _reads_on_driver(path):
         blocks = _split_edge_file(path)
         vertices = pa.table({
             cfg.smart_attribute: _endpoint_ids(pa.concat_tables(blocks))})
-        return (ray.data.from_arrow(vertices),
-                edge_docs(_driver_edges(blocks, cfg.vertex_coll, False)))
+        edges = [_with_vertex_ids(b, cfg.vertex_coll, False)
+                 .select(_EDGE_DOC_COLS) for b in blocks]
+        return ray.data.from_arrow(vertices), ray.data.from_arrow(edges)
     parsed = read_edge_file(path, cfg, smart_ids=False)
     vertices = edge_list_vertices(parsed, cfg)
     return vertices, edge_docs(parsed)

@@ -54,8 +54,9 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from kgeng.config import _DRIVER_SIDE_READ_BYTES
 from kgeng.ops.join import _int_bucket_ids, by_key
-from kgeng.ops.mat import mat
+from kgeng.ops.mat import mat, pull_blocks
 
 
 def _round9(x, ndigits: int) -> np.ndarray:
@@ -136,9 +137,9 @@ def _blk_col(blk, c) -> np.ndarray:
 def _pull_edges(edges: ray.data.Dataset, cols: list[str]) -> pa.Table:
     """The ``cols`` of a small MATERIALIZED edge Dataset as one Arrow
     table on the driver — no Dataset execution, whatever the block
-    format (see _blk_col)."""
-    blks = ray.get([r for b in edges.iter_internal_ref_bundles()
-                    for r in b.block_refs])
+    format (see _blk_col); blocks over ``_DRIVER_SIDE_READ_BYTES`` raise
+    before the pull (``pull_blocks``)."""
+    blks = pull_blocks(edges, _DRIVER_SIDE_READ_BYTES)
     return pa.table({c: np.concatenate([_blk_col(b, c) for b in blks]
                                        or [np.zeros(0, np.int64)])
                      for c in cols})

@@ -21,11 +21,19 @@ execution's per-operator stats (``ds.stats()`` still reports the run
 that produced it); only the chain to *earlier* executions is dropped,
 which is exactly what a fixpoint loop wants. Use it for every
 ``materialize()`` inside a loop whose output feeds the next round.
+
+``pull_blocks(ds, max_bytes)`` is the other way out of a materialized
+Dataset: its blocks on the driver, sized by their metadata before the
+pull (ROADMAP aim 3: every driver-side collect is bounded first).
 """
 
 from __future__ import annotations
 
+import math
+
+import ray
 import ray.data
+from ray.data.dataset import MaterializedDataset
 
 
 def mat(ds: ray.data.Dataset) -> ray.data.Dataset:
@@ -36,3 +44,33 @@ def mat(ds: ray.data.Dataset) -> ray.data.Dataset:
     except Exception:
         pass  # private-API drift: lose the optimization, not the run
     return out
+
+
+def _ref_bundles(ds: MaterializedDataset) -> list:
+    """The RefBundles of a materialized Dataset. Its plan's source
+    operator holds them (``InputData`` after ``materialize()``, the
+    ``From*`` operators of ``from_arrow`` and kin); only when it does not
+    are they iterated, which for a ``from_*`` Dataset starts a streaming
+    execution of the empty plan (~15 ms)."""
+    held = getattr(ds._logical_plan.dag, "output_data", lambda: None)()
+    return held if held is not None else list(ds.iter_internal_ref_bundles())
+
+
+def block_bytes(ds: MaterializedDataset) -> float:
+    """Bytes of ``ds``'s blocks as their metadata records them, read
+    without a pull or a Dataset execution; a block of unrecorded size
+    counts as unbounded."""
+    return sum(math.inf if m.size_bytes is None else m.size_bytes
+               for b in _ref_bundles(ds) for m in b.metadata)
+
+
+def pull_blocks(ds: MaterializedDataset, max_bytes: int) -> list:
+    """The blocks of a MATERIALIZED Dataset on the driver, in order: one
+    ``ray.get`` of the block refs (Arrow blocks map zero-copy from the
+    object store), no Dataset execution. Raises ``ValueError`` before
+    any ``ray.get`` when ``block_bytes(ds)`` exceeds ``max_bytes``."""
+    size = block_bytes(ds)
+    if size > max_bytes:
+        raise ValueError(f"pull_blocks: the blocks hold {size} bytes, "
+                         f"over the {max_bytes}-byte driver bound")
+    return ray.get([r for b in _ref_bundles(ds) for r in b.block_refs])

@@ -173,6 +173,30 @@ def test_import_edge_list_driver_plan_matches_ray_plan(tmp_path,
     assert [r[0][1] for r in driver_v] == sorted(want_vids)
 
 
+def test_driver_plan_across_many_read_chunks(tmp_path, monkeypatch):
+    """A read grain of a few bytes: the AWKWARD file spans many chunks
+    and blocks, read cut mid-token, next to CRLF, blank and comment
+    lines; the driver plan still gives the Ray plan's rows."""
+    from kgeng.io import graph_files
+
+    path = _awkward(tmp_path)
+    monkeypatch.setattr(graph_files, "_READ_CHUNK_BYTES", 5)
+    chunks = list(graph_files._line_chunks(path))
+    assert b"".join(chunks) == AWKWARD.encode("utf-8") and len(chunks) == 12
+    driver = {s: _rows(read_edge_file(path, CFG, smart_ids=s))
+              for s in (True, False)}
+    v, e = import_edge_list(path, CFG)
+    assert e.num_blocks() == 7  # one per chunk that holds an edge
+    driver_v, driver_e = _rows(v), _rows(e)
+    _ray_plan(monkeypatch)
+    for smart in (True, False):
+        assert _rows(read_edge_file(path, CFG, smart_ids=smart)) \
+            == driver[smart]
+    ray_v, ray_e = import_edge_list(path, CFG)
+    assert (_rows(ray_v), _rows(ray_e)) == (driver_v, driver_e)
+    assert len(driver_e) == 12
+
+
 def test_gzip_edge_file_takes_ray_plan(tmp_path):
     import gzip
 
